@@ -10,11 +10,14 @@ the Vieta-signed z vector and an explicit convention tag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import (
     DegenerateMap,
@@ -299,6 +302,26 @@ _JOB_SCHEMA = {
     "required": ["command", "payload"],
     "additionalProperties": False,
 }
+
+
+@functools.cache
+def _validator(command: str | None):
+    """Validator of one command's payload schema, or of the job schema for None.
+
+    Built on first use, so the schema is checked against its meta-schema
+    once per process rather than once per job, and import stays cheap.
+    """
+    schema = _JOB_SCHEMA if command is None else _PAYLOADS[command]
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(doc, command: str | None) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for doc."""
+    error = best_match(_validator(command).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def _c(value) -> complex:
@@ -607,8 +630,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        jsonschema.validate(job, _JOB_SCHEMA)
-        jsonschema.validate(job["payload"], _PAYLOADS[job["command"]])
+        _validate(job, None)
+        _validate(job["payload"], job["command"])
     except jsonschema.ValidationError as exc:
         print(f"error: invalid job: {exc.message}", file=sys.stderr)
         return 2

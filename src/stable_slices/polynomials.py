@@ -103,15 +103,27 @@ def multiply(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(np.convolve(av, bv))
 
 
+def vieta_rows(x) -> np.ndarray:
+    """e_1, ..., e_n of every row of a (B, n) array, as a (B, n) array.
+
+    No finiteness check: a row that overflows comes back non-finite.
+    """
+    # one row of e per index keeps each update a contiguous slice
+    xt = np.asarray(x, dtype=complex).T
+    n, batch = xt.shape
+    e = np.zeros((n + 1, batch), dtype=complex)
+    e[0] = 1.0
+    for j in range(n):
+        e[1:j + 2] += xt[j] * e[:j + 1]
+    return e[1:].T
+
+
 def vieta_from_roots(roots: Sequence[complex]) -> Poly:
     """Expand prod (T - x_j) and return the Poly carrying e_i(roots)."""
     xs = _as_complex_tuple(roots, "root")
     if not xs:
         raise ValueError("need at least one root")
-    raw = np.array([1.0 + 0.0j])
-    for x in xs:
-        raw = np.convolve(raw, np.array([1.0 + 0.0j, -x]))
-    return Poly.from_raw(raw)
+    return Poly(tuple(vieta_rows([xs])[0]))
 
 
 def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> np.ndarray:
@@ -213,6 +225,11 @@ def _collapse_refine(w: np.ndarray, z: np.ndarray, x: np.ndarray):
     return best
 
 
+def _require_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise NonConvergence("root iteration overflowed to a non-finite iterate")
+
+
 def find_roots(
     p: Poly,
     *,
@@ -274,6 +291,7 @@ def find_roots(
         order = np.lexsort((x.imag, x.real))
         return tuple(complex(v) for v in x[order])
 
+    _require_finite(x)
     tol = residual_tol if residual_tol is not None else RESIDUAL_SCALE * p.scale()
     target = np.asarray(p.z)
     err = float(np.max(np.abs(np.asarray(vieta_from_roots(x).z) - target)))
@@ -288,6 +306,7 @@ def find_roots(
         k = np.arange(n)
         alt = radius * 1.3 * np.exp(1j * (2.0 * np.pi * k / n + 1.1))
         x = _aberth(w, alt, 2 * max_iterations)
+        _require_finite(x)
         err = float(np.max(np.abs(np.asarray(vieta_from_roots(x).z) - target)))
         if err > tol:
             fixed = _collapse_refine(w, target, x)

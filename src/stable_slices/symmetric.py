@@ -13,33 +13,24 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import DimensionMismatch, NoRootInRegion
-from .polynomials import BOUNDARY_SCALE, Poly, cluster_roots, find_roots, vieta_from_roots
+from .polynomials import (
+    BOUNDARY_SCALE,
+    Poly,
+    cluster_roots,
+    find_roots,
+    vieta_from_roots,
+    vieta_rows,
+)
 from .regions import HalfPlane
 from .slices import CompressionReport, CompressOptions, Slice, compactness_bounds, compress
 
 GWS_RESIDUAL_SCALE = 1e-8
 _SEARCH_STREAM = 11
 _UNBOUNDED_FLOOR = -1e12
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Resolve a worker count; STABLE_SLICE_THREADS applies when unset, 0 = auto."""
-    value = requested
-    if value is None:
-        raw = os.environ.get("STABLE_SLICE_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 1
-    if value == 0:
-        value = os.cpu_count() or 1
-    return max(1, value)
 
 
 def _canonical_terms(terms, width: int):
@@ -124,6 +115,37 @@ class SymmetricPoly:
                     term *= ev[i] ** p
             total += term
         return float(total)
+
+
+@dataclasses.dataclass(frozen=True)
+class _TermTable:
+    """A list of SymmetricPolys on the same variables, compiled for batches.
+
+    ``exponents`` holds the union of the lists' monomials row-wise (T x n),
+    ``coefficients`` the coefficient of each monomial in each polynomial
+    (T x P).
+    """
+
+    exponents: np.ndarray
+    coefficients: np.ndarray
+
+    @classmethod
+    def compile(cls, polys) -> "_TermTable":
+        index: dict[tuple[int, ...], int] = {}
+        for f in polys:
+            for exps, _ in f.terms:
+                index.setdefault(exps, len(index))
+        coefficients = np.zeros((len(index), len(polys)), dtype=complex)
+        for j, f in enumerate(polys):
+            for exps, coeff in f.terms:
+                coefficients[index[exps], j] += coeff
+        exponents = np.asarray(list(index), dtype=int).reshape(len(index), polys[0].n)
+        return cls(exponents=exponents, coefficients=coefficients)
+
+    def at_points(self, x: np.ndarray) -> np.ndarray:
+        """Values (B x P) of every polynomial at every row of the B x n points x."""
+        monomials = np.prod(vieta_rows(x)[:, None, :] ** self.exponents, axis=2)
+        return monomials @ self.coefficients
 
 
 @dataclasses.dataclass(frozen=True)
@@ -407,6 +429,52 @@ class _Pattern:
         kind = "boundary" if self.boundary_real else "value"
         return f"{kind} multiplicities {self.multiplicities}, interior {self.interior}"
 
+    def affine_map(self, halfplane: HalfPlane) -> "_PatternMap":
+        """The pattern's points as an affine image of its parameters.
+
+        Each distinct value takes one parameter (its coordinate on the
+        boundary line) or two (real and imaginary part in the upper chart);
+        the values fill x in order, multiplicities first, then interior.
+        """
+        rot = np.exp(1j * halfplane.theta)
+        widths = self.multiplicities + (1,) * self.interior
+        matrix = np.zeros((self.params, sum(widths)), dtype=complex)
+        clamped = []
+        row = col = 0
+        for k, width in enumerate(widths):
+            matrix[row, col:col + width] = rot
+            if k >= len(self.multiplicities) or not self.boundary_real:
+                matrix[row + 1, col:col + width] = 1j * rot
+                clamped.append(row + 1)
+                row += 1
+            row += 1
+            col += width
+        return _PatternMap(base=halfplane.base, matrix=matrix,
+                           clamped=np.asarray(clamped, dtype=int))
+
+
+@dataclasses.dataclass(frozen=True)
+class _PatternMap:
+    """x = base + theta @ matrix, with theta[clamped] >= 0.
+
+    ``clamped`` lists the parameters that are imaginary parts in the upper
+    chart.
+    """
+
+    base: complex
+    matrix: np.ndarray
+    clamped: np.ndarray
+
+    def points(self, theta: np.ndarray) -> np.ndarray:
+        """Points for one parameter vector or for a B x params batch of them."""
+        return self.base + theta @ self.matrix
+
+    def project(self, theta: np.ndarray) -> np.ndarray:
+        """Clamp the imaginary parts at 0, so the values stay in the closed half-plane."""
+        out = theta.copy()
+        out[..., self.clamped] = np.maximum(out[..., self.clamped], 0.0)
+        return out
+
 
 def _partitions(total: int, parts: int):
     if parts == 0:
@@ -441,41 +509,6 @@ def _km_patterns(n: int, k_boundary: int, m_interior: int):
                 out.append(_Pattern(multiplicities=part, interior=t, boundary_real=True))
     out.sort(key=lambda p: (len(p.multiplicities) + p.interior, p.interior,
                             tuple(-m for m in p.multiplicities)))
-    return out
-
-
-def _pattern_point(pattern: _Pattern, theta: np.ndarray, halfplane: HalfPlane) -> np.ndarray:
-    rot = np.exp(1j * halfplane.theta)
-    vals = []
-    idx = 0
-    for _ in pattern.multiplicities:
-        if pattern.boundary_real:
-            vals.append(halfplane.base + rot * theta[idx])
-            idx += 1
-        else:
-            vals.append(halfplane.base + rot * (theta[idx] + 1j * theta[idx + 1]))
-            idx += 2
-    x = []
-    for value, mult in zip(vals, pattern.multiplicities):
-        x.extend([value] * mult)
-    for _ in range(pattern.interior):
-        x.append(halfplane.base + rot * (theta[idx] + 1j * theta[idx + 1]))
-        idx += 2
-    return np.asarray(x, dtype=complex)
-
-
-def _project_theta(pattern: _Pattern, theta: np.ndarray) -> np.ndarray:
-    out = theta.copy()
-    idx = 0
-    for _ in pattern.multiplicities:
-        if pattern.boundary_real:
-            idx += 1
-        else:
-            out[idx + 1] = max(out[idx + 1], 0.0)
-            idx += 2
-    for _ in range(pattern.interior):
-        out[idx + 1] = max(out[idx + 1], 0.0)
-        idx += 2
     return out
 
 
@@ -533,15 +566,19 @@ def _detect_pinned(polys) -> dict[int, complex]:
 def variety_search(polys, halfplane: HalfPlane | None = None, *,
                    pattern=None, budget: int = 200, seed: int = 0,
                    box: tuple[float, float, float] | None = None,
-                   threads: int | None = None,
                    newton_iterations: int = 60):
     """Search the common zero set for a point inside the closed half-plane.
 
     ``pattern`` is either an integer distinct-value budget or a pair
     (k_boundary, m_interior); ``budget`` counts Newton starts per pattern.
-    Returns FoundPoint on the first independently verified hit, else
-    NoneFound with search statistics; a NoneFound is never a certificate
-    of emptiness.
+    Starts run one after another, patterns in order, and the search stops
+    at the first hit.  Each start runs damped Gauss-Newton on the pattern's
+    parameters; every step evaluates the residuals once, as one batch
+    holding the current point, its forward-difference neighbours and all
+    line-search candidates.  A hit is checked again with the scalar
+    e-vector and term-by-term evaluation, independently of that batch.
+    Returns FoundPoint on the first verified hit, else NoneFound with
+    search statistics; a NoneFound is never a certificate of emptiness.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     polys = list(polys)
@@ -572,10 +609,11 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
         else:
             box = (-5.0, 5.0, 5.0)
 
-    def residual_vec(x: np.ndarray) -> np.ndarray:
-        e = vieta_from_roots(tuple(x)).z
-        vals = [f.eval_at_e(e) for f in polys]
-        return np.concatenate([np.real(vals), np.imag(vals)])
+    table = _TermTable.compile(polys)
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        vals = table.at_points(x)
+        return np.concatenate([vals.real, vals.imag], axis=1)
 
     def verify(x: np.ndarray):
         e = vieta_from_roots(tuple(x)).z
@@ -591,61 +629,42 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
             return None
         return tuple(float(v) for v in res)
 
-    def run_start(p_idx: int, pattern_obj: _Pattern, s_idx: int):
+    halvings = 0.5 ** np.arange(25)
+
+    def run_start(p_idx: int, pmap: _PatternMap, pattern_obj: _Pattern, s_idx: int):
         rng = np.random.default_rng([_SEARCH_STREAM, seed, p_idx, s_idx])
         theta = _start_theta(pattern_obj, rng, box)
-        if theta.size == 0:
-            x = _pattern_point(pattern_obj, theta, H)
-            res = verify(x)
-            return (res, x, float(np.linalg.norm(residual_vec(x))))
         best_norm = float("inf")
         for _ in range(newton_iterations):
-            F = residual_vec(_pattern_point(pattern_obj, theta, H))
+            # row 0 is theta, row q + 1 moves parameter q by its difference step
+            h = 1e-6 * (1.0 + np.abs(theta))
+            R = residuals(pmap.points(np.vstack([theta, theta + np.diag(h)])))
+            F = R[0]
             norm = float(np.linalg.norm(F))
             best_norm = min(best_norm, norm)
             if norm <= 1e-12:
                 break
-            J = np.zeros((F.size, theta.size))
-            for q in range(theta.size):
-                h = 1e-6 * (1.0 + abs(theta[q]))
-                tp = theta.copy()
-                tp[q] += h
-                J[:, q] = (residual_vec(_pattern_point(pattern_obj, tp, H)) - F) / h
+            J = ((R[1:] - F) / h[:, None]).T
             delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            step = 1.0
-            moved = False
-            for _ in range(25):
-                cand = _project_theta(pattern_obj, theta + step * delta)
-                if float(np.linalg.norm(residual_vec(_pattern_point(pattern_obj, cand, H)))) < norm:
-                    theta = cand
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
+            # the first of the halved steps that lowers the norm, as a
+            # sequential backtracking search would take it
+            cands = pmap.project(theta + halvings[:, None] * delta)
+            lower = np.flatnonzero(
+                np.linalg.norm(residuals(pmap.points(cands)), axis=1) < norm)
+            if lower.size == 0:
                 break
-        x = _pattern_point(pattern_obj, theta, H)
-        res = verify(x)
-        return (res, x, best_norm)
+            theta = cands[lower[0]]
+        x = pmap.points(theta)
+        return verify(x), x, best_norm
 
-    workers = thread_count(threads)
     total_starts = 0
     best_residual = float("inf")
     best_x = None
     for p_idx, pattern_obj in enumerate(patterns):
-        indices = list(range(budget))
-        if workers > 1 and len(indices) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(
-                    lambda s: run_start(p_idx, pattern_obj, s), indices))
-        else:
-            outcomes = []
-            for s in indices:
-                outcome = run_start(p_idx, pattern_obj, s)
-                outcomes.append(outcome)
-                if outcome[0] is not None:
-                    break
-        total_starts += len(outcomes)
-        for s_idx, (res, x, norm) in enumerate(outcomes):
+        pmap = pattern_obj.affine_map(H)
+        for s_idx in range(budget):
+            res, x, norm = run_start(p_idx, pmap, pattern_obj, s_idx)
+            total_starts += 1
             if norm < best_residual:
                 best_residual = norm
                 best_x = tuple(sorted((complex(v) for v in x),
@@ -655,7 +674,7 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
                                   key=lambda v: (v.real, v.imag)))
                 return FoundPoint(x=xs, residuals=res,
                                   pattern=pattern_obj.describe(),
-                                  starts_used=total_starts - len(outcomes) + s_idx + 1)
+                                  starts_used=total_starts)
     return NoneFound(patterns_tried=len(patterns), starts=total_starts,
                      best_residual=best_residual, best_x=best_x)
 
@@ -671,33 +690,26 @@ class HalfDegreeResult:
     k: int
 
 
-def _descend(objective, pattern_obj: _Pattern, theta0: np.ndarray, iterations: int):
-    theta = _project_theta(pattern_obj, theta0)
-    value = objective(theta)
+def _descend(objective, pmap: _PatternMap, theta0: np.ndarray, iterations: int):
+    """Projected gradient descent with backtracking; objective maps B x params to B."""
+    theta = pmap.project(theta0)
+    value = float(objective(theta[None, :])[0])
+    halvings = 0.5 ** np.arange(40)
     for _ in range(iterations):
         if value < _UNBOUNDED_FLOOR:
             break
-        grad = np.zeros(theta.size)
-        for q in range(theta.size):
-            h = 1e-6 * (1.0 + abs(theta[q]))
-            tp = theta.copy()
-            tp[q] += h
-            grad[q] = (objective(tp) - value) / h
+        h = 1e-6 * (1.0 + np.abs(theta))
+        grad = (objective(theta + np.diag(h)) - value) / h
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-12 * (1.0 + abs(value)):
             break
         step = max(1.0, abs(value) / (gnorm * gnorm + 1e-300))
-        improved = False
-        for _ in range(40):
-            cand = _project_theta(pattern_obj, theta - step * grad)
-            cv = objective(cand)
-            if cv < value - 1e-14 * (1.0 + abs(value)):
-                theta, value = cand, cv
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        cands = pmap.project(theta - (step * halvings)[:, None] * grad)
+        values = objective(cands)
+        lower = np.flatnonzero(values < value - 1e-14 * (1.0 + abs(value)))
+        if lower.size == 0:
             break
+        theta, value = cands[lower[0]], float(values[lower[0]])
     return value, theta
 
 
@@ -711,7 +723,8 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
     The restricted space uses k = max(floor(d/2), 2): at most k distinct
     real coordinates (with multiplicities) plus at most k interior ones.
     Unboundedness is reported when descent dives under the floor and the
-    doubled witness at least doubles the objective's drop.
+    doubled witness drops at least 1.5 times as far below the objective at
+    the half-plane's base point (all parameters zero) as the witness does.
     """
     H = HalfPlane.upper()
     n = f.n
@@ -719,10 +732,11 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
     if box is None:
         box = (-3.0, 3.0, 3.0)
 
-    def objective_for(pattern_obj: _Pattern):
-        def objective(theta: np.ndarray) -> float:
-            x = _pattern_point(pattern_obj, theta, H)
-            val = f.eval_at_e(vieta_from_roots(tuple(x)).z)
+    table = _TermTable.compile([f])
+
+    def objective_for(pmap: _PatternMap):
+        def objective(theta: np.ndarray) -> np.ndarray:
+            val = table.at_points(pmap.points(theta))[:, 0]
             return lam * val.real + mu * val.imag
         return objective
 
@@ -731,19 +745,20 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
         witness = None
         unbounded = False
         for p_idx, pattern_obj in enumerate(patterns):
-            objective = objective_for(pattern_obj)
+            pmap = pattern_obj.affine_map(H)
+            objective = objective_for(pmap)
             for s_idx in range(budget):
                 rng = np.random.default_rng([_SEARCH_STREAM, seed, tag, p_idx, s_idx])
                 theta0 = _start_theta(pattern_obj, rng, box)
-                value, theta = _descend(objective, pattern_obj, theta0, iterations)
+                value, theta = _descend(objective, pmap, theta0, iterations)
                 if value < best:
                     best = value
-                    witness = _pattern_point(pattern_obj, theta, H)
+                    witness = pmap.points(theta)
                 if value < _UNBOUNDED_FLOOR:
-                    doubled = objective(2.0 * theta)
-                    if doubled <= 2.0 * value:
+                    base, doubled = objective(np.stack([np.zeros_like(theta), 2.0 * theta]))
+                    if doubled - base <= 1.5 * (value - base):
                         unbounded = True
-                        witness = _pattern_point(pattern_obj, theta, H)
+                        witness = pmap.points(theta)
                         return float("-inf"), unbounded, witness
         return best, unbounded, witness
 

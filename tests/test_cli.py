@@ -7,8 +7,10 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
-from stable_slices.cli import main
+from stable_slices import vieta_from_roots
+from stable_slices.cli import _JOB_SCHEMA, _PAYLOADS, _validate, main
 
 FLAGSHIP_Z = [[0.0, 23.0], [-463.0, 0.0], [0.0, -8461.0], [8020.0, 0.0]]
 
@@ -242,6 +244,45 @@ class TestValidation:
         jf = tmp_path / "bad.json"
         jf.write_text("{not json")
         assert main(["--job", str(jf)]) == 2
+
+    def test_schemas_pass_the_meta_schema(self):
+        for schema in [_JOB_SCHEMA, *_PAYLOADS.values()]:
+            validator_for(schema).check_schema(schema)
+
+    def test_cached_validators_raise_the_same_errors(self):
+        jobs = [
+            {"command": "frobnicate", "payload": {}},
+            {"command": "roots"},
+            {"command": "roots", "payload": {"poly": {"z": []}}},
+            {"command": "bounds", "payload": {"a1": 1, "a2": [1, 2, 3], "n": 1}},
+            {"command": "variety-search",
+             "payload": {"polys": [{"n": 2, "degree": 1, "terms": []}], "budget": 0}},
+        ]
+        for job in jobs:
+            with pytest.raises(jsonschema.ValidationError) as expected:
+                jsonschema.validate(job, _JOB_SCHEMA)
+                jsonschema.validate(job["payload"], _PAYLOADS[job["command"]])
+            with pytest.raises(jsonschema.ValidationError) as got:
+                _validate(job, None)
+                _validate(job["payload"], job["command"])
+            assert got.value.message == expected.value.message
+
+
+class TestNumericalFailure:
+    def test_root_overflow_exits_3(self, tmp_path, capsys):
+        # a stable degree-40 polynomial on which the Aberth iteration
+        # overflows; until the root finder holds at this degree the CLI
+        # must report a numerical failure, not invalid input
+        rng = np.random.default_rng(40)
+        roots = rng.normal(0, 1.5, 40) + 1j * np.abs(rng.normal(0, 1.0, 40))
+        z = vieta_from_roots(roots).z
+        code, text = run_job(tmp_path, {
+            "command": "roots",
+            "payload": {"poly": {"z": [[v.real, v.imag] for v in z]}},
+        })
+        assert code == 3
+        assert text == ""
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from stable_slices import (
     multiply,
     vieta_from_roots,
 )
+from stable_slices.polynomials import vieta_rows
 
 
 def brute_elementary(roots, i):
@@ -119,6 +120,27 @@ class TestVieta:
         )
         scale = 1.0 + float(np.max(np.abs(joint)))
         assert np.max(np.abs(np.asarray(prod) - joint)) < 1e-10 * scale
+
+
+class TestVietaRows:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_match_vieta_from_roots(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+        rows = vieta_rows(x)
+        assert rows.shape == (7, n)
+        for b in range(7):
+            expected = [brute_elementary(x[b], i) for i in range(1, n + 1)]
+            scale = 1.0 + max(abs(v) for v in expected)
+            assert np.max(np.abs(rows[b] - expected)) <= 1e-12 * scale
+            single = vieta_from_roots(x[b]).z
+            assert np.max(np.abs(rows[b] - single)) <= 1e-13 * scale
+
+    def test_one_row_rejects_non_finite_roots(self):
+        with pytest.raises(ValueError):
+            vieta_from_roots((1.0, float("nan")))
+        with pytest.raises(ValueError):
+            vieta_from_roots((complex("inf"), 1.0))
 
 
 class TestFindRoots:

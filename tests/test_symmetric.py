@@ -21,6 +21,7 @@ from stable_slices import (
     variety_search,
     young_gws,
 )
+from stable_slices.symmetric import _budget_patterns, _km_patterns, _TermTable
 
 
 def brute_elementary(x):
@@ -86,6 +87,91 @@ class TestEvalSymmetric:
             ref = coeffs[0] + sum(coeffs[i] * es[i - 1] for i in range(1, d + 1))
             got = eval_symmetric(f, tuple(x))
             assert abs(got - ref) <= 1e-8 * (1.0 + abs(ref))
+
+
+class TestTermTable:
+    def test_batch_matches_eval_at_e(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            polys = []
+            for _ in range(int(rng.integers(1, 4))):
+                terms = {(0,) * n: complex(rng.normal(), rng.normal())}
+                for _ in range(3):
+                    # weighted degree at most n: e1^a e2^b with a + 2b <= n
+                    b = int(rng.integers(0, n // 2 + 1))
+                    a = int(rng.integers(0, n - 2 * b + 1))
+                    key = (a, b) + (0,) * (n - 2)
+                    terms[key] = complex(rng.normal(), rng.normal())
+                polys.append(SymmetricPoly.from_terms(n, terms, n))
+            # e1^2, e2^2 and e1 e2 appear once n >= 4
+            polys.append(SymmetricPoly.from_terms(
+                n, {(2,) + (0,) * (n - 1): 1.0, (0,) * n: -3.0}, 2))
+            table = _TermTable.compile(polys)
+            x = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+            got = table.at_points(x)
+            assert got.shape == (6, len(polys))
+            for b in range(6):
+                e = elementary_symmetrics(x[b])
+                for j, f in enumerate(polys):
+                    scale = 1.0 + f.abs_eval_at_e(e)
+                    assert abs(got[b, j] - f.eval_at_e(e)) <= 1e-12 * scale
+
+
+def pattern_point_reference(pattern, theta, halfplane):
+    """The pattern's point, value by value, for one parameter vector."""
+    rot = np.exp(1j * halfplane.theta)
+    vals = []
+    idx = 0
+    for _ in pattern.multiplicities:
+        if pattern.boundary_real:
+            vals.append(halfplane.base + rot * theta[idx])
+            idx += 1
+        else:
+            vals.append(halfplane.base + rot * (theta[idx] + 1j * theta[idx + 1]))
+            idx += 2
+    x = []
+    for value, mult in zip(vals, pattern.multiplicities):
+        x.extend([value] * mult)
+    for _ in range(pattern.interior):
+        x.append(halfplane.base + rot * (theta[idx] + 1j * theta[idx + 1]))
+        idx += 2
+    return np.asarray(x, dtype=complex)
+
+
+def project_theta_reference(pattern, theta):
+    """Clamp each free imaginary part at 0, value by value."""
+    out = theta.copy()
+    idx = 0
+    for _ in pattern.multiplicities:
+        if pattern.boundary_real:
+            idx += 1
+        else:
+            out[idx + 1] = max(out[idx + 1], 0.0)
+            idx += 2
+    for _ in range(pattern.interior):
+        out[idx + 1] = max(out[idx + 1], 0.0)
+        idx += 2
+    return out
+
+
+class TestPatternMap:
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_matches_value_by_value_construction(self, n):
+        rng = np.random.default_rng(n)
+        H = HalfPlane(theta=1.1, base=0.3 - 0.7j)
+        patterns = list(_budget_patterns(n, n)) + _km_patterns(n, 2, 2)
+        for pattern in patterns:
+            pmap = pattern.affine_map(H)
+            theta = rng.normal(size=(5, pattern.params))
+            points = pmap.points(theta)
+            projected = pmap.project(theta)
+            for b in range(5):
+                ref = pattern_point_reference(pattern, theta[b], H)
+                assert np.max(np.abs(points[b] - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
+                assert np.array_equal(projected[b], project_theta_reference(pattern, theta[b]))
+                one = pmap.points(theta[b])
+                assert np.max(np.abs(one - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
 
 
 class TestCoordinateProfile:
@@ -290,6 +376,20 @@ class TestVarietySearch:
             assert all(v.imag >= -1e-8 for v in r.x)
         assert checked >= 5
 
+    def test_paper_quadruple_starts_used(self):
+        # e_i pinned to the values of (-20+i, i, 20+i, 20i); the start count
+        # fixes the whole sequence of seeded starts and Newton steps
+        e = elementary_symmetrics((-20 + 1j, 1j, 20 + 1j, 20j))
+        polys = []
+        for i in range(1, 5):
+            key = tuple(1 if j == i - 1 else 0 for j in range(i))
+            polys.append(SymmetricPoly.from_terms(4, {key: 1.0, (0,) * i: -e[i - 1]}, i))
+        r = variety_search(polys, pattern=4, budget=50, seed=0)
+        assert isinstance(r, FoundPoint)
+        assert r.starts_used == 201
+        assert np.allclose(sorted(r.x, key=lambda v: (v.real, v.imag)),
+                           [-20 + 1j, 1j, 20j, 20 + 1j], atol=1e-6)
+
     def test_none_found_reports_statistics(self):
         # e1 = 1 and e1 = 2 cannot hold at once
         f1 = SymmetricPoly.from_terms(2, {(1,): 1.0, (0,): -1.0}, 1)
@@ -312,6 +412,15 @@ class TestHalfDegreeOptimize:
         f = SymmetricPoly.from_terms(3, {(2, 0, 0): 1.0}, 2)
         res = halfdeg_optimize(f, 1.0, 0.0, budget=8, seed=1)
         assert res.full_unbounded and res.restricted_unbounded
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linear_objective_negative_at_origin_unbounded(self, n):
+        # -1 + e1: the objective is negative at the base point, which once
+        # made the doubling test fail and reported a bound near -1e12
+        f = SymmetricPoly.from_terms(n, {(0,) * n: -1.0, (1,) + (0,) * (n - 1): 1.0}, 1)
+        res = halfdeg_optimize(f, 1.0, 0.0, budget=4, seed=0)
+        assert res.full_unbounded and res.restricted_unbounded
+        assert res.inf_full == res.inf_restricted == float("-inf")
 
     def test_restriction_parameter(self):
         f = SymmetricPoly.from_terms(4, {(0, 1, 0, 0): 1.0}, 2)
