@@ -363,6 +363,11 @@ def _parse_slice(doc) -> Slice:
                              target, field=doc.get("field", "complex"))
 
 
+def _parse_real(coefficients) -> Poly:
+    """Monic polynomial from its real raw coefficients below the leading 1."""
+    return Poly.from_raw(tuple([1.0] + [complex(v) for v in coefficients]))
+
+
 def _parse_sympoly(doc) -> SymmetricPoly:
     terms = {tuple(t["exponents"]): _c(t["coefficient"]) for t in doc["terms"]}
     return SymmetricPoly.from_terms(doc["n"], terms, doc["degree"])
@@ -382,6 +387,15 @@ def _profile_doc(profile) -> dict:
             }
             for cl in profile.clusters
         ],
+    }
+
+
+def _verdict_doc(verdict) -> dict:
+    return {
+        "stable": verdict.stable,
+        "strict": verdict.strict,
+        "profile": _profile_doc(verdict.profile),
+        "witness_roots": [_pair(r) for r in verdict.witness],
     }
 
 
@@ -432,6 +446,8 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
                  max_iters: int | None, out_stream) -> dict | None:
     boundary = tolerances.get("boundary")
     cluster = tolerances.get("cluster")
+    H = _parse_halfplane(payload.get("halfplane"))
+    x = tuple(_c(v) for v in payload.get("x", ()))
 
     if command == "roots":
         p = _parse_poly(payload["poly"])
@@ -444,28 +460,14 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
 
     if command == "stable-check":
         p = _parse_poly(payload["poly"])
-        H = _parse_halfplane(payload.get("halfplane"))
-        verdict = is_stable(p, H, cluster_radius=cluster, boundary_tol=boundary)
-        return {
-            "stable": verdict.stable,
-            "strict": verdict.strict,
-            "profile": _profile_doc(verdict.profile),
-            "witness_roots": [_pair(r) for r in verdict.witness],
-        }
+        return _verdict_doc(is_stable(p, H, cluster_radius=cluster, boundary_tol=boundary))
 
     if command == "hurwitz-check":
-        p = Poly.from_raw(tuple([1.0] + [complex(v) for v in payload["coefficients"]]))
-        verdict = is_weakly_hurwitz(p, cluster_radius=cluster, boundary_tol=boundary)
-        return {
-            "stable": verdict.stable,
-            "strict": verdict.strict,
-            "profile": _profile_doc(verdict.profile),
-            "witness_roots": [_pair(r) for r in verdict.witness],
-        }
+        p = _parse_real(payload["coefficients"])
+        return _verdict_doc(is_weakly_hurwitz(p, cluster_radius=cluster, boundary_tol=boundary))
 
     if command == "embed":
-        p = Poly.from_raw(tuple([1.0] + [complex(v) for v in payload["coefficients"]]))
-        return {"poly": _poly_doc(hurwitz_embed(p))}
+        return {"poly": _poly_doc(hurwitz_embed(_parse_real(payload["coefficients"])))}
 
     if command == "unembed":
         p = hurwitz_unembed(_parse_poly(payload["poly"]))
@@ -482,7 +484,6 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
     if command == "compress":
         p = _parse_poly(payload["poly"])
         S = _parse_slice(payload["slice"])
-        H = _parse_halfplane(payload.get("halfplane"))
         odoc = payload.get("options", {})
         opts = CompressOptions(
             max_steps=odoc.get("max_steps", max_iters),
@@ -495,8 +496,6 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
 
     if command == "gws":
         f = _parse_sympoly(payload["f"])
-        x = tuple(_c(v) for v in payload["x"])
-        H = _parse_halfplane(payload.get("halfplane"))
         y = gws_solve(f, x, H)
         residual = abs(eval_symmetric(f, (y,) * f.n) - eval_symmetric(f, x))
         return {"y": _pair(y), "residual": float(residual)}
@@ -506,8 +505,6 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
         terms = {tuple(t["exponents"]): _c(t["coefficient"]) for t in fdoc["gk"]}
         matrix = [[_c(v) for v in row] for row in fdoc["matrix"]]
         form = SufficientForm.from_data(matrix, terms)
-        x = tuple(_c(v) for v in payload["x"])
-        H = _parse_halfplane(payload.get("halfplane"))
         x_tilde, report = coincide(form, x, H,
                                    CompressOptions(functional_seed=seed,
                                                    cluster_radius=cluster,
@@ -525,8 +522,6 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
 
     if command == "young-gws":
         blocks = tuple(payload["blocks"])
-        x = tuple(_c(v) for v in payload["x"])
-        H = _parse_halfplane(payload.get("halfplane"))
         if ("f" in payload) == ("block_terms" in payload):
             raise DimensionMismatch("provide exactly one of 'f' or 'block_terms'")
         if "f" in payload:
@@ -539,7 +534,6 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
 
     if command == "variety-search":
         polys = [_parse_sympoly(d) for d in payload["polys"]]
-        H = _parse_halfplane(payload.get("halfplane"))
         pat = payload.get("pattern")
         if isinstance(pat, list):
             pat = (pat[0], pat[1])
@@ -582,7 +576,6 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
 
     if command == "slice-sample":
         S = _parse_slice(payload["slice"])
-        H = _parse_halfplane(payload.get("halfplane"))
         grid = sample_slice_section(S, H, tuple(payload["free_axes"]),
                                     tuple(payload["window"]),
                                     tuple(payload["resolution"]))

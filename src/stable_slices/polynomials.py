@@ -41,6 +41,18 @@ def _as_complex_tuple(values: Iterable[complex], what: str) -> tuple[complex, ..
     return out
 
 
+def z_to_raw(z) -> np.ndarray:
+    """Descending raw coefficients [1, -z_1, +z_2, ...] of the monic f_z."""
+    signs = (-1.0) ** np.arange(1, len(z) + 1)
+    return np.concatenate(([1.0 + 0.0j], signs * np.asarray(z, dtype=complex)))
+
+
+def raw_to_z(w: np.ndarray) -> np.ndarray:
+    """Signed coefficient vector z of a monic descending raw vector w."""
+    signs = (-1.0) ** np.arange(1, w.size)
+    return signs * w[1:]
+
+
 @dataclasses.dataclass(frozen=True)
 class Poly:
     """Monic polynomial keyed by its elementary-symmetric coefficient vector."""
@@ -58,9 +70,7 @@ class Poly:
 
     def raw_coefficients(self) -> np.ndarray:
         """Descending unsigned coefficients [1, -z_1, +z_2, ...]."""
-        n = self.degree
-        signs = (-1.0) ** np.arange(1, n + 1)
-        return np.concatenate(([1.0 + 0.0j], signs * np.asarray(self.z, dtype=complex)))
+        return z_to_raw(self.z)
 
     @classmethod
     def from_raw(cls, coefficients: Sequence[complex]) -> "Poly":
@@ -71,10 +81,7 @@ class Poly:
         lead = w[0]
         if lead == 0:
             raise ValueError("leading coefficient must be nonzero")
-        w = w / lead
-        n = w.size - 1
-        signs = (-1.0) ** np.arange(1, n + 1)
-        return cls(tuple(signs * w[1:]))
+        return cls(tuple(raw_to_z(w / lead)))
 
     def scale(self) -> float:
         return 1.0 + float(max(abs(v) for v in self.z))
@@ -143,7 +150,12 @@ def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> np.ndarray:
         denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
         step = newton / denom
         x = x - step
-        if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(x))):
+        size = np.max(np.abs(step))
+        if not np.isfinite(size):
+            # one non-finite iterate turns every other one NaN through the
+            # repulsion sums, so the remaining iterations cannot recover
+            return np.full_like(x, np.nan)
+        if size <= 1e-14 * (1.0 + np.max(np.abs(x))):
             break
     return x
 
@@ -429,12 +441,7 @@ def cluster_roots(
         members = tuple(complex(xs[i]) for i in sorted(g))
         center = complex(np.mean(xs[list(g)]))
         dist = halfplane.signed_distance(center)
-        if abs(dist) <= btol:
-            side = "boundary"
-        elif dist > btol:
-            side = "interior"
-        else:
-            side = "outside"
+        side = halfplane.side(center, btol)
         clusters.append(Cluster(center, len(members), members, side, dist))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     return RootProfile(tuple(clusters), r, btol)

@@ -9,7 +9,14 @@ import math
 import numpy as np
 
 from .errors import DegenerateMap
-from .polynomials import BOUNDARY_SCALE, Poly, find_roots, vieta_from_roots
+from .polynomials import (
+    BOUNDARY_SCALE,
+    Poly,
+    find_roots,
+    raw_to_z,
+    vieta_from_roots,
+    z_to_raw,
+)
 
 MOEBIUS_DET_SCALE = 1e-12
 _TRIM_SCALE = 1e-12
@@ -44,6 +51,13 @@ class HalfPlane:
         """Positive inside, ~0 on the boundary line, negative outside."""
         return (cmath.exp(-1j * self.theta) * (complex(point) - self.base)).imag
 
+    def side(self, point: complex, tol: float) -> str:
+        """"boundary" within tol of the line, else "interior" or "outside"."""
+        s = self.signed_distance(point)
+        if abs(s) <= tol:
+            return "boundary"
+        return "interior" if s > tol else "outside"
+
     def boundary_point(self, t: float) -> complex:
         """Point on the boundary line at real parameter t."""
         return self.base + cmath.exp(1j * self.theta) * t
@@ -66,10 +80,7 @@ def halfplane_contains(
     """Classify a point as "interior", "boundary" or "outside"."""
     if tol is None:
         tol = BOUNDARY_SCALE * (1.0 + abs(complex(point)))
-    s = halfplane.signed_distance(point)
-    if abs(s) <= tol:
-        return "boundary"
-    return "interior" if s > tol else "outside"
+    return halfplane.side(point, tol)
 
 
 def to_upper_halfplane(halfplane: HalfPlane, p: Poly) -> Poly:
@@ -114,14 +125,6 @@ def upper_chart(halfplane: HalfPlane, n: int) -> tuple[np.ndarray, np.ndarray]:
         shifted_desc = np.array(ascending[::-1], dtype=complex)
         powers = alpha ** np.arange(0, deg + 1)
         return shifted_desc * powers  # coefficient of T^{deg-t} gains alpha^t
-
-    def z_to_raw(z: np.ndarray) -> np.ndarray:
-        signs = (-1.0) ** np.arange(1, n + 1)
-        return np.concatenate(([1.0 + 0.0j], signs * z))
-
-    def raw_to_z(w: np.ndarray) -> np.ndarray:
-        signs = (-1.0) ** np.arange(1, n + 1)
-        return signs * w[1:]
 
     zero = np.zeros(n, dtype=complex)
     b = raw_to_z(transform_raw(z_to_raw(zero)))

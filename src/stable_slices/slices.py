@@ -28,6 +28,7 @@ from .polynomials import (
     CLUSTER_SCALE,
     Poly,
     RootProfile,
+    _deflate,
     cluster_roots,
     find_roots,
     vieta_from_roots,
@@ -116,8 +117,7 @@ class Slice:
     def rank(self) -> int:
         if self.k == 0 or self.n == 0:
             return 0
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        return int(np.sum(s > NULLSPACE_SCALE * s[0])) if s.size else 0
+        return _rank(self.matrix)
 
     @cached_property
     def pseudoinverse(self) -> np.ndarray:
@@ -194,15 +194,29 @@ def compactness_bounds(a1: complex, a2: complex, n: int) -> Bounds | None:
     return Bounds(im_hi=im_hi, re_sq_bound=re_sq)
 
 
+def _rank(A: np.ndarray, s: np.ndarray | None = None) -> int:
+    """Count of singular values above NULLSPACE_SCALE times the largest.
+
+    s, when given, holds the singular values of A already computed.
+    """
+    if s is None:
+        s = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(s > NULLSPACE_SCALE * s[0])) if s.size else 0
+
+
+def _kernel_basis(A: np.ndarray, m: int) -> np.ndarray:
+    """Orthonormal basis of the numerical kernel of the k x m matrix A, as columns."""
+    if A.shape[0] == 0:
+        return np.eye(m)
+    # svd returns V conjugate-transposed; kernel vectors are columns of V
+    _, s, vh = np.linalg.svd(A)
+    return np.conj(vh[_rank(A, s):]).T
+
+
 def _row_in_span(matrix: np.ndarray, row: np.ndarray) -> bool:
     if matrix.shape[0] == 0:
         return False
-    stacked = np.vstack([matrix, row])
-    s_old = np.linalg.svd(matrix, compute_uv=False)
-    s_new = np.linalg.svd(stacked, compute_uv=False)
-    rank_old = int(np.sum(s_old > NULLSPACE_SCALE * s_old[0])) if s_old.size else 0
-    rank_new = int(np.sum(s_new > NULLSPACE_SCALE * s_new[0])) if s_new.size else 0
-    return rank_new == rank_old
+    return _rank(np.vstack([matrix, row])) == _rank(matrix)
 
 
 def augment(S: Slice, z0) -> Slice:
@@ -262,23 +276,27 @@ class KernelDirection:
     c: tuple[complex, ...]
 
 
-def _nullspace_vector(A: np.ndarray, m: int) -> np.ndarray | None:
-    if A.shape[0] == 0:
-        b = np.zeros(m)
-        b[m - 1] = 1.0
-        return b
-    _, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > NULLSPACE_SCALE * s[0])) if s.size and s[0] > 0 else 0
-    if rank >= m:
-        return None
-    # svd returns V conjugate-transposed; the nullspace vector is a column
-    # of V, so the last row must be conjugated back
-    return np.conj(vh[-1])
-
-
 def _canonical(b: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(b)))
     return b / b[idx]
+
+
+def _check_movers(S: Slice, cof: np.ndarray, m: int) -> None:
+    if m < 1:
+        raise DimensionMismatch("mover count must be positive")
+    if S.k and S.n != cof.size - 1 + m:
+        raise DimensionMismatch("cofactor degree does not match slice dimension")
+
+
+def _direction(S: Slice, X: np.ndarray, b: np.ndarray) -> KernelDirection | None:
+    """KernelDirection of b with c = X b; None when c leaves the slice constraint."""
+    c = X @ b
+    if S.k:
+        lead = float(np.max(np.abs(S.matrix))) if S.matrix.size else 0.0
+        limit = NULLSPACE_SCALE * max(1.0, lead) * max(float(np.max(np.abs(c))), 1e-300)
+        if float(np.max(np.abs(S.matrix @ c))) > 10.0 * limit:
+            return None
+    return KernelDirection(b=tuple(b), c=tuple(c))
 
 
 def kernel_direction(S: Slice, cofactor, m: int, mode: str = "complex") -> KernelDirection | None:
@@ -291,28 +309,18 @@ def kernel_direction(S: Slice, cofactor, m: int, mode: str = "complex") -> Kerne
     if mode not in ("complex", "real"):
         raise ValueError(f"unknown mode {mode!r}")
     cof = np.asarray(cofactor, dtype=complex).ravel()
-    if m < 1:
-        raise DimensionMismatch("mover count must be positive")
-    n = cof.size - 1 + m
-    if S.k and S.n != n:
-        raise DimensionMismatch("cofactor degree does not match slice dimension")
+    _check_movers(S, cof, m)
     X = _convolution_matrix(cof, m)
     A = S.matrix @ X if S.k else np.zeros((0, m), dtype=complex)
     if mode == "real":
         A = np.vstack([A.real, A.imag])
-    b = _nullspace_vector(A, m)
-    if b is None:
+    V = _kernel_basis(A, m)
+    if V.shape[1] == 0:
         return None
-    b = _canonical(b.astype(complex))
+    b = _canonical(V[:, -1].astype(complex))
     if mode == "real":
         b = b.real.astype(complex)
-    c = X @ b
-    if S.k:
-        lead = float(np.max(np.abs(S.matrix))) if S.matrix.size else 0.0
-        limit = NULLSPACE_SCALE * max(1.0, lead) * max(float(np.max(np.abs(c))), 1e-300)
-        if float(np.max(np.abs(S.matrix @ c))) > 10.0 * limit:
-            return None
-    return KernelDirection(b=tuple(b), c=tuple(c))
+    return _direction(S, X, b)
 
 
 def hurwitz_kernel_direction(S: Slice, cofactor, m: int) -> KernelDirection | None:
@@ -328,27 +336,16 @@ def hurwitz_kernel_direction(S: Slice, cofactor, m: int) -> KernelDirection | No
     cof = np.asarray(cofactor, dtype=complex).ravel()
     if float(np.max(np.abs(cof.imag))) > 1e-10 * (1.0 + float(np.max(np.abs(cof)))):
         raise NonRealInput("hurwitz cofactor must be real")
-    if m < 1:
-        raise DimensionMismatch("mover count must be positive")
-    n = cof.size - 1 + m
-    if S.k and S.n != n:
-        raise DimensionMismatch("cofactor degree does not match slice dimension")
+    _check_movers(S, cof, m)
     X = _convolution_matrix(cof.real.astype(complex), m)
     free = [j for j in range(m) if j % 2 == 1 or (j == m - 1 and m % 2 == 1)]
     A = S.matrix.real @ X.real if S.k else np.zeros((0, m))
-    b_free = _nullspace_vector(A[:, free], len(free))
-    if b_free is None:
+    V = _kernel_basis(A[:, free], len(free))
+    if V.shape[1] == 0:
         return None
     b = np.zeros(m, dtype=complex)
-    b[free] = b_free
-    b = _canonical(b)
-    c = X @ b
-    if S.k:
-        lead = float(np.max(np.abs(S.matrix))) if S.matrix.size else 0.0
-        limit = NULLSPACE_SCALE * max(1.0, lead) * max(float(np.max(np.abs(c))), 1e-300)
-        if float(np.max(np.abs(S.matrix @ c))) > 10.0 * limit:
-            return None
-    return KernelDirection(b=tuple(b), c=tuple(c))
+    b[free] = V[:, -1]
+    return _direction(S, X, _canonical(b))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -562,18 +559,6 @@ def _state_roots(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray) -> np.ndarra
     return np.concatenate([moving, frozen]) if frozen.size else moving
 
 
-def _deflate_raw(w: np.ndarray, r: complex) -> np.ndarray:
-    # synthetic division of the monic raw vector by (T - r); the remainder
-    # is dropped because r is an exact root of the represented product
-    q = np.empty(w.size - 1, dtype=complex)
-    acc = w[0]
-    q[0] = acc
-    for j in range(1, w.size - 1):
-        acc = w[j] + r * acc
-        q[j] = acc
-    return q
-
-
 def _position_tangents(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray) -> np.ndarray:
     """Columns d z / d x_i for a root multiset parametrized by positions.
 
@@ -587,7 +572,7 @@ def _position_tangents(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray) -> np.
     signs = np.array([(-1.0) ** t for t in range(1, n + 1)])
     cols = np.empty((n, x.size), dtype=complex)
     for i in range(x.size):
-        q = _deflate_raw(w, complex(x[i]))
+        q = _deflate(w, complex(x[i]))
         cols[:, i] = signs * (-float(mu[i])) * q
     return cols
 
@@ -655,14 +640,6 @@ def _fiber_correct_mixed(xr: np.ndarray, mur: np.ndarray,
         pos[:nr] += delta[:nr]
         pos[nr:] += delta[nr::2] + 1j * delta[nr + 1::2]
     return best[:nr].real, best[nr:], best_err
-
-
-def _kernel_basis_real(A: np.ndarray, m: int) -> np.ndarray:
-    if A.shape[0] == 0:
-        return np.eye(m)
-    _, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > NULLSPACE_SCALE * s[0])) if s.size and s[0] > 0 else 0
-    return vh[rank:].T
 
 
 def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
@@ -740,7 +717,7 @@ def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
 
         cols = _position_tangents(x, mu, frozen)
         J = S2.matrix @ cols
-        V = _kernel_basis_real(np.vstack([J.real, J.imag]), x.size)
+        V = _kernel_basis(np.vstack([J.real, J.imag]), x.size)
         if V.shape[1] == 0:
             stalled = True
             break
@@ -1075,7 +1052,9 @@ def sample_slice_section(S: Slice, halfplane: HalfPlane | None, free_axes: tuple
 
     Axis 2k is Re(z_{k+1}), axis 2k+1 is Im(z_{k+1}); both free axes must
     be annihilated by L so the sampled plane stays inside the affine
-    constraint set.  Rows of the grid follow the y coordinate.
+    constraint set.  Rows of the grid follow the y coordinate.  A pixel
+    whose roots neither a warm nor a cold start can find raises
+    NonConvergence rather than being reported as a non-member.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     n = S.n if S.k else (max(free_axes) // 2 + 1)
@@ -1121,12 +1100,7 @@ def sample_slice_section(S: Slice, halfplane: HalfPlane | None, free_axes: tuple
             try:
                 roots = find_roots(Poly(tuple(zv)), initial=warm)
             except NonConvergence:
-                try:
-                    roots = find_roots(Poly(tuple(zv)))
-                except NonConvergence:
-                    row.append(False)
-                    warm = None
-                    continue
+                roots = find_roots(Poly(tuple(zv)))
             warm = roots
             profile = cluster_roots(roots, H)
             row.append(profile.outside_total == 0)

@@ -53,6 +53,15 @@ def is_stable(
     return StabilityVerdict(profile.outside_total == 0, profile, roots)
 
 
+def _require_real(p: Poly) -> list[float]:
+    """Real parts of p's coefficients; NonRealInput if any is not real."""
+    scale = p.scale()
+    for v in p.z:
+        if abs(v.imag) > _REALITY_SCALE * scale:
+            raise NonRealInput(f"coefficient {v!r} has a non-real part")
+    return [v.real for v in p.z]
+
+
 def hurwitz_embed(p: Poly) -> Poly:
     """Rotate a real polynomial into its upper-half-plane counterpart.
 
@@ -60,12 +69,8 @@ def hurwitz_embed(p: Poly) -> Poly:
     input; equivalently the roots are multiplied by -i, carrying the
     closed left half-plane onto the closed upper half-plane.
     """
-    scale = p.scale()
-    for v in p.z:
-        if abs(v.imag) > _REALITY_SCALE * scale:
-            raise NonRealInput(f"coefficient {v!r} has a non-real part")
     factors = (-1j) ** np.arange(1, p.degree + 1)
-    return Poly(tuple(factors * np.asarray([v.real for v in p.z], dtype=complex)))
+    return Poly(tuple(factors * np.asarray(_require_real(p), dtype=complex)))
 
 
 def hurwitz_unembed(p: Poly) -> Poly:
@@ -88,13 +93,8 @@ def is_weakly_hurwitz(
     boundary_tol: float | None = None,
 ) -> StabilityVerdict:
     """All roots in the closed left half-plane (imaginary axis allowed)."""
-    scale = p.scale()
-    for v in p.z:
-        if abs(v.imag) > _REALITY_SCALE * scale:
-            raise NonRealInput(f"coefficient {v!r} has a non-real part")
-    real_p = Poly(tuple(complex(v.real) for v in p.z))
     return is_stable(
-        real_p,
+        Poly(tuple(_require_real(p))),
         HalfPlane.left(),
         cluster_radius=cluster_radius,
         boundary_tol=boundary_tol,

@@ -50,6 +50,24 @@ def _canonical_terms(terms, width: int):
     return tuple(sorted((k, v) for k, v in canon.items() if v != 0))
 
 
+def _eval_terms(terms, w, absolute: bool = False):
+    """Sum of coeff * prod w_i^p over sparse ((p_1, ..., p_k), coeff) terms.
+
+    With absolute=True every coefficient and every w_i enters by its
+    modulus, giving the scale the value's rounding error is judged against.
+    """
+    if absolute:
+        w = np.abs(w)
+    total = 0.0
+    for exps, coeff in terms:
+        term = abs(coeff) if absolute else coeff
+        for i, p in enumerate(exps):
+            if p:
+                term *= w[i] ** p
+        total += term
+    return total
+
+
 @dataclasses.dataclass(frozen=True)
 class SymmetricPoly:
     """Sparse polynomial g in Z_1..Z_n representing f = g(e_1, ..., e_n).
@@ -95,26 +113,10 @@ class SymmetricPoly:
         return c
 
     def eval_at_e(self, e) -> complex:
-        ev = np.asarray(e, dtype=complex)
-        total = 0.0 + 0.0j
-        for exps, coeff in self.terms:
-            term = coeff
-            for i, p in enumerate(exps):
-                if p:
-                    term *= ev[i] ** p
-            total += term
-        return complex(total)
+        return complex(_eval_terms(self.terms, np.asarray(e, dtype=complex)))
 
     def abs_eval_at_e(self, e) -> float:
-        ev = np.abs(np.asarray(e, dtype=complex))
-        total = 0.0
-        for exps, coeff in self.terms:
-            term = abs(coeff)
-            for i, p in enumerate(exps):
-                if p:
-                    term *= ev[i] ** p
-            total += term
-        return float(total)
+        return float(_eval_terms(self.terms, np.asarray(e, dtype=complex), absolute=True))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,26 +176,13 @@ class SufficientForm:
         return len(self.matrix[0]) if self.matrix else 0
 
     def eval_at_e(self, e) -> complex:
-        w = np.asarray(self.matrix, dtype=complex) @ np.asarray(e, dtype=complex)
-        total = 0.0 + 0.0j
-        for exps, coeff in self.gk:
-            term = coeff
-            for i, p in enumerate(exps):
-                if p:
-                    term *= w[i] ** p
-            total += term
-        return complex(total)
+        return complex(_eval_terms(self.gk, self._forms(e)))
 
     def abs_eval_at_e(self, e) -> float:
-        w = np.abs(np.asarray(self.matrix, dtype=complex) @ np.asarray(e, dtype=complex))
-        total = 0.0
-        for exps, coeff in self.gk:
-            term = abs(coeff)
-            for i, p in enumerate(exps):
-                if p:
-                    term *= w[i] ** p
-            total += term
-        return float(total)
+        return float(_eval_terms(self.gk, self._forms(e), absolute=True))
+
+    def _forms(self, e) -> np.ndarray:
+        return np.asarray(self.matrix, dtype=complex) @ np.asarray(e, dtype=complex)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,9 +204,7 @@ def elementary_symmetrics(x) -> tuple[complex, ...]:
 
 def eval_symmetric(f, x) -> complex:
     xs = tuple(x)
-    if isinstance(f, SymmetricPoly) and len(xs) != f.n:
-        raise DimensionMismatch(f"expected {f.n} coordinates, got {len(xs)}")
-    if isinstance(f, SufficientForm) and len(xs) != f.n:
+    if isinstance(f, (SymmetricPoly, SufficientForm)) and len(xs) != f.n:
         raise DimensionMismatch(f"expected {f.n} coordinates, got {len(xs)}")
     return f.eval_at_e(elementary_symmetrics(xs))
 

@@ -166,6 +166,68 @@ class TestGws:
         assert doc["residual"] <= 1e-10
 
 
+class TestCoincide:
+    def test_square_of_e1(self, tmp_path):
+        doc = run_json(tmp_path, {
+            "command": "coincide",
+            "payload": {
+                "form": {"matrix": [[1, 0, 0, 0]],
+                         "gk": [{"exponents": [2], "coefficient": 1}]},
+                "x": [[0, 1], [0, 2], [1, 1], [-1, 2]],
+            },
+        })
+        assert len(doc["x_tilde"]) == 4
+        value_in = complex(*doc["value_in"])
+        assert value_in == pytest.approx(-36.0)  # e1 = 6i
+        assert abs(complex(*doc["value_out"]) - value_in) <= 1e-6 * (1.0 + abs(value_in))
+        assert doc["profile"]["boundary_distinct"] <= 6
+        assert doc["profile"]["interior_count"] <= 3
+        assert doc["report"]["final_profile"]["outside_total"] == 0
+
+
+class TestYoungGws:
+    def test_block_terms(self, tmp_path):
+        # e2 of each block: x1 x2 + x3 x4 at (i, 4i, 2i, 8i)
+        doc = run_json(tmp_path, {
+            "command": "young-gws",
+            "payload": {
+                "blocks": [2, 2],
+                "block_terms": [{"weights": [2, 0], "coefficient": 1},
+                                {"weights": [0, 2], "coefficient": 1}],
+                "x": [[0, 1], [0, 4], [0, 2], [0, 8]],
+            },
+        })
+        assert np.allclose(doc["y"], [[0.0, 2.0], [0.0, 4.0]])
+
+    def test_symmetric_f(self, tmp_path):
+        # f = e1 on one block of three is the plain GWS mean
+        doc = run_json(tmp_path, {
+            "command": "young-gws",
+            "payload": {
+                "blocks": [3],
+                "f": {"n": 3, "degree": 1,
+                      "terms": [{"exponents": [1, 0, 0], "coefficient": 1}]},
+                "x": [[0, 1], [0, 2], [0, 3]],
+            },
+        })
+        assert np.allclose(doc["y"], [[0.0, 2.0]])
+
+    def test_f_and_block_terms_exit_2(self, tmp_path, capsys):
+        code, text = run_job(tmp_path, {
+            "command": "young-gws",
+            "payload": {
+                "blocks": [3],
+                "f": {"n": 3, "degree": 1,
+                      "terms": [{"exponents": [1, 0, 0], "coefficient": 1}]},
+                "block_terms": [{"weights": [1], "coefficient": 1}],
+                "x": [[0, 1], [0, 2], [0, 3]],
+            },
+        })
+        assert code == 2
+        assert text == ""
+        assert "exactly one of 'f' or 'block_terms'" in capsys.readouterr().err
+
+
 class TestSliceSample:
     def test_csv_bytes(self, tmp_path):
         code, text = run_job(tmp_path, {
@@ -279,6 +341,27 @@ class TestNumericalFailure:
         code, text = run_job(tmp_path, {
             "command": "roots",
             "payload": {"poly": {"z": [[v.real, v.imag] for v in z]}},
+        })
+        assert code == 3
+        assert text == ""
+        assert "numerical failure" in capsys.readouterr().err
+
+
+    def test_unfindable_pixel_exits_3(self, tmp_path, capsys):
+        # a one-pixel window at a stable degree-24 point whose roots
+        # find_roots cannot compute
+        rng = np.random.default_rng(24)
+        roots = rng.normal(0, 1.5, 24) + 1j * np.abs(rng.normal(0, 1, 24))
+        z = vieta_from_roots(roots).z
+        code, text = run_job(tmp_path, {
+            "command": "slice-sample",
+            "payload": {
+                "slice": {"matrix": np.eye(24)[1:].tolist(),
+                          "target": [[v.real, v.imag] for v in z[1:]]},
+                "free_axes": [0, 1],
+                "window": [z[0].real, z[0].real, z[0].imag, z[0].imag],
+                "resolution": [1, 1],
+            },
         })
         assert code == 3
         assert text == ""

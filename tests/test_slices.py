@@ -21,7 +21,7 @@ from stable_slices import (
     slice_contains,
     vieta_from_roots,
 )
-from stable_slices.errors import DimensionMismatch, NonRealInput
+from stable_slices.errors import DimensionMismatch, NonConvergence, NonRealInput
 from stable_slices.slices import membership_tolerance
 
 FLAGSHIP_ROOTS = [-20 + 1j, 1j, 20 + 1j, 20j]
@@ -357,3 +357,15 @@ class TestSampleSliceSection:
         S = proj_slice(2, [1], [-1.0])
         with pytest.raises(DimensionMismatch):
             sample_slice_section(S, None, (2, 3), (-1, 1, -1, 1), (2, 2))
+
+    def test_unfindable_roots_raise(self):
+        # a stable degree-24 point (every root has Im >= 0.03) whose roots
+        # find_roots cannot compute: the pixel must surface NonConvergence,
+        # not a non-member verdict
+        rng = np.random.default_rng(24)
+        roots = rng.normal(0, 1.5, 24) + 1j * np.abs(rng.normal(0, 1, 24))
+        z = np.asarray(vieta_from_roots(roots).z)
+        S = Slice.from_arrays(np.eye(24)[1:], z[1:])
+        window = (z[0].real, z[0].real, z[0].imag, z[0].imag)
+        with pytest.raises(NonConvergence):
+            sample_slice_section(S, None, (0, 1), window, (1, 1))
