@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ BOUNDARY_SCALE = 1e-8
 
 _ABERTH_MAX_ITERATIONS = 400
 _POLISH_STEPS = 2
+# backward-error stop of _aberth: |p(x)| <= factor * n * eps * sum |a_i| |x|^i
+_FLOOR_FACTOR = 4.0
 
 
 def _as_complex_tuple(values: Iterable[complex], what: str) -> tuple[complex, ...]:
@@ -133,11 +136,33 @@ def vieta_from_roots(roots: Sequence[complex]) -> Poly:
     return Poly(tuple(vieta_rows([xs])[0]))
 
 
-def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> np.ndarray:
+def _floor_reached(aw: list[float], x: np.ndarray, pv: np.ndarray, floor: float) -> bool:
+    """Every |p(x_j)| within floor * sum |a_i| |x_j|^i (Bini 1996)."""
+    # the first iterate alone, in scalar arithmetic, rejects iterates still
+    # far from the roots, and those so far out that the bound overflows
+    r, bound = abs(complex(x[0])), 0.0
+    for a in aw:
+        bound = bound * r + a
+    if not abs(complex(pv[0])) <= floor * bound < math.inf:
+        return False
+    return bool(np.all(np.abs(pv) <= floor * np.polyval(aw, np.abs(x))))
+
+
+def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> tuple[np.ndarray, bool]:
+    """Aberth iterates, and whether they stopped at the rounding floor."""
     n = x.size
     dw = w[:-1] * np.arange(n, 0, -1)
+    aw = np.abs(w).tolist()
+    floor = _FLOOR_FACTOR * n * np.finfo(float).eps
+    previous = np.inf
+    stalled = False
     for _ in range(max_iterations):
         pv = np.polyval(w, x)
+        # Once the steps stop shrinking fast, rounding may keep them above
+        # the step-size test forever (multiple roots); stop as soon as every
+        # residual is within the backward-error floor.
+        if stalled and _floor_reached(aw, x, pv, floor):
+            return x, True
         dpv = np.polyval(dw, x)
         dpv = np.where(np.abs(dpv) < 1e-300, 1e-300, dpv)
         newton = pv / dpv
@@ -154,10 +179,12 @@ def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> np.ndarray:
         if not np.isfinite(size):
             # one non-finite iterate turns every other one NaN through the
             # repulsion sums, so the remaining iterations cannot recover
-            return np.full_like(x, np.nan)
+            return np.full_like(x, np.nan), False
         if size <= 1e-14 * (1.0 + np.max(np.abs(x))):
             break
-    return x
+        stalled = size > 0.5 * previous
+        previous = size
+    return x, False
 
 
 def _nth_derivative(w: np.ndarray, order: int) -> np.ndarray:
@@ -254,8 +281,13 @@ def find_roots(
 
     Deterministic: fixed initial configuration on a circle of radius
     1 + max |coefficient| unless warm-start values are supplied.  The
-    result is accepted only if re-expanding the computed roots reproduces
-    the coefficient vector within the residual tolerance.
+    iteration stops when the largest step falls to 1e-14 (1 + max |x|),
+    or, once the steps no longer halve from one iteration to the next,
+    when every residual is at the rounding floor
+    |p(x_j)| <= 4 n eps sum_i |a_i| |x_j|^i (Bini 1996), and then skips
+    the closing Newton polish.  The result is accepted only if
+    re-expanding the computed roots reproduces the coefficient vector
+    within the residual tolerance.
 
     With raw=True the single-pass iterates are returned as-is: no
     multiple-root snapping, no retry, no residual check.  Near a root
@@ -290,14 +322,17 @@ def find_roots(
         angles = 2.0 * np.pi * k / n + 0.4
         radii = radius * (1.0 + 1e-3 * (k + 1) / n)
         x = radii * np.exp(1j * angles)
-    x = _aberth(w, x, max_iterations)
+    x, floored = _aberth(w, x, max_iterations)
 
-    dw = w[:-1] * np.arange(n, 0, -1)
-    for _ in range(_POLISH_STEPS):
-        pv = np.polyval(w, x)
-        dpv = np.polyval(dw, x)
-        safe = np.abs(dpv) > 1e-200
-        x = np.where(safe, x - pv / np.where(safe, dpv, 1.0), x)
+    # Newton cannot improve residuals already at the floor; inside a tight
+    # cluster it would only blow the rounding noise up by 1/p'
+    if not floored:
+        dw = w[:-1] * np.arange(n, 0, -1)
+        for _ in range(_POLISH_STEPS):
+            pv = np.polyval(w, x)
+            dpv = np.polyval(dw, x)
+            safe = np.abs(dpv) > 1e-200
+            x = np.where(safe, x - pv / np.where(safe, dpv, 1.0), x)
 
     if raw:
         order = np.lexsort((x.imag, x.real))
@@ -317,7 +352,7 @@ def find_roots(
         radius = 1.0 + float(np.max(np.abs(w)))
         k = np.arange(n)
         alt = radius * 1.3 * np.exp(1j * (2.0 * np.pi * k / n + 1.1))
-        x = _aberth(w, alt, 2 * max_iterations)
+        x, _ = _aberth(w, alt, 2 * max_iterations)
         _require_finite(x)
         err = float(np.max(np.abs(np.asarray(vieta_from_roots(x).z) - target)))
         if err > tol:

@@ -17,6 +17,7 @@ must be expanded from the *negated* roots of the frozen factor; see
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import cached_property
 from typing import Sequence
 
@@ -41,10 +42,15 @@ MEMBERSHIP_SCALE = 1e-9
 # Fraction of boundary_tol left as headroom when the line search stops at
 # a stability event; landed roots must not poke past the boundary band.
 STEP_MARGIN = 0.5
-# terminal bisection width; a fold crossed at parameter distance d leaves
-# the colliding pair split by about sqrt(d * curvature), so the landing
-# has to be resolved far below the clustering radius squared
+# terminal width of the step search bracket; a fold crossed at parameter
+# distance d leaves the colliding pair split by about sqrt(d * curvature),
+# so the landing has to be resolved far below the clustering radius squared
 STEP_REL_WIDTH = 1e-15
+# ITP constants of the bracketing phase: kappa1 (scaled by the initial
+# bracket width), kappa2 and the slack n0 over bisection's probe count
+_ITP_KAPPA1 = 0.2
+_ITP_KAPPA2 = 2.0
+_ITP_N0 = 1
 _EVENT_RADIUS_FACTOR = 1e3
 _PHI_STREAM = 7
 # micro-step allowance for the boundary position walk across all merges
@@ -393,13 +399,17 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
                     cap: float = 1e9, *, boundary_tol: float | None = None,
                     cluster_radius: float | None = None, base_roots=None,
                     factor: StepFactorization | None = None) -> StepResult:
-    """Largest epsilon in [0, cap] with z + epsilon*c stable, by doubling + bisection.
+    """Largest epsilon in [0, cap] with z + epsilon*c stable, by doubling + ITP.
 
     The acceptance predicate allows roots a hair past the boundary
     (STEP_MARGIN of boundary_tol) so that the landed configuration stays
-    stable under the full tolerance.  The event reports what limited the
-    step: an interior root reaching the boundary, two boundary roots
-    merging, or no event up to cap.
+    stable under the full tolerance.  Doubling from a tiny eps0 brackets
+    the first inadmissible step; the ITP method then narrows the bracket
+    on the margin (min signed distance + allowance).  It converges
+    superlinearly where the margin is smooth and at worst spends _ITP_N0
+    probes more than bisection to the same width.  The event reports what
+    limited the step: an interior root reaching the boundary, two
+    boundary roots merging, or no event up to cap.
 
     With a factorization the search runs on the moving factor alone and
     the frozen roots are appended unchanged to every reported
@@ -452,39 +462,66 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
             settled = find_roots(q)
         return tuple(settled) + frozen
 
-    def admissible(roots) -> bool:
-        return _min_distance(roots, H) >= -cut
+    def margin(roots) -> float:
+        # continuous form of the acceptance predicate: admissible iff >= 0
+        return _min_distance(roots, H) + cut
 
     eps0 = min(cap, 1e-8 * (1.0 + float(np.max(np.abs(zv)))) / (1.0 + float(np.max(np.abs(cv)))))
-    lo, roots_lo = 0.0, base_move
+    lo, roots_lo, g_lo = 0.0, base_move, margin(base_move)
     hi = None
     probe = probe_at(eps0, base_move)
-    if admissible(probe):
-        lo, roots_lo = eps0, probe
+    g = margin(probe)
+    if g >= 0.0:
+        lo, roots_lo, g_lo = eps0, probe, g
         while lo < cap:
             trial = min(cap, lo * 2.0)
             rt = probe_at(trial, roots_lo)
-            if admissible(rt):
-                lo, roots_lo = trial, rt
+            g = margin(rt)
+            if g >= 0.0:
+                lo, roots_lo, g_lo = trial, rt, g
                 if trial >= cap:
                     break
             else:
-                hi = trial
+                hi, g_hi = trial, g
                 break
         if hi is None:
             final = settle_at(cap, roots_lo)
             return StepResult(epsilon=cap, event="direction-unbounded", roots=tuple(final))
     else:
-        hi = eps0
+        hi, g_hi = eps0, g
+
+    # ITP (Oliveira & Takahashi, ACM TOMS 47, 2020): a regula falsi point
+    # truncated towards the midpoint and projected into the ball that keeps
+    # bisection's worst-case probe count plus n0; the absolute tolerance is
+    # the terminal width at lo, never wider than the one tested below
+    width0 = hi - lo
+    half_tol = 0.5 * STEP_REL_WIDTH * (1.0 + lo)
+    n_max = math.ceil(math.log2(max(width0, half_tol) / (2.0 * half_tol))) + _ITP_N0
+    j = 0
     while hi - lo > STEP_REL_WIDTH * (1.0 + hi):
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        width = hi - lo
+        radius_j = half_tol * 2.0 ** (n_max - j) - 0.5 * width
+        delta = _ITP_KAPPA1 / width0 * width ** _ITP_KAPPA2
+        x_f = lo + g_lo * width / (g_lo - g_hi)
+        x_t = mid
+        if math.isfinite(x_f):
+            sigma = 1.0 if mid >= x_f else -1.0
+            if delta <= abs(mid - x_f):
+                x_t = x_f + sigma * delta
+            # a truncation below the float spacing would probe an end again
+            x_t = min(max(x_t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+            if abs(x_t - mid) > radius_j:
+                x_t = mid - sigma * radius_j
+        j += 1
+        if not lo < x_t < hi:
             break
-        rt = probe_at(mid, roots_lo)
-        if admissible(rt):
-            lo, roots_lo = mid, rt
+        rt = probe_at(x_t, roots_lo)
+        g = margin(rt)
+        if g >= 0.0:
+            lo, roots_lo, g_lo = x_t, rt, g
         else:
-            hi = mid
+            hi, g_hi = x_t, g
 
     final = settle_at(lo, roots_lo) if lo > 0.0 else roots0
     relaxed = radius * _EVENT_RADIUS_FACTOR
@@ -1100,6 +1137,8 @@ def sample_slice_section(S: Slice, halfplane: HalfPlane | None, free_axes: tuple
             try:
                 roots = find_roots(Poly(tuple(zv)), initial=warm)
             except NonConvergence:
+                if warm is None:
+                    raise  # the failed call was already the cold start
                 roots = find_roots(Poly(tuple(zv)))
             warm = roots
             profile = cluster_roots(roots, H)

@@ -14,7 +14,7 @@ from stable_slices import (
     multiply,
     vieta_from_roots,
 )
-from stable_slices.polynomials import vieta_rows
+from stable_slices.polynomials import _aberth, vieta_rows
 
 
 def brute_elementary(roots, i):
@@ -171,6 +171,35 @@ class TestFindRoots:
     def test_vieta_roundtrip(self, roots):
         p = vieta_from_roots(roots)
         found = find_roots(p)
+        assert match_roots(found, roots) < 1e-6
+
+
+class TestAberthFloorStop:
+    """Multiple roots stall Aberth's steps above the step-size test; the
+    backward-error floor has to end the iteration instead of the cap."""
+
+    CASES = ([1j, 1j, 1j, 2j], [0.5, 0.5, 0.5, 0.5, 3j])
+
+    @staticmethod
+    def cold_start(w):
+        # the circle start of find_roots
+        n = w.size - 1
+        radius = 1.0 + float(np.max(np.abs(w)))
+        k = np.arange(n)
+        radii = radius * (1.0 + 1e-3 * (k + 1) / n)
+        return radii * np.exp(1j * (2.0 * np.pi * k / n + 0.4))
+
+    @pytest.mark.parametrize("roots", CASES)
+    def test_stops_well_before_the_cap(self, roots):
+        w = vieta_from_roots(roots).raw_coefficients()
+        x0 = self.cold_start(w)
+        short, floored = _aberth(w, x0, 60)
+        assert floored
+        assert np.array_equal(short, _aberth(w, x0, 400)[0])
+
+    @pytest.mark.parametrize("roots", CASES)
+    def test_find_roots_passes_the_residual_gate(self, roots):
+        found = find_roots(vieta_from_roots(roots))
         assert match_roots(found, roots) < 1e-6
 
 

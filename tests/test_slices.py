@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stable_slices import slices
 from stable_slices import (
     CompressOptions,
     Poly,
@@ -252,6 +253,33 @@ class TestMaxStableStep:
         with pytest.raises(ValueError):
             max_stable_step((-1j,), (1.0,))
 
+    # (z, c, event, landing epsilon, most raw probes).  ITP lands where a
+    # plain bisection to STEP_REL_WIDTH lands, with far fewer probes on the
+    # smooth crossings (bisection takes 77 and 25); at the collision the
+    # margin has a square-root corner, and ITP may spend bisection's 77
+    # probes plus its slack n0 = 1 and one for the rounding of its tolerance
+    ITP_CASES = [
+        ((3j, -2.0), (0.0, 1.0), "root-hit-boundary", 2.0000000449999984, 50),
+        ((0j,), (-1j,), "root-hit-boundary", 5e-09, 10),
+        ((0.0, -1.0), (0.0, 1.0), "real-roots-merged", 0.9999999999999992, 79),
+    ]
+
+    @pytest.mark.parametrize("z, c, event, epsilon, bound", ITP_CASES)
+    def test_itp_probe_count(self, monkeypatch, z, c, event, epsilon, bound):
+        raw_calls = []
+        real = slices.find_roots
+
+        def counting(p, **kwargs):
+            if kwargs.get("raw"):
+                raw_calls.append(p)
+            return real(p, **kwargs)
+
+        monkeypatch.setattr(slices, "find_roots", counting)
+        res = max_stable_step(z, c)
+        assert res.event == event
+        assert res.epsilon == pytest.approx(epsilon, rel=1e-12)
+        assert len(raw_calls) <= bound
+
 
 class TestCompress:
     def test_real_triple_pins_select_double_root(self):
@@ -369,3 +397,23 @@ class TestSampleSliceSection:
         window = (z[0].real, z[0].real, z[0].imag, z[0].imag)
         with pytest.raises(NonConvergence):
             sample_slice_section(S, None, (0, 1), window, (1, 1))
+
+    def test_failed_cold_start_is_not_retried(self, monkeypatch):
+        # the first pixel has no warm start, so its failed call was already
+        # the cold one and repeating it cannot succeed
+        rng = np.random.default_rng(24)
+        roots = rng.normal(0, 1.5, 24) + 1j * np.abs(rng.normal(0, 1, 24))
+        z = np.asarray(vieta_from_roots(roots).z)
+        S = Slice.from_arrays(np.eye(24)[1:], z[1:])
+        window = (z[0].real, z[0].real, z[0].imag, z[0].imag)
+        calls = []
+        real = slices.find_roots
+
+        def counting(p, **kwargs):
+            calls.append(kwargs.get("initial"))
+            return real(p, **kwargs)
+
+        monkeypatch.setattr(slices, "find_roots", counting)
+        with pytest.raises(NonConvergence):
+            sample_slice_section(S, None, (0, 1), window, (1, 1))
+        assert calls == [None]
