@@ -16,6 +16,7 @@ must be expanded from the *negated* roots of the frozen factor; see
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from functools import cached_property
@@ -33,6 +34,7 @@ from .polynomials import (
     cluster_roots,
     find_roots,
     vieta_from_roots,
+    z_to_raw,
 )
 from .regions import HalfPlane, upper_chart
 from .stability import is_stable
@@ -46,6 +48,13 @@ STEP_MARGIN = 0.5
 # distance d leaves the colliding pair split by about sqrt(d * curvature),
 # so the landing has to be resolved far below the clustering radius squared
 STEP_REL_WIDTH = 1e-15
+# relative distance of the two probes that verify a predicted step, one on
+# each side of it; far above the prediction's rounding error
+STEP_VERIFY_DELTA = 1e-9
+# |Im t| / (1 + |t|) up to which a root t of the crossing polynomial counts
+# as real: a spurious candidate only fails verification, a missed one could
+# step over a crossing
+_CROSSING_REAL_TOL = 1e-6
 # ITP constants of the bracketing phase: kappa1 (scaled by the initial
 # bracket width), kappa2 and the slack n0 over bisection's probe count
 _ITP_KAPPA1 = 0.2
@@ -395,21 +404,68 @@ def _min_gap(roots) -> float:
     return float(diff.min())
 
 
+def _first_crossing(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
+                    cut: float) -> float | None:
+    """Predicted first epsilon at which a root of f_{move_z + eps move_b}
+    reaches the line {signed distance = -cut}.
+
+    On that line x = a + w t with t real.  With P and C the two members of
+    the pencil composed with it, a root sits at t exactly when
+    eps = -P(t)/C(t) is real, so t is a real root of the real polynomial
+    F = Im(P conj C), of degree at most 2m - 1 for m roots (Fisk, arXiv
+    math/0612833).
+    Returns the smallest positive such eps, math.inf when there is none,
+    and None when F vanishes to rounding.
+    """
+    w = cmath.exp(1j * H.theta)
+    a = H.from_upper(-1j * cut)
+    rows = np.stack((z_to_raw(move_z), z_to_raw(move_b)))
+    rows[1, 0] = 0.0  # the direction leaves the monic leading term alone
+    line = rows[:, :1]
+    for j in range(1, rows.shape[1]):
+        # Horner in t: line * (w t + a) + next coefficient
+        nxt = np.zeros((2, j + 1), dtype=complex)
+        nxt[:, :-1] = w * line
+        nxt[:, 1:] += a * line
+        nxt[:, -1] += rows[:, j]
+        line = nxt
+    P, C = line
+    F = np.convolve(P, np.conj(C)).imag
+    noise = 8.0 * F.size * np.finfo(float).eps * float(np.max(np.abs(P)) * np.max(np.abs(C)))
+    above = np.flatnonzero(np.abs(F) > noise)
+    if above.size == 0:
+        return None
+    # leading coefficients at rounding level only add roots near infinity
+    t = np.roots(F[above[0]:])
+    t = t.real[np.abs(t.imag) <= _CROSSING_REAL_TOL * (1.0 + np.abs(t))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        eps = (-np.polyval(P, t) / np.polyval(C, t)).real
+    eps = eps[np.isfinite(eps) & (eps > 0.0)]
+    return float(eps.min()) if eps.size else math.inf
+
+
 def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = None,
                     cap: float = 1e9, *, boundary_tol: float | None = None,
                     cluster_radius: float | None = None, base_roots=None,
                     factor: StepFactorization | None = None) -> StepResult:
-    """Largest epsilon in [0, cap] with z + epsilon*c stable, by doubling + ITP.
+    """Largest epsilon in [0, cap] with z + epsilon*c stable: predict,
+    verify, then ITP.
 
     The acceptance predicate allows roots a hair past the boundary
     (STEP_MARGIN of boundary_tol) so that the landed configuration stays
-    stable under the full tolerance.  Doubling from a tiny eps0 brackets
-    the first inadmissible step; the ITP method then narrows the bracket
-    on the margin (min signed distance + allowance).  It converges
-    superlinearly where the margin is smooth and at worst spends _ITP_N0
-    probes more than bisection to the same width.  The event reports what
-    limited the step: an interior root reaching the boundary, two
-    boundary roots merging, or no event up to cap.
+    stable under the full tolerance.  The first inadmissible step is
+    predicted exactly from the crossing polynomial (``_first_crossing``)
+    and verified by two raw probes, STEP_VERIFY_DELTA inside it and
+    outside it; with no crossing predicted up to cap, one probe at cap
+    confirms the direction unbounded.  The ITP method then narrows the
+    verified bracket on the margin (min signed distance + allowance).  It
+    converges superlinearly where the margin is smooth and at worst spends
+    _ITP_N0 probes more than bisection to the same width.  Only when there
+    is no prediction or a probe disagrees with it does doubling from a
+    tiny eps0 bracket the first inadmissible step instead; doubling can
+    step over a window in which a root leaves and comes back.  The event
+    reports what limited the step: an interior root reaching the boundary,
+    two boundary roots merging, or no event up to cap.
 
     With a factorization the search runs on the moving factor alone and
     the frozen roots are appended unchanged to every reported
@@ -466,29 +522,48 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
         # continuous form of the acceptance predicate: admissible iff >= 0
         return _min_distance(roots, H) + cut
 
-    eps0 = min(cap, 1e-8 * (1.0 + float(np.max(np.abs(zv)))) / (1.0 + float(np.max(np.abs(cv)))))
     lo, roots_lo, g_lo = 0.0, base_move, margin(base_move)
     hi = None
-    probe = probe_at(eps0, base_move)
-    g = margin(probe)
-    if g >= 0.0:
-        lo, roots_lo, g_lo = eps0, probe, g
-        while lo < cap:
-            trial = min(cap, lo * 2.0)
-            rt = probe_at(trial, roots_lo)
-            g = margin(rt)
-            if g >= 0.0:
-                lo, roots_lo, g_lo = trial, rt, g
-                if trial >= cap:
-                    break
-            else:
-                hi, g_hi = trial, g
-                break
-        if hi is None:
-            final = settle_at(cap, roots_lo)
+    predicted = _first_crossing(move_z, move_b, H, cut)
+    if predicted is not None and predicted > cap:
+        probe = probe_at(cap, base_move)
+        if margin(probe) >= 0.0:
+            final = settle_at(cap, probe)
             return StepResult(epsilon=cap, event="direction-unbounded", roots=tuple(final))
-    else:
-        hi, g_hi = eps0, g
+    elif predicted is not None:
+        inner = predicted * (1.0 - STEP_VERIFY_DELTA)
+        rt_in = probe_at(inner, base_move)
+        g_in = margin(rt_in)
+        if g_in >= 0.0:
+            outer = min(cap, predicted * (1.0 + STEP_VERIFY_DELTA))
+            rt_out = probe_at(outer, rt_in)
+            g_out = margin(rt_out)
+            if g_out < 0.0:
+                lo, roots_lo, g_lo, hi, g_hi = inner, rt_in, g_in, outer, g_out
+
+    if hi is None:
+        # fallback: no prediction, or a probe disagreed with it
+        eps0 = min(cap, 1e-8 * (1.0 + float(np.max(np.abs(zv)))) / (1.0 + float(np.max(np.abs(cv)))))
+        probe = probe_at(eps0, base_move)
+        g = margin(probe)
+        if g >= 0.0:
+            lo, roots_lo, g_lo = eps0, probe, g
+            while lo < cap:
+                trial = min(cap, lo * 2.0)
+                rt = probe_at(trial, roots_lo)
+                g = margin(rt)
+                if g >= 0.0:
+                    lo, roots_lo, g_lo = trial, rt, g
+                    if trial >= cap:
+                        break
+                else:
+                    hi, g_hi = trial, g
+                    break
+            if hi is None:
+                final = settle_at(cap, roots_lo)
+                return StepResult(epsilon=cap, event="direction-unbounded", roots=tuple(final))
+        else:
+            hi, g_hi = eps0, g
 
     # ITP (Oliveira & Takahashi, ACM TOMS 47, 2020): a regula falsi point
     # truncated towards the midpoint and projected into the ball that keeps

@@ -291,11 +291,14 @@ def young_blocks_from_x_expansion(blocks, monomials) -> dict:
 
     ``monomials`` maps 0/1 tuples (length n) to coefficients.  Invariance
     under the product of block symmetric groups is validated: monomials
-    with the same per-block weight must share a coefficient.
+    with the same per-block weight must share a coefficient, and a missing
+    monomial has coefficient 0, so a weight with a nonzero coefficient
+    must list all prod_j C(b_j, w_j) of its monomials.
     """
     n = sum(blocks)
     offsets = np.cumsum((0,) + tuple(blocks))
     out: dict[tuple[int, ...], complex] = {}
+    masks: dict[tuple[int, ...], set] = {}
     for key, coeff in (monomials.items() if hasattr(monomials, "items") else monomials):
         mask = tuple(int(v) for v in key)
         if len(mask) != n or any(v not in (0, 1) for v in mask):
@@ -307,6 +310,12 @@ def young_blocks_from_x_expansion(blocks, monomials) -> dict:
                 raise ValueError(f"expansion not block-invariant at weight {weight}")
         else:
             out[weight] = coeff
+        masks.setdefault(weight, set()).add(mask)
+    for weight, coeff in out.items():
+        count = math.prod(math.comb(b, w) for b, w in zip(blocks, weight))
+        if len(masks[weight]) < count and abs(coeff) > 1e-10 * (1.0 + abs(coeff)):
+            raise ValueError(f"expansion not block-invariant at weight {weight}: "
+                             f"{len(masks[weight])} of its {count} monomials given")
     return out
 
 

@@ -8,6 +8,7 @@ import pytest
 from stable_slices import slices
 from stable_slices import (
     CompressOptions,
+    HalfPlane,
     Poly,
     Slice,
     alternated_cofactor,
@@ -23,7 +24,8 @@ from stable_slices import (
     vieta_from_roots,
 )
 from stable_slices.errors import DimensionMismatch, NonConvergence, NonRealInput
-from stable_slices.slices import membership_tolerance
+from stable_slices.polynomials import raw_to_z, z_to_raw
+from stable_slices.slices import STEP_REL_WIDTH, StepFactorization, membership_tolerance
 
 FLAGSHIP_ROOTS = [-20 + 1j, 1j, 20 + 1j, 20j]
 FLAGSHIP_PINS = [23j, -463.0, -8461j]
@@ -279,6 +281,107 @@ class TestMaxStableStep:
         assert res.event == event
         assert res.epsilon == pytest.approx(epsilon, rel=1e-12)
         assert len(raw_calls) <= bound
+
+    # (z, c, cap, event, most raw probes) on the predicted path: two probes
+    # verify the predicted step from either side and ITP narrows their
+    # bracket (6, 2 and 23 probes here); a direction with no predicted
+    # crossing costs one probe at cap.  The doubling fallback alone spends
+    # 26 or more probes on each of these.
+    PREDICTED_CASES = [
+        ((3j, -2.0), (0.0, 1.0), 1e9, "root-hit-boundary", 8),
+        ((0j,), (-1j,), 1e9, "root-hit-boundary", 2),
+        ((0.0, -1.0), (0.0, 1.0), 1e9, "real-roots-merged", 25),
+        ((3j, -2.0), (0.0, -1.0), 1e6, "direction-unbounded", 1),
+    ]
+
+    @pytest.mark.parametrize("z, c, cap, event, bound", PREDICTED_CASES)
+    def test_predicted_probe_count(self, monkeypatch, z, c, cap, event, bound):
+        raw_calls = []
+        real = slices.find_roots
+
+        def counting(p, **kwargs):
+            if kwargs.get("raw"):
+                raw_calls.append(p)
+            return real(p, **kwargs)
+
+        monkeypatch.setattr(slices, "find_roots", counting)
+        res = max_stable_step(z, c, cap=cap)
+        assert res.event == event
+        assert len(raw_calls) <= bound
+
+
+def _factor_step_input(rng, n, H):
+    """A factor-mode step: interior movers, frozen roots on the boundary
+    line of H, and a complex direction b for the movers' coefficients."""
+    m = int(rng.integers(2, n + 1))
+    movers = [H.from_upper(complex(rng.normal(0, 1.5), abs(rng.normal(0, 1)) + 0.05))
+              for _ in range(m)]
+    frozen = [H.boundary_point(rng.normal(0, 1.5)) for _ in range(n - m)]
+    b = rng.normal(size=m) + 1j * rng.normal(size=m)
+    b /= np.max(np.abs(b))
+    # c = z-vector of (movers' direction polynomial) * (frozen factor)
+    move_raw = z_to_raw(b)
+    move_raw[0] = 0.0
+    frozen_raw = z_to_raw(vieta_from_roots(frozen).z) if frozen else np.ones(1)
+    c = raw_to_z(np.convolve(move_raw, frozen_raw))
+    factor = StepFactorization(movers=tuple(movers), b=tuple(b), frozen=tuple(frozen))
+    return vieta_from_roots(movers + frozen), c, movers + frozen, factor
+
+
+class TestStepPrediction:
+    """The predicted step against the doubling search it replaces, which
+    still runs when the prediction is missing or fails verification."""
+
+    HALFPLANES = [HalfPlane.upper(), HalfPlane(0.7, 0.4 - 1.2j), HalfPlane(2.5, 1.5 + 0.5j)]
+
+    def _fallback(self, monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(slices, "_first_crossing", lambda *a: None)
+            return max_stable_step(*args, **kwargs)
+
+    def test_prediction_matches_fallback(self, monkeypatch):
+        # both searches end at a bracket of width STEP_REL_WIDTH (1 + eps)
+        # around a crossing of a margin read from raw root iterates; over
+        # 2730 seeded draws like these the landings differed by at most
+        # 1e-11 relative, which is rounding in those iterates
+        rng = np.random.default_rng(6061)
+        events = set()
+        for n in range(4, 11):
+            for H in self.HALFPLANES:
+                z, c, roots, factor = _factor_step_input(rng, n, H)
+                kwargs = dict(halfplane=H, base_roots=roots, factor=factor)
+                predicted = max_stable_step(z, c, **kwargs)
+                fallback = self._fallback(monkeypatch, z, c, **kwargs)
+                assert predicted.event == fallback.event
+                assert predicted.epsilon == pytest.approx(
+                    fallback.epsilon, rel=1e-10, abs=2 * STEP_REL_WIDTH)
+                events.add(predicted.event)
+        assert events == {"root-hit-boundary", "direction-unbounded"}
+
+    def test_prediction_finds_a_window_doubling_steps_over(self, monkeypatch):
+        # a mover leaves the half-plane at eps = 1.43372 and comes back
+        # near eps = 1.95; the doubling fallback probes 1.129 and 2.258,
+        # finds both admissible and goes on to the cap
+        rng = np.random.default_rng(17)
+        draws = [(_factor_step_input(rng, n, H), H)
+                 for n in range(4, 9) for H in self.HALFPLANES]
+        (z, c, roots, factor), H = draws[-1]
+        res = max_stable_step(z, c, halfplane=H, base_roots=roots, factor=factor)
+        assert res.event == "root-hit-boundary"
+        assert res.epsilon == pytest.approx(1.4337242263065, rel=1e-9)
+        move_z = np.asarray(vieta_from_roots(factor.movers).z)
+        for eps, outside in ((1.43, False), (1.44, True), (1.9, True), (2.0, False)):
+            moved = np.roots(z_to_raw(move_z + eps * np.asarray(factor.b)))
+            assert (min(H.signed_distance(x) for x in moved) < 0.0) == outside
+
+    def test_vanishing_crossing_polynomial_falls_back(self):
+        # c = 0 leaves F identically zero: no prediction, and the doubling
+        # search walks to the cap
+        assert slices._first_crossing(np.array([3j, -2.0]), np.zeros(2, dtype=complex),
+                                      HalfPlane.upper(), 1e-8) is None
+        res = max_stable_step((3j, -2.0), (0.0, 0.0), cap=1e3)
+        assert res.event == "direction-unbounded"
+        assert res.epsilon == 1e3
 
 
 class TestCompress:

@@ -19,6 +19,7 @@ from stable_slices import (
     halfdeg_optimize,
     halfplane_contains,
     variety_search,
+    young_blocks_from_x_expansion,
     young_gws,
 )
 from stable_slices.symmetric import _budget_patterns, _km_patterns, _TermTable
@@ -279,6 +280,38 @@ class TestCoincide:
             ext = np.asarray(elementary_symmetrics(xt))
             v0 = F.eval_at_e(ex)
             assert abs(F.eval_at_e(ext) - v0) <= 1e-6 * (1.0 + abs(v0))
+
+
+class TestYoungBlocksFromXExpansion:
+    def test_complete_expansion_maps_to_block_weights(self):
+        # blocks (2, 2): x1 x2 + 2 (x3 + x4) + 5 (x1 + x2)(x3 + x4) - 3
+        monomials = {(1, 1, 0, 0): 1.0, (0, 0, 1, 0): 2.0, (0, 0, 0, 1): 2.0,
+                     (0, 0, 0, 0): -3.0}
+        for i in (0, 1):
+            for j in (2, 3):
+                key = [0, 0, 0, 0]
+                key[i] = key[j] = 1
+                monomials[tuple(key)] = 5.0
+        assert young_blocks_from_x_expansion((2, 2), monomials) == {
+            (2, 0): 1.0, (0, 1): 2.0, (1, 1): 5.0, (0, 0): -3.0}
+
+    def test_pairs_and_listed_zeros(self):
+        # an iterable of pairs works too; a weight whose coefficient is 0
+        # may list only some of its monomials, since the rest are 0 as well
+        out = young_blocks_from_x_expansion(
+            (3,), [((1, 1, 1), 2.0), ((1, 0, 0), 0.0)])
+        assert out == {(3,): 2.0, (1,): 0.0}
+
+    def test_incomplete_expansion_raises(self):
+        # x1 - 3 is not invariant under swapping x1 and x2: the missing x2
+        # has coefficient 0, unlike x1
+        with pytest.raises(ValueError, match="1 of its 2 monomials"):
+            young_blocks_from_x_expansion(
+                (2, 2), {(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -3.0})
+
+    def test_unequal_coefficients_raise(self):
+        with pytest.raises(ValueError):
+            young_blocks_from_x_expansion((2,), {(1, 0): 1.0, (0, 1): 1.5})
 
 
 class TestYoungGws:
