@@ -14,9 +14,7 @@ from .polynomials import (
     Poly,
     RootProfile,
     cluster_roots,
-    eval_poly,
     find_roots,
-    multiply,
     vieta_from_roots,
 )
 from .regions import (
@@ -41,7 +39,6 @@ from .slices import (
     augment,
     compactness_bounds,
     compress,
-    hurwitz_kernel_direction,
     kernel_direction,
     max_stable_step,
     sample_slice_section,

@@ -30,6 +30,7 @@ from .errors import (
 from .polynomials import Poly, cluster_roots, find_roots, vieta_from_roots
 from .regions import HalfPlane, Moebius, moebius_transform_poly
 from .slices import (
+    STEP_CAP,
     CompressOptions,
     Slice,
     compactness_bounds,
@@ -75,7 +76,6 @@ _SLICE = {
     "properties": {
         "matrix": {"type": "array", "items": {"type": "array", "items": _SCALAR}},
         "target": {"type": "array", "items": _SCALAR},
-        "field": {"enum": ["complex", "real"]},
     },
     "required": ["matrix", "target"],
     "additionalProperties": False,
@@ -360,7 +360,7 @@ def _parse_slice(doc) -> Slice:
         raise DimensionMismatch("matrix rows and target length differ")
     width = len(matrix[0]) if matrix else 0
     return Slice.from_arrays(np.asarray(matrix, dtype=complex).reshape(len(target), width),
-                             target, field=doc.get("field", "complex"))
+                             target)
 
 
 def _parse_real(coefficients) -> Poly:
@@ -487,7 +487,7 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
         odoc = payload.get("options", {})
         opts = CompressOptions(
             max_steps=odoc.get("max_steps", max_iters),
-            step_cap=odoc.get("step_cap", 1e9),
+            step_cap=odoc.get("step_cap", STEP_CAP),
             functional_seed=seed,
             cluster_radius=cluster,
             boundary_tol=boundary,
@@ -607,8 +607,6 @@ def main(argv=None) -> int:
     parser.add_argument("--job", help="job file (default: stdin)")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol-boundary", type=float, default=None)
-    parser.add_argument("--tol-cluster", type=float, default=None)
     parser.add_argument("--max-iters", type=int, default=None)
     args = parser.parse_args(argv)
 
@@ -629,11 +627,7 @@ def main(argv=None) -> int:
         print(f"error: invalid job: {exc.message}", file=sys.stderr)
         return 2
 
-    tolerances = dict(job.get("tolerances", {}))
-    if args.tol_boundary is not None:
-        tolerances["boundary"] = args.tol_boundary
-    if args.tol_cluster is not None:
-        tolerances["cluster"] = args.tol_cluster
+    tolerances = job.get("tolerances", {})
     seed = args.seed if args.seed is not None else job.get("seed", 0)
 
     out_stream = None

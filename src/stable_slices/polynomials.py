@@ -90,29 +90,6 @@ class Poly:
         return 1.0 + float(max(abs(v) for v in self.z))
 
 
-def eval_poly(p: Poly, t: complex) -> complex:
-    """Horner evaluation of f_z at t."""
-    acc = 1.0 + 0.0j
-    sign = 1.0
-    for z_i in p.z:
-        sign = -sign
-        acc = acc * t + sign * z_i
-    return acc
-
-
-def multiply(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, ...]:
-    """Raw convolution of two descending coefficient lists.
-
-    Operates on unsigned coefficients, not on z-vectors; it is the oracle
-    against which factor constructions elsewhere are checked.
-    """
-    av = np.asarray(list(a), dtype=complex)
-    bv = np.asarray(list(b), dtype=complex)
-    if av.size == 0 or bv.size == 0:
-        raise DimensionMismatch("empty coefficient list")
-    return tuple(np.convolve(av, bv))
-
-
 def vieta_rows(x) -> np.ndarray:
     """e_1, ..., e_n of every row of a (B, n) array, as a (B, n) array.
 
@@ -272,8 +249,6 @@ def _require_finite(x: np.ndarray) -> None:
 def find_roots(
     p: Poly,
     *,
-    max_iterations: int = _ABERTH_MAX_ITERATIONS,
-    residual_tol: float | None = None,
     initial: Sequence[complex] | None = None,
     raw: bool = False,
 ) -> tuple[complex, ...]:
@@ -322,7 +297,7 @@ def find_roots(
         angles = 2.0 * np.pi * k / n + 0.4
         radii = radius * (1.0 + 1e-3 * (k + 1) / n)
         x = radii * np.exp(1j * angles)
-    x, floored = _aberth(w, x, max_iterations)
+    x, floored = _aberth(w, x, _ABERTH_MAX_ITERATIONS)
 
     # Newton cannot improve residuals already at the floor; inside a tight
     # cluster it would only blow the rounding noise up by 1/p'
@@ -339,7 +314,7 @@ def find_roots(
         return tuple(complex(v) for v in x[order])
 
     _require_finite(x)
-    tol = residual_tol if residual_tol is not None else RESIDUAL_SCALE * p.scale()
+    tol = RESIDUAL_SCALE * p.scale()
     target = np.asarray(p.z)
     err = float(np.max(np.abs(np.asarray(vieta_from_roots(x).z) - target)))
     # Collapsing near-coincident iterates onto an exact multiple root wins
@@ -352,7 +327,7 @@ def find_roots(
         radius = 1.0 + float(np.max(np.abs(w)))
         k = np.arange(n)
         alt = radius * 1.3 * np.exp(1j * (2.0 * np.pi * k / n + 1.1))
-        x, _ = _aberth(w, alt, 2 * max_iterations)
+        x, _ = _aberth(w, alt, 2 * _ABERTH_MAX_ITERATIONS)
         _require_finite(x)
         err = float(np.max(np.abs(np.asarray(vieta_from_roots(x).z) - target)))
         if err > tol:
@@ -405,9 +380,6 @@ class RootProfile:
     def measure(self) -> tuple[int, int]:
         """Lexicographic (interior_total, boundary_distinct)."""
         return (self.interior_total, self.boundary_distinct)
-
-    def min_signed_distance(self) -> float:
-        return min(c.signed_distance for c in self.clusters)
 
 
 def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:

@@ -58,10 +58,6 @@ class HalfPlane:
             return "boundary"
         return "interior" if s > tol else "outside"
 
-    def boundary_point(self, t: float) -> complex:
-        """Point on the boundary line at real parameter t."""
-        return self.base + cmath.exp(1j * self.theta) * t
-
     def from_upper(self, u: complex) -> complex:
         """Map a point of the closed upper half-plane into this half-plane."""
         return self.base + cmath.exp(1j * self.theta) * u

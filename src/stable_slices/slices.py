@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, NonRealInput
+from .errors import DimensionMismatch, NonConvergence
 from .polynomials import (
     BOUNDARY_SCALE,
     CLUSTER_SCALE,
@@ -51,6 +51,9 @@ STEP_REL_WIDTH = 1e-15
 # relative distance of the two probes that verify a predicted step, one on
 # each side of it; far above the prediction's rounding error
 STEP_VERIFY_DELTA = 1e-9
+# largest step any search tries; a direction still stable there is
+# reported unbounded
+STEP_CAP = 1e9
 # |Im t| / (1 + |t|) up to which a root t of the crossing polynomial counts
 # as real: a spurious candidate only fails verification, a missed one could
 # step over a crossing
@@ -77,17 +80,12 @@ class Slice:
     """Linear constraint L z = a on Vieta coefficient vectors.
 
     ``rows`` is the k x n matrix L stored row-wise, ``target`` the vector a.
-    ``field`` is "complex" for upper-half-plane slices and "real" for the
-    Hurwitz case, where every entry must be real.
     """
 
     rows: tuple[tuple[complex, ...], ...]
     target: tuple[complex, ...]
-    field: str = "complex"
 
     def __post_init__(self) -> None:
-        if self.field not in ("complex", "real"):
-            raise ValueError(f"unknown field tag {self.field!r}")
         if len(self.rows) != len(self.target):
             raise DimensionMismatch("row count does not match target length")
         widths = {len(row) for row in self.rows}
@@ -96,19 +94,15 @@ class Slice:
         entries = [v for row in self.rows for v in row] + list(self.target)
         if entries and not np.all(np.isfinite(np.asarray(entries, dtype=complex).view(float))):
             raise ValueError("constraint entries must be finite")
-        if self.field == "real" and entries:
-            worst = max(abs(v.imag) for v in np.asarray(entries, dtype=complex))
-            if worst > 1e-12 * (1.0 + max(abs(v) for v in np.asarray(entries, dtype=complex))):
-                raise NonRealInput("real slice with non-real entries")
 
     @classmethod
-    def from_arrays(cls, matrix, target, field: str = "complex") -> "Slice":
+    def from_arrays(cls, matrix, target) -> "Slice":
         m = np.atleast_2d(np.asarray(matrix, dtype=complex))
         a = np.asarray(target, dtype=complex).ravel()
         if m.size == 0:
             m = m.reshape(0, m.shape[-1] if m.ndim == 2 and m.shape[-1] else 0)
         rows = tuple(tuple(complex(v) for v in row) for row in m)
-        return cls(rows=rows, target=tuple(complex(v) for v in a), field=field)
+        return cls(rows=rows, target=tuple(complex(v) for v in a))
 
     @property
     def k(self) -> int:
@@ -133,10 +127,6 @@ class Slice:
         if self.k == 0 or self.n == 0:
             return 0
         return _rank(self.matrix)
-
-    @cached_property
-    def pseudoinverse(self) -> np.ndarray:
-        return np.linalg.pinv(self.matrix)
 
     def residual(self, z) -> float:
         if self.k == 0:
@@ -247,7 +237,6 @@ def augment(S: Slice, z0) -> Slice:
     rows = list(S.rows)
     target = list(S.target)
     matrix = S.matrix if S.k else np.zeros((0, n), dtype=complex)
-    real_ok = S.field == "real"
     for j in range(min(2, n)):
         unit = np.zeros(n, dtype=complex)
         unit[j] = 1.0
@@ -256,10 +245,7 @@ def augment(S: Slice, z0) -> Slice:
         rows.append(tuple(unit))
         target.append(complex(z[j]))
         matrix = np.vstack([matrix, unit])
-        if abs(z[j].imag) > 1e-12 * (1.0 + abs(z[j])):
-            real_ok = False
-    field = "real" if real_ok else "complex"
-    return Slice(rows=tuple(rows), target=tuple(target), field=field)
+    return Slice(rows=tuple(rows), target=tuple(target))
 
 
 def alternated_cofactor(roots: Sequence[complex]) -> np.ndarray:
@@ -291,20 +277,25 @@ class KernelDirection:
     c: tuple[complex, ...]
 
 
-def _canonical(b: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(b)))
-    return b / b[idx]
+def kernel_direction(S: Slice, cofactor, m: int) -> KernelDirection | None:
+    """Nonzero b with L(chi(b)) = 0, where chi(b) = coefficients of h * cofactor.
 
-
-def _check_movers(S: Slice, cof: np.ndarray, m: int) -> None:
+    h is the degree m-1 polynomial with coefficient vector b.  Returns
+    None when the constraint matrix has full column rank, i.e. no kernel,
+    or when c = chi(b) leaves the slice constraint numerically.
+    """
+    cof = np.asarray(cofactor, dtype=complex).ravel()
     if m < 1:
         raise DimensionMismatch("mover count must be positive")
     if S.k and S.n != cof.size - 1 + m:
         raise DimensionMismatch("cofactor degree does not match slice dimension")
-
-
-def _direction(S: Slice, X: np.ndarray, b: np.ndarray) -> KernelDirection | None:
-    """KernelDirection of b with c = X b; None when c leaves the slice constraint."""
+    X = _convolution_matrix(cof, m)
+    A = S.matrix @ X if S.k else np.zeros((0, m), dtype=complex)
+    V = _kernel_basis(A, m)
+    if V.shape[1] == 0:
+        return None
+    b = V[:, -1].astype(complex)
+    b = b / b[int(np.argmax(np.abs(b)))]
     c = X @ b
     if S.k:
         lead = float(np.max(np.abs(S.matrix))) if S.matrix.size else 0.0
@@ -312,55 +303,6 @@ def _direction(S: Slice, X: np.ndarray, b: np.ndarray) -> KernelDirection | None
         if float(np.max(np.abs(S.matrix @ c))) > 10.0 * limit:
             return None
     return KernelDirection(b=tuple(b), c=tuple(c))
-
-
-def kernel_direction(S: Slice, cofactor, m: int, mode: str = "complex") -> KernelDirection | None:
-    """Nonzero b with L(chi(b)) = 0, where chi(b) = coefficients of h * cofactor.
-
-    h is the degree m-1 polynomial with coefficient vector b.  In mode
-    "real" the k complex rows act as 2k real rows and b is real.  Returns
-    None when the constraint matrix has full column rank, i.e. no kernel.
-    """
-    if mode not in ("complex", "real"):
-        raise ValueError(f"unknown mode {mode!r}")
-    cof = np.asarray(cofactor, dtype=complex).ravel()
-    _check_movers(S, cof, m)
-    X = _convolution_matrix(cof, m)
-    A = S.matrix @ X if S.k else np.zeros((0, m), dtype=complex)
-    if mode == "real":
-        A = np.vstack([A.real, A.imag])
-    V = _kernel_basis(A, m)
-    if V.shape[1] == 0:
-        return None
-    b = _canonical(V[:, -1].astype(complex))
-    if mode == "real":
-        b = b.real.astype(complex)
-    return _direction(S, X, b)
-
-
-def hurwitz_kernel_direction(S: Slice, cofactor, m: int) -> KernelDirection | None:
-    """Real kernel direction with the odd-position entries of b forced to zero.
-
-    For b of length m the constrained positions are b1, b3, ...,
-    b_{2*floor(m/2)-1}; the free ones are the even positions plus b_m when
-    m is odd.  Needed for Hurwitz slices, where perturbations must keep
-    the even/odd coefficient interlacing of real stable polynomials.
-    """
-    if S.field != "real":
-        raise NonRealInput("hurwitz directions require a real slice")
-    cof = np.asarray(cofactor, dtype=complex).ravel()
-    if float(np.max(np.abs(cof.imag))) > 1e-10 * (1.0 + float(np.max(np.abs(cof)))):
-        raise NonRealInput("hurwitz cofactor must be real")
-    _check_movers(S, cof, m)
-    X = _convolution_matrix(cof.real.astype(complex), m)
-    free = [j for j in range(m) if j % 2 == 1 or (j == m - 1 and m % 2 == 1)]
-    A = S.matrix.real @ X.real if S.k else np.zeros((0, m))
-    V = _kernel_basis(A[:, free], len(free))
-    if V.shape[1] == 0:
-        return None
-    b = np.zeros(m, dtype=complex)
-    b[free] = V[:, -1]
-    return _direction(S, X, _canonical(b))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -445,7 +387,7 @@ def _first_crossing(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
 
 
 def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = None,
-                    cap: float = 1e9, *, boundary_tol: float | None = None,
+                    cap: float = STEP_CAP, *, boundary_tol: float | None = None,
                     cluster_radius: float | None = None, base_roots=None,
                     factor: StepFactorization | None = None) -> StepResult:
     """Largest epsilon in [0, cap] with z + epsilon*c stable: predict,
@@ -616,11 +558,10 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
 @dataclasses.dataclass(frozen=True)
 class CompressOptions:
     max_steps: int | None = None
-    step_cap: float = 1e9
+    step_cap: float = STEP_CAP
     functional_seed: int = 0
     cluster_radius: float | None = None
     boundary_tol: float | None = None
-    membership_tol: float | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -943,8 +884,7 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
                                     boundary_tol=opts.boundary_tol)
     if initial_profile.outside_total:
         raise ValueError("starting point is not stable in the given half-plane")
-    if S.residual(p0) > max(membership_tolerance(S.target_vector),
-                            opts.membership_tol or 0.0) * 1e3:
+    if S.residual(p0) > membership_tolerance(S.target_vector) * 1e3:
         raise ValueError("starting point does not satisfy the slice constraints")
 
     chart = None
@@ -966,8 +906,7 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
     t_int = r
     t_bd = r if sharpened else 2 * r
     max_steps = opts.max_steps if opts.max_steps is not None else max(4 * n, 64)
-    mem_tol = opts.membership_tol if opts.membership_tol is not None \
-        else membership_tolerance(S2.target_vector)
+    mem_tol = membership_tolerance(S2.target_vector)
 
     rng = np.random.default_rng([_PHI_STREAM, opts.functional_seed])
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -1008,7 +947,7 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
             movers = [x for cl in interior for x in cl.members]
             frozen = [x for cl in boundary for x in cl.members]
             cof = alternated_cofactor(frozen)
-            kern = kernel_direction(S2, cof, len(movers), mode="complex")
+            kern = kernel_direction(S2, cof, len(movers))
             if kern is None:
                 stalled = True
                 break

@@ -31,6 +31,10 @@ from .slices import CompressionReport, CompressOptions, Slice, compactness_bound
 GWS_RESIDUAL_SCALE = 1e-8
 _SEARCH_STREAM = 11
 _UNBOUNDED_FLOOR = -1e12
+# Gauss-Newton steps per variety_search start, descent steps per
+# halfdeg_optimize start
+_NEWTON_ITERATIONS = 60
+_DESCENT_ITERATIONS = 300
 
 
 def _canonical_terms(terms, width: int):
@@ -561,8 +565,7 @@ def _detect_pinned(polys) -> dict[int, complex]:
 
 def variety_search(polys, halfplane: HalfPlane | None = None, *,
                    pattern=None, budget: int = 200, seed: int = 0,
-                   box: tuple[float, float, float] | None = None,
-                   newton_iterations: int = 60):
+                   box: tuple[float, float, float] | None = None):
     """Search the common zero set for a point inside the closed half-plane.
 
     ``pattern`` is either an integer distinct-value budget or a pair
@@ -631,7 +634,7 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
         rng = np.random.default_rng([_SEARCH_STREAM, seed, p_idx, s_idx])
         theta = _start_theta(pattern_obj, rng, box)
         best_norm = float("inf")
-        for _ in range(newton_iterations):
+        for _ in range(_NEWTON_ITERATIONS):
             # row 0 is theta, row q + 1 moves parameter q by its difference step
             h = 1e-6 * (1.0 + np.abs(theta))
             R = residuals(pmap.points(np.vstack([theta, theta + np.diag(h)])))
@@ -686,12 +689,12 @@ class HalfDegreeResult:
     k: int
 
 
-def _descend(objective, pmap: _PatternMap, theta0: np.ndarray, iterations: int):
+def _descend(objective, pmap: _PatternMap, theta0: np.ndarray):
     """Projected gradient descent with backtracking; objective maps B x params to B."""
     theta = pmap.project(theta0)
     value = float(objective(theta[None, :])[0])
     halvings = 0.5 ** np.arange(40)
-    for _ in range(iterations):
+    for _ in range(_DESCENT_ITERATIONS):
         if value < _UNBOUNDED_FLOOR:
             break
         h = 1e-6 * (1.0 + np.abs(theta))
@@ -711,8 +714,7 @@ def _descend(objective, pmap: _PatternMap, theta0: np.ndarray, iterations: int):
 
 def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
                      budget: int = 20, seed: int = 0,
-                     box: tuple[float, float, float] | None = None,
-                     iterations: int = 300) -> HalfDegreeResult:
+                     box: tuple[float, float, float] | None = None) -> HalfDegreeResult:
     """Estimate inf of lam*Re(f) + mu*Im(f) over the closed upper power set
     and over its few-distinct-coordinates subset.
 
@@ -746,7 +748,7 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
             for s_idx in range(budget):
                 rng = np.random.default_rng([_SEARCH_STREAM, seed, tag, p_idx, s_idx])
                 theta0 = _start_theta(pattern_obj, rng, box)
-                value, theta = _descend(objective, pmap, theta0, iterations)
+                value, theta = _descend(objective, pmap, theta0)
                 if value < best:
                     best = value
                     witness = pmap.points(theta)
