@@ -870,6 +870,10 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
     random linear functional, so the descent cannot revisit a state, and
     every recorded step strictly decreases the lexicographic measure
     (interior_total, boundary_distinct).
+
+    The root multiset is the state: it is found once, for the starting
+    point, and the report's final profile is the descent's last multiset
+    mapped out of the upper-half-plane chart, never re-found from final_z.
     """
     opts = options if options is not None else CompressOptions()
     H = halfplane if halfplane is not None else HalfPlane.upper()
@@ -914,7 +918,7 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
     u2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     u2 /= np.linalg.norm(u2)
 
-    roots = find_roots(Poly(tuple(zc))) if chart is not None else initial_roots
+    roots = tuple(H.to_upper(x) for x in initial_roots)
     resid0 = S2.residual(zc)
     steps: list[CompressionStep] = []
     checkpoints: list[tuple[int, int]] = []
@@ -1051,28 +1055,15 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
     if chart is not None:
         A, shift = chart
         z_final = np.linalg.solve(A, zc - shift)
-        final_poly = Poly(tuple(z_final))
-        final_roots = find_roots(final_poly)
     else:
-        z_final = np.asarray(zc, dtype=complex)
-        final_poly = Poly(tuple(z_final))
-        # the descent state is the exact root multiset of z_final; seeding
-        # the verification pass with it keeps high-multiplicity stacks
-        # findable where a cold start loses them to conditioning
-        try:
-            final_roots = find_roots(final_poly, initial=tuple(roots))
-        except NonConvergence:
-            # a double root is only determined to about the square root of
-            # the coefficient noise, so the re-finder can sit above its
-            # residual gate on tight clusters even when the state is exact
-            final_roots = tuple(complex(r) for r in roots)
-    final_profile = cluster_roots(final_roots, H,
+        z_final = zc
+    final_poly = Poly(tuple(z_final))
+    final_profile = cluster_roots([H.from_upper(x) for x in roots], H,
                                   radius=opts.cluster_radius,
                                   boundary_tol=opts.boundary_tol)
-    fscale = 1.0 + max(abs(x) for x in final_roots)
-    fbtol = opts.boundary_tol if opts.boundary_tol is not None else BOUNDARY_SCALE * fscale
     origin = sum(1 for cl in final_profile.clusters
-                 if cl.side == "boundary" and abs(cl.center) <= 10.0 * fbtol)
+                 if cl.side == "boundary"
+                 and abs(cl.center) <= 10.0 * final_profile.boundary_tol)
     return CompressionReport(
         initial_profile=initial_profile,
         final_profile=final_profile,

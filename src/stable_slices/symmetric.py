@@ -276,7 +276,9 @@ def coincide(form: SufficientForm, x, halfplane: HalfPlane | None = None,
     Compresses e(x) inside the slice {l_j(z) = l_j(e(x))}; since the form
     only reads the l_j, the value survives, while the compressed root
     multiset has few interior and few distinct boundary coordinates.
-    Returns (x_tilde, CompressionReport).
+    Returns (x_tilde, CompressionReport); x_tilde is read from the report's
+    final profile, sorted by (Re, Im), so it is the multiset the descent
+    ended at and not a re-found one.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     xs = tuple(x)
@@ -286,8 +288,8 @@ def coincide(form: SufficientForm, x, halfplane: HalfPlane | None = None,
     A = np.asarray(form.matrix, dtype=complex)
     S = Slice.from_arrays(A, A @ e)
     report = compress(Poly(tuple(e)), S, H, options)
-    x_tilde = find_roots(report.final_z)
-    return tuple(x_tilde), report
+    members = (x for cl in report.final_profile.clusters for x in cl.members)
+    return tuple(sorted(members, key=lambda v: (v.real, v.imag))), report
 
 
 def young_blocks_from_x_expansion(blocks, monomials) -> dict:

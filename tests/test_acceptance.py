@@ -167,6 +167,11 @@ def test_criterion_03_compression_bounds():
         if not all(b < a for a, b in zip(measures, measures[1:])):
             failures.append(f"instance {idx}: checkpoints {measures} "
                             "not strictly decreasing")
+        if report.measure != report.checkpoints[-1]:
+            failures.append(f"instance {idx}: measure {report.measure} is not "
+                            f"the last checkpoint {report.checkpoints[-1]}")
+        if report.final_profile.outside_total:
+            failures.append(f"instance {idx}: final profile has roots outside")
         step_measures = [st.measure_after for st in report.steps]
         if any(b > a for a, b in zip(step_measures, step_measures[1:])):
             failures.append(f"instance {idx}: step measures increased")

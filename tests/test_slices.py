@@ -22,8 +22,13 @@ from stable_slices import (
     vieta_from_roots,
 )
 from stable_slices.errors import DimensionMismatch, NonConvergence
-from stable_slices.polynomials import raw_to_z, z_to_raw
-from stable_slices.slices import STEP_REL_WIDTH, StepFactorization, membership_tolerance
+from stable_slices.polynomials import BOUNDARY_SCALE, raw_to_z, z_to_raw
+from stable_slices.slices import (
+    STEP_MARGIN,
+    STEP_REL_WIDTH,
+    StepFactorization,
+    membership_tolerance,
+)
 
 FLAGSHIP_ROOTS = [-20 + 1j, 1j, 20 + 1j, 20j]
 FLAGSHIP_PINS = [23j, -463.0, -8461j]
@@ -341,6 +346,26 @@ class TestStepPrediction:
             moved = np.roots(z_to_raw(move_z + eps * np.asarray(factor.b)))
             assert (min(H.signed_distance(x) for x in moved) < 0.0) == outside
 
+    def test_verify_probes_below_noise_fall_back_to_doubling(self):
+        # a real root starts on the boundary line and leaves it at once.  The
+        # crossing is predicted at eps = 2.0827e-7, but STEP_VERIFY_DELTA
+        # moves the margin there by less than raw-root noise, so both verify
+        # probes read admissible and only the doubling search brackets the
+        # step; taking the outer probe for a tangency and stepping on past
+        # it ends at the cap as direction-unbounded
+        z = np.asarray(vieta_from_roots([-0.5587840908301573,
+                                         0.9162470079135698 + 0.4152410595284843j,
+                                         -1.6032901259175492 + 1.2133954349468397j]).z)
+        c = np.array([-1.709935557093718, 0.7310533913006015, 0.44622781299094566])
+        res = max_stable_step(z, c)
+        assert res.event == "root-hit-boundary"
+        assert res.epsilon == pytest.approx(2.0827e-7, rel=1e-4)
+        roots = np.roots(z_to_raw(z))
+        cut = STEP_MARGIN * BOUNDARY_SCALE * (1.0 + float(np.max(np.abs(roots))))
+        for eps, outside in ((2.08e-7, False), (2.09e-7, True), (1.0, True), (1e6, True)):
+            moved = np.roots(z_to_raw(z + eps * c))
+            assert (float(np.min(moved.imag)) < -cut) == outside
+
     def test_vanishing_crossing_polynomial_falls_back(self):
         # c = 0 leaves F identically zero: no prediction, and the doubling
         # search walks to the cap
@@ -399,6 +424,35 @@ class TestCompress:
         ti, tb = st.targets
         fi, fb = st.measure
         assert fi <= ti and fb <= tb
+
+    # (half-plane, pinned coordinate, roots) of degree-10 rank-1 slices on
+    # which a closing re-find of final_z broke the report: the first split
+    # a double root off the axis, measure (3, 5) with one root outside
+    # against a last checkpoint of (3, 6); the second raised NonConvergence
+    REPORT_IS_THE_STATE_CASES = [
+        (HalfPlane.upper(), 8,
+         [-1.7428267617418944 + 1.2507412368588986j, 2.308080864022772 + 0.5523225054321054j,
+          -1.6258574321404407 + 0.021643552996193072j, 0.8487003015451753,
+          0.9015740528992027 + 0.45466564686936073j, 2.1939617622255456 + 0.2513702905386268j,
+          0.10323141394893043 + 1.6071295824526772j, -1.1785617193076652 + 0.3143093673630667j,
+          1.8025812050277974 + 0.7891389047239984j, -1.625423589558339 + 0.13818458489884017j]),
+        (HalfPlane(2.3936188360467447, -1.0082384581861155 + 0.04931130304756582j), 4,
+         [-1.0128078021310751 + 0.053550826883721245j, -0.35321904691811046 - 0.558428110020341j,
+          -0.09616433585774053 - 1.9482127419281117j, 0.722583243563163 - 3.0075164976106468j,
+          -1.829725731439126 + 0.811502750661427j, -0.6952660133914068 - 0.24107045760554002j,
+          -2.6414825598845173 + 1.5646661073293653j, -2.150161014164505 + 0.7592896887842876j,
+          -0.36082151213160407 - 2.693459459102283j, -0.4374445074453547 - 0.4802821328696607j]),
+    ]
+
+    @pytest.mark.parametrize("H, pinned, roots", REPORT_IS_THE_STATE_CASES)
+    def test_report_is_the_descent_state(self, H, pinned, roots):
+        p = vieta_from_roots(roots)
+        L = np.zeros((1, 10))
+        L[0, pinned] = 1.0
+        st = compress(p, Slice.from_arrays(L, L @ np.asarray(p.z)), H)
+        assert st.final_profile.outside_total == 0
+        assert all(m <= t for m, t in zip(st.measure, st.targets))
+        assert st.measure == st.checkpoints[-1]
 
     def test_random_instances_meet_bounds(self):
         rng = np.random.default_rng(20260826)

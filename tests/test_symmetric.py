@@ -280,6 +280,11 @@ class TestCoincide:
             ext = np.asarray(elementary_symmetrics(xt))
             v0 = F.eval_at_e(ex)
             assert abs(F.eval_at_e(ext) - v0) <= 1e-6 * (1.0 + abs(v0))
+            members = [x for cl in report.final_profile.clusters for x in cl.members]
+            assert sorted(xt, key=lambda v: (v.real, v.imag)) == \
+                sorted(members, key=lambda v: (v.real, v.imag))
+            scale = 1.0 + np.asarray(elementary_symmetrics(np.abs(xt))).real
+            assert np.all(np.abs(ext - np.asarray(report.final_z.z)) <= 1e-7 * scale)
 
 
 class TestYoungBlocksFromXExpansion:
