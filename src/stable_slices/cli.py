@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import jsonschema
@@ -27,10 +28,9 @@ from .errors import (
     NonRealInput,
     NotInImage,
 )
-from .polynomials import Poly, cluster_roots, find_roots, vieta_from_roots
+from .polynomials import Poly, find_roots, vieta_from_roots
 from .regions import HalfPlane, Moebius, moebius_transform_poly
 from .slices import (
-    STEP_CAP,
     CompressOptions,
     Slice,
     compactness_bounds,
@@ -157,14 +157,6 @@ _PAYLOADS = {
             "poly": _POLY,
             "slice": _SLICE,
             "halfplane": _HALFPLANE,
-            "options": {
-                "type": "object",
-                "properties": {
-                    "max_steps": {"type": "integer", "minimum": 1},
-                    "step_cap": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "additionalProperties": False,
-            },
         },
         "required": ["poly", "slice"],
         "additionalProperties": False,
@@ -443,7 +435,7 @@ def emit_section_csv(grid, stream) -> None:
 
 
 def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
-                 max_iters: int | None, out_stream) -> dict | None:
+                 out_stream) -> dict | None:
     boundary = tolerances.get("boundary")
     cluster = tolerances.get("cluster")
     H = _parse_halfplane(payload.get("halfplane"))
@@ -484,14 +476,8 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
     if command == "compress":
         p = _parse_poly(payload["poly"])
         S = _parse_slice(payload["slice"])
-        odoc = payload.get("options", {})
-        opts = CompressOptions(
-            max_steps=odoc.get("max_steps", max_iters),
-            step_cap=odoc.get("step_cap", STEP_CAP),
-            functional_seed=seed,
-            cluster_radius=cluster,
-            boundary_tol=boundary,
-        )
+        opts = CompressOptions(functional_seed=seed, cluster_radius=cluster,
+                               boundary_tol=boundary)
         return _report_doc(compress(p, S, H, opts))
 
     if command == "gws":
@@ -508,8 +494,7 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
         x_tilde, report = coincide(form, x, H,
                                    CompressOptions(functional_seed=seed,
                                                    cluster_radius=cluster,
-                                                   boundary_tol=boundary,
-                                                   max_steps=max_iters))
+                                                   boundary_tol=boundary))
         prof = coordinate_profile(x_tilde, H)
         return {
             "x_tilde": [_pair(v) for v in x_tilde],
@@ -600,6 +585,27 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
     raise ValueError(f"unhandled command {command}")
 
 
+def _finite_float(text: str) -> float:
+    """json's float hook: a literal past the float range is an input error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def _float_range_int(text: str) -> int:
+    """json's int hook: an integer no float can hold is an input error."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text)} digits is past the float range")
+    return value
+
+
+def _no_constant(name: str):
+    """json's hook for NaN, Infinity and -Infinity, which JSON does not have."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stable-slices",
@@ -607,16 +613,17 @@ def main(argv=None) -> int:
     parser.add_argument("--job", help="job file (default: stdin)")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--max-iters", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
         if args.job:
             with open(args.job, "r", encoding="utf-8") as fh:
-                job = json.load(fh)
+                text = fh.read()
         else:
-            job = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
+            text = sys.stdin.read()
+        job = json.loads(text, parse_float=_finite_float, parse_int=_float_range_int,
+                         parse_constant=_no_constant)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: cannot read job: {exc}", file=sys.stderr)
         return 2
 
@@ -638,8 +645,7 @@ def main(argv=None) -> int:
         return 4
 
     try:
-        result = _run_command(job["command"], job["payload"], tolerances, seed,
-                              args.max_iters, out_stream)
+        result = _run_command(job["command"], job["payload"], tolerances, seed, out_stream)
         if result is not None:
             result["tolerances"] = {
                 "boundary": tolerances.get("boundary"),

@@ -49,7 +49,9 @@ STEP_MARGIN = 0.5
 # so the landing has to be resolved far below the clustering radius squared
 STEP_REL_WIDTH = 1e-15
 # relative distance of the two probes that verify a predicted step, one on
-# each side of it; far above the prediction's rounding error
+# each side of it.  Raw-root noise can move a landing this far from its
+# prediction (1e-9 relative on a degree-9 mover factor); the probe then
+# disagrees, and the doubling fallback brackets the step instead
 STEP_VERIFY_DELTA = 1e-9
 # largest step any search tries; a direction still stable there is
 # reported unbounded
@@ -312,27 +314,6 @@ class StepResult:
     roots: tuple[complex, ...] = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class StepFactorization:
-    """Exact product structure of a step direction.
-
-    When c comes from a kernel construction the polynomial factors as
-    (moving part) * (frozen part) for every epsilon, with the moving
-    factor's coefficient vector equal to vieta(movers) + epsilon*b.  The
-    step search then only tracks the moving roots; the frozen ones do not
-    drift and, crucially, a frozen multiple root never has to be
-    re-derived from the full coefficient vector, which simple-root
-    iterations cannot do to full accuracy.
-
-    b must correspond to the same direction c handed to the step search,
-    including its sign.
-    """
-
-    movers: tuple[complex, ...]
-    b: tuple[complex, ...]
-    frozen: tuple[complex, ...] = ()
-
-
 def _min_distance(roots, halfplane: HalfPlane) -> float:
     return min(halfplane.signed_distance(x) for x in roots)
 
@@ -386,19 +367,26 @@ def _first_crossing(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
     return float(eps.min()) if eps.size else math.inf
 
 
-def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = None,
-                    cap: float = STEP_CAP, *, boundary_tol: float | None = None,
-                    cluster_radius: float | None = None, base_roots=None,
-                    factor: StepFactorization | None = None) -> StepResult:
-    """Largest epsilon in [0, cap] with z + epsilon*c stable: predict,
-    verify, then ITP.
+def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None, *,
+                    boundary_tol: float | None = None,
+                    cluster_radius: float | None = None) -> StepResult:
+    """Largest epsilon in [0, STEP_CAP] at which the moving factor, with
+    coefficient vector vieta(movers) + epsilon*b, times the frozen factor
+    prod (T - x) stays stable: predict, verify, then ITP.
+
+    This is how ``compress`` steps: a kernel direction c = chi(b) only
+    stirs the moving factor, so the search tracks the movers alone.  The
+    frozen roots do not drift and, crucially, a frozen multiple root never
+    has to be re-derived from the full coefficient vector, which
+    simple-root iterations cannot do to full accuracy; they are appended
+    unchanged to every reported configuration.
 
     The acceptance predicate allows roots a hair past the boundary
     (STEP_MARGIN of boundary_tol) so that the landed configuration stays
     stable under the full tolerance.  The first inadmissible step is
     predicted exactly from the crossing polynomial (``_first_crossing``)
     and verified by two raw probes, STEP_VERIFY_DELTA inside it and
-    outside it; with no crossing predicted up to cap, one probe at cap
+    outside it; with no crossing predicted up to STEP_CAP, one probe there
     confirms the direction unbounded.  The ITP method then narrows the
     verified bracket on the margin (min signed distance + allowance).  It
     converges superlinearly where the margin is smooth and at worst spends
@@ -407,23 +395,14 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
     tiny eps0 bracket the first inadmissible step instead; doubling can
     step over a window in which a root leaves and comes back.  The event
     reports what limited the step: an interior root reaching the boundary,
-    two boundary roots merging, or no event up to cap.
-
-    With a factorization the search runs on the moving factor alone and
-    the frozen roots are appended unchanged to every reported
-    configuration.
+    two boundary roots merging, or no event up to STEP_CAP.
     """
-    zv = _coeff_vector(z)
-    cv = _coeff_vector(c, zv.size)
+    base_move = tuple(complex(x) for x in movers)
+    frozen = tuple(complex(x) for x in frozen)
+    move_z = np.asarray(vieta_from_roots(base_move).z, dtype=complex)
+    move_b = _coeff_vector(b, len(base_move))
     H = halfplane if halfplane is not None else HalfPlane.upper()
-    if S is not None and S.k:
-        drift = float(np.max(np.abs(S.matrix @ cv)))
-        norm = float(np.max(np.abs(S.matrix))) * (1.0 + float(np.max(np.abs(cv))))
-        if drift > 1e-6 * max(norm, 1.0):
-            raise ValueError("direction leaves the slice constraint")
-    if base_roots is None:
-        base_roots = find_roots(Poly(tuple(zv)))
-    roots0 = tuple(base_roots)
+    roots0 = base_move + frozen
     scale = 1.0 + max(abs(x) for x in roots0)
     btol = boundary_tol if boundary_tol is not None else BOUNDARY_SCALE * scale
     radius = cluster_radius if cluster_radius is not None else CLUSTER_SCALE * scale
@@ -433,18 +412,6 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
     cut = STEP_MARGIN * btol
     if min0 < 0.0:
         cut = max(cut, -min0 + 0.05 * btol)
-
-    frozen: tuple[complex, ...] = ()
-    if factor is not None:
-        m = len(factor.movers)
-        if len(factor.b) != m or m + len(factor.frozen) != zv.size:
-            raise DimensionMismatch("factorization does not match the polynomial degree")
-        frozen = tuple(complex(x) for x in factor.frozen)
-        move_z = np.asarray(vieta_from_roots(factor.movers).z, dtype=complex)
-        move_b = _coeff_vector(factor.b, m)
-        base_move = tuple(complex(x) for x in factor.movers)
-    else:
-        move_z, move_b, base_move = zv, cv, roots0
 
     def probe_at(eps: float, warm):
         # raw iterates: near a collision the snapped double would report
@@ -467,17 +434,17 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
     lo, roots_lo, g_lo = 0.0, base_move, margin(base_move)
     hi = None
     predicted = _first_crossing(move_z, move_b, H, cut)
-    if predicted is not None and predicted > cap:
-        probe = probe_at(cap, base_move)
+    if predicted is not None and predicted > STEP_CAP:
+        probe = probe_at(STEP_CAP, base_move)
         if margin(probe) >= 0.0:
-            final = settle_at(cap, probe)
-            return StepResult(epsilon=cap, event="direction-unbounded", roots=tuple(final))
+            final = settle_at(STEP_CAP, probe)
+            return StepResult(epsilon=STEP_CAP, event="direction-unbounded", roots=tuple(final))
     elif predicted is not None:
         inner = predicted * (1.0 - STEP_VERIFY_DELTA)
         rt_in = probe_at(inner, base_move)
         g_in = margin(rt_in)
         if g_in >= 0.0:
-            outer = min(cap, predicted * (1.0 + STEP_VERIFY_DELTA))
+            outer = min(STEP_CAP, predicted * (1.0 + STEP_VERIFY_DELTA))
             rt_out = probe_at(outer, rt_in)
             g_out = margin(rt_out)
             if g_out < 0.0:
@@ -485,25 +452,26 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
 
     if hi is None:
         # fallback: no prediction, or a probe disagreed with it
-        eps0 = min(cap, 1e-8 * (1.0 + float(np.max(np.abs(zv)))) / (1.0 + float(np.max(np.abs(cv)))))
+        eps0 = min(STEP_CAP, 1e-8 * (1.0 + float(np.max(np.abs(move_z))))
+                   / (1.0 + float(np.max(np.abs(move_b)))))
         probe = probe_at(eps0, base_move)
         g = margin(probe)
         if g >= 0.0:
             lo, roots_lo, g_lo = eps0, probe, g
-            while lo < cap:
-                trial = min(cap, lo * 2.0)
+            while lo < STEP_CAP:
+                trial = min(STEP_CAP, lo * 2.0)
                 rt = probe_at(trial, roots_lo)
                 g = margin(rt)
                 if g >= 0.0:
                     lo, roots_lo, g_lo = trial, rt, g
-                    if trial >= cap:
+                    if trial >= STEP_CAP:
                         break
                 else:
                     hi, g_hi = trial, g
                     break
             if hi is None:
-                final = settle_at(cap, roots_lo)
-                return StepResult(epsilon=cap, event="direction-unbounded", roots=tuple(final))
+                final = settle_at(STEP_CAP, roots_lo)
+                return StepResult(epsilon=STEP_CAP, event="direction-unbounded", roots=tuple(final))
         else:
             hi, g_hi = eps0, g
 
@@ -557,8 +525,6 @@ def max_stable_step(z, c, S: Slice | None = None, halfplane: HalfPlane | None = 
 
 @dataclasses.dataclass(frozen=True)
 class CompressOptions:
-    max_steps: int | None = None
-    step_cap: float = STEP_CAP
     functional_seed: int = 0
     cluster_radius: float | None = None
     boundary_tol: float | None = None
@@ -717,7 +683,7 @@ def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
     records: list[CompressionStep] = []
     stalled = False
     exhausted = False
-    ctol = 1e-12 * (1.0 + float(np.max(np.abs(S2.target_vector))) if S2.k else 1.0)
+    ctol = 1e-12 * (1.0 + float(np.max(np.abs(S2.target_vector))))
     seg_dir: np.ndarray | None = None
     seg_len = 0.0
     # per-segment search state: which descent mode is active, the step cap
@@ -852,7 +818,7 @@ def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
     return x, mu, frozen, records, stalled, exhausted
 
 
-def compress(z, S: Slice, halfplane: HalfPlane | None = None,
+def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
              options: CompressOptions | None = None) -> CompressionReport:
     """Descend to a slice member with few interior roots and few distinct
     boundary roots.
@@ -877,7 +843,6 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
     """
     opts = options if options is not None else CompressOptions()
     H = halfplane if halfplane is not None else HalfPlane.upper()
-    p0 = z if isinstance(z, Poly) else Poly(tuple(_coeff_vector(z)))
     n = p0.degree
     if S.k and S.n != n:
         raise DimensionMismatch("slice dimension does not match polynomial degree")
@@ -904,12 +869,11 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
         chart = (A, shift)
     upper = HalfPlane.upper()
 
-    S2 = augment(S_work if S_work.k else Slice(rows=(), target=()), zc)
+    S2 = augment(S_work, zc)
     r = S2.rank
     sharpened = _is_coordinate_prefix(S2.matrix, r)
     t_int = r
     t_bd = r if sharpened else 2 * r
-    max_steps = opts.max_steps if opts.max_steps is not None else max(4 * n, 64)
     mem_tol = membership_tolerance(S2.target_vector)
 
     rng = np.random.default_rng([_PHI_STREAM, opts.functional_seed])
@@ -936,7 +900,7 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
             checkpoints.append(measure)
         if profile.interior_total <= t_int and profile.boundary_distinct <= t_bd:
             break
-        if iterations >= max_steps:
+        if iterations >= max(4 * n, 64):
             cap_reached = True
             steps.append(CompressionStep(mode="none", direction=(0.0,) * n,
                                          step_size=0.0, event="cap-reached",
@@ -969,12 +933,8 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
                 c = phase * c
                 b = phase * b
             eps_min = 1e-11 * (1.0 + float(np.max(np.abs(zc))))
-            fact = StepFactorization(movers=tuple(complex(x) for x in movers),
-                                     b=tuple(b),
-                                     frozen=tuple(complex(x) for x in frozen))
-            st = max_stable_step(zc, c, S2, upper, cap=opts.step_cap,
-                                 boundary_tol=btol, cluster_radius=radius,
-                                 base_roots=roots, factor=fact)
+            st = max_stable_step(movers, b, frozen, upper,
+                                 boundary_tol=btol, cluster_radius=radius)
             if st.event == "direction-unbounded":
                 cap_reached = True
                 steps.append(CompressionStep(
@@ -994,19 +954,18 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
             # positions keeps every stack intact.
             roots = np.asarray(st.roots, dtype=complex)
             after = cluster_roots(roots, upper, radius=radius, boundary_tol=btol)
-            if S2.k:
-                bd = [cl for cl in after.clusters if cl.side == "boundary"]
-                nb = [cl for cl in after.clusters if cl.side != "boundary"]
-                xr = np.array([cl.center.real for cl in bd], dtype=float)
-                mur = np.array([cl.multiplicity for cl in bd], dtype=int)
-                xcp = np.array([cl.center for cl in nb], dtype=complex)
-                muc = np.array([cl.multiplicity for cl in nb], dtype=int)
-                raw_err = S2.residual(np.asarray(vieta_from_roots(roots).z, dtype=complex))
-                nxr, nxc, err = _fiber_correct_mixed(xr, mur, xcp, muc, S2, 0.1 * mem_tol)
-                if err < raw_err:
-                    roots = np.concatenate([np.repeat(nxr.astype(complex), mur),
-                                            np.repeat(nxc, muc)])
-                    after = cluster_roots(roots, upper, radius=radius, boundary_tol=btol)
+            bd = [cl for cl in after.clusters if cl.side == "boundary"]
+            nb = [cl for cl in after.clusters if cl.side != "boundary"]
+            xr = np.array([cl.center.real for cl in bd], dtype=float)
+            mur = np.array([cl.multiplicity for cl in bd], dtype=int)
+            xcp = np.array([cl.center for cl in nb], dtype=complex)
+            muc = np.array([cl.multiplicity for cl in nb], dtype=int)
+            raw_err = S2.residual(np.asarray(vieta_from_roots(roots).z, dtype=complex))
+            nxr, nxc, err = _fiber_correct_mixed(xr, mur, xcp, muc, S2, 0.1 * mem_tol)
+            if err < raw_err:
+                roots = np.concatenate([np.repeat(nxr.astype(complex), mur),
+                                        np.repeat(nxc, muc)])
+                after = cluster_roots(roots, upper, radius=radius, boundary_tol=btol)
             zc = np.asarray(vieta_from_roots(roots).z, dtype=complex)
             iterations += 1
             steps.append(CompressionStep(
@@ -1045,7 +1004,7 @@ def compress(z, S: Slice, halfplane: HalfPlane | None = None,
                     membership_residual=S2.residual(zc), stable=True))
                 break
 
-    if S2.k and iterations:
+    if iterations:
         drifted = S2.residual(zc)
         if drifted > resid0 + mem_tol:
             raise NonConvergence(

@@ -26,7 +26,7 @@ from .polynomials import (
     vieta_rows,
 )
 from .regions import HalfPlane
-from .slices import CompressionReport, CompressOptions, Slice, compactness_bounds, compress
+from .slices import CompressOptions, Slice, compactness_bounds, compress
 
 GWS_RESIDUAL_SCALE = 1e-8
 _SEARCH_STREAM = 11
@@ -514,17 +514,13 @@ def _km_patterns(n: int, k_boundary: int, m_interior: int):
     return out
 
 
-def _start_theta(pattern: _Pattern, rng, box) -> np.ndarray:
+def _start_theta(pmap: _PatternMap, rng, box) -> np.ndarray:
+    """Random parameters in box: imaginary parts from (0, im_hi), the
+    others from (re_lo, re_hi), drawn in parameter order."""
     re_lo, re_hi, im_hi = box
-    theta = []
-    for _ in pattern.multiplicities:
-        theta.append(rng.uniform(re_lo, re_hi))
-        if not pattern.boundary_real:
-            theta.append(rng.uniform(0.0, im_hi))
-    for _ in range(pattern.interior):
-        theta.append(rng.uniform(re_lo, re_hi))
-        theta.append(rng.uniform(0.0, im_hi))
-    return np.asarray(theta, dtype=float)
+    clamped = set(pmap.clamped.tolist())
+    return np.asarray([rng.uniform(0.0, im_hi) if q in clamped else rng.uniform(re_lo, re_hi)
+                       for q in range(pmap.matrix.shape[0])], dtype=float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -622,7 +618,8 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
         for f in polys:
             scale = 1.0 + f.abs_eval_at_e(e)
             val = abs(f.eval_at_e(e))
-            if val > GWS_RESIDUAL_SCALE * scale:
+            # an overflowed residual is no hit, whatever its scale
+            if not math.isfinite(val) or val > GWS_RESIDUAL_SCALE * scale:
                 return None
             res.append(val)
         btol = BOUNDARY_SCALE * (1.0 + float(np.max(np.abs(x))))
@@ -632,14 +629,18 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
 
     halvings = 0.5 ** np.arange(25)
 
-    def run_start(p_idx: int, pmap: _PatternMap, pattern_obj: _Pattern, s_idx: int):
+    def run_start(p_idx: int, pmap: _PatternMap, s_idx: int):
         rng = np.random.default_rng([_SEARCH_STREAM, seed, p_idx, s_idx])
-        theta = _start_theta(pattern_obj, rng, box)
+        theta = _start_theta(pmap, rng, box)
         best_norm = float("inf")
         for _ in range(_NEWTON_ITERATIONS):
             # row 0 is theta, row q + 1 moves parameter q by its difference step
             h = 1e-6 * (1.0 + np.abs(theta))
             R = residuals(pmap.points(np.vstack([theta, theta + np.diag(h)])))
+            if not np.all(np.isfinite(R)):
+                # an overflowed batch leaves no usable Jacobian, and
+                # lstsq on it makes LAPACK write to stdout
+                break
             F = R[0]
             norm = float(np.linalg.norm(F))
             best_norm = min(best_norm, norm)
@@ -664,7 +665,7 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
     for p_idx, pattern_obj in enumerate(patterns):
         pmap = pattern_obj.affine_map(H)
         for s_idx in range(budget):
-            res, x, norm = run_start(p_idx, pmap, pattern_obj, s_idx)
+            res, x, norm = run_start(p_idx, pmap, s_idx)
             total_starts += 1
             if norm < best_residual:
                 best_residual = norm
@@ -749,7 +750,7 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
             objective = objective_for(pmap)
             for s_idx in range(budget):
                 rng = np.random.default_rng([_SEARCH_STREAM, seed, tag, p_idx, s_idx])
-                theta0 = _start_theta(pattern_obj, rng, box)
+                theta0 = _start_theta(pmap, rng, box)
                 value, theta = _descend(objective, pmap, theta0)
                 if value < best:
                     best = value

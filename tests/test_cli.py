@@ -307,6 +307,38 @@ class TestValidation:
         jf.write_text("{not json")
         assert main(["--job", str(jf)]) == 2
 
+    # Python's json reads the literals NaN, Infinity and -Infinity, which
+    # JSON does not have, reads 1e400 as inf and keeps a 401-digit integer
+    # that no float can hold; each of these jobs got past the schema into a
+    # crash, a NaN result or a wrong verdict (the stable-check merged the
+    # roots 2i and -0.1i into one interior root)
+    _E1_MINUS_1 = ('{"n": 2, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1},'
+                   ' {"exponents": [0], "coefficient": -1}]}')
+    NON_FINITE_JOBS = [
+        '{"command": "variety-search", "payload": {"polys": [%s], "box": [NaN, 1, 1]}}'
+        % _E1_MINUS_1,
+        '{"command": "bounds", "payload": {"a1": NaN, "a2": 1, "n": 3}}',
+        '{"command": "moebius", "payload": {"map": {"a": 1, "b": 0, "c": 0, "d": NaN},'
+        ' "poly": {"z": [[0, 1]]}}}',
+        '{"command": "halfdeg-opt", "payload": {"f": %s, "lambda": -Infinity, "mu": 0}}'
+        % _E1_MINUS_1,
+        '{"command": "stable-check", "payload": {"poly": {"z": [[0, 1.9], [0.2, 0]]}},'
+        ' "tolerances": {"cluster": Infinity}}',
+        '{"command": "bounds", "payload": {"a1": 1e400, "a2": 1, "n": 3}}',
+        '{"command": "bounds", "payload": {"a1": 1%s, "a2": 1, "n": 3}}' % ("0" * 400),
+    ]
+
+    @pytest.mark.parametrize("text", NON_FINITE_JOBS, ids=[
+        "search-box-nan", "bounds-nan", "moebius-nan", "halfdeg-minus-infinity",
+        "cluster-infinity", "bounds-1e400", "bounds-huge-integer"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, text):
+        jf = tmp_path / "job.json"
+        jf.write_text(text)
+        assert main(["--job", str(jf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot read job" in err
+
     def test_schemas_pass_the_meta_schema(self):
         for schema in [_JOB_SCHEMA, *_PAYLOADS.values()]:
             validator_for(schema).check_schema(schema)
@@ -346,7 +378,6 @@ class TestNumericalFailure:
         assert text == ""
         assert "numerical failure" in capsys.readouterr().err
 
-
     def test_unfindable_pixel_exits_3(self, tmp_path, capsys):
         # a one-pixel window at a stable degree-24 point whose roots
         # find_roots cannot compute
@@ -366,6 +397,23 @@ class TestNumericalFailure:
         assert code == 3
         assert text == ""
         assert "numerical failure" in capsys.readouterr().err
+
+
+    def test_overflowing_search_start_keeps_stdout_empty(self, tmp_path):
+        # every residual of a start in this box overflows; a least-squares
+        # step on the non-finite Jacobian made LAPACK print to stdout
+        job = {"command": "variety-search",
+               "payload": {"polys": [{"n": 2, "degree": 1,
+                                      "terms": [{"exponents": [1], "coefficient": 1},
+                                                {"exponents": [0], "coefficient": -1}]}],
+                           "box": [1e308, 1e308, 1e308], "budget": 1}}
+        jf = tmp_path / "job.json"
+        jf.write_text(json.dumps(job))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stable_slices.cli", "--job", str(jf)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
 
 class TestDeterminism:

@@ -7,7 +7,6 @@ import pytest
 
 from stable_slices import slices
 from stable_slices import (
-    CompressOptions,
     HalfPlane,
     Poly,
     Slice,
@@ -15,6 +14,7 @@ from stable_slices import (
     augment,
     compactness_bounds,
     compress,
+    find_roots,
     kernel_direction,
     max_stable_step,
     sample_slice_section,
@@ -22,11 +22,11 @@ from stable_slices import (
     vieta_from_roots,
 )
 from stable_slices.errors import DimensionMismatch, NonConvergence
-from stable_slices.polynomials import BOUNDARY_SCALE, raw_to_z, z_to_raw
+from stable_slices.polynomials import BOUNDARY_SCALE, z_to_raw
 from stable_slices.slices import (
+    STEP_CAP,
     STEP_MARGIN,
     STEP_REL_WIDTH,
-    StepFactorization,
     membership_tolerance,
 )
 
@@ -199,33 +199,64 @@ class TestKernelDirection:
         assert kernel_direction(S, alternated_cofactor([1.0]), 2) is None
 
 
+def _movers(z):
+    """The step search's movers for a whole-polynomial step along c = b."""
+    return find_roots(Poly(tuple(z)))
+
+
+def _record_raw_probes(monkeypatch):
+    """Patch slices.find_roots to record the roots of every raw probe."""
+    probes = []
+    real = slices.find_roots
+
+    def recording(p, **kwargs):
+        found = real(p, **kwargs)
+        if kwargs.get("raw"):
+            probes.append(found)
+        return found
+
+    monkeypatch.setattr(slices, "find_roots", recording)
+    return probes
+
+
 class TestMaxStableStep:
     def test_root_reaches_axis(self):
         # roots i and 2i; pushing e2 up drives the lower root to 0 at eps = 2
-        res = max_stable_step((3j, -2.0), (0.0, 1.0))
+        res = max_stable_step(_movers((3j, -2.0)), (0.0, 1.0))
         assert res.event == "root-hit-boundary"
         assert res.epsilon == pytest.approx(2.0, abs=1e-5)
         assert min(r.imag for r in res.roots) == pytest.approx(0.0, abs=1e-6)
 
     def test_direction_never_leaves(self):
-        res = max_stable_step((3j, -2.0), (0.0, -1.0), cap=1e6)
+        res = max_stable_step(_movers((3j, -2.0)), (0.0, -1.0))
         assert res.event == "direction-unbounded"
-        assert res.epsilon == 1e6
+        assert res.epsilon == STEP_CAP
 
     def test_boundary_root_pushed_out_immediately(self):
-        res = max_stable_step((0j,), (-1j,))
+        res = max_stable_step(_movers((0j,)), (-1j,))
         assert res.event == "root-hit-boundary"
         assert res.epsilon <= 1e-6
 
     def test_real_roots_collide(self):
         # roots of T^2 - 1 + eps meet at the origin when eps reaches 1
-        res = max_stable_step((0.0, -1.0), (0.0, 1.0))
+        res = max_stable_step(_movers((0.0, -1.0)), (0.0, 1.0))
         assert res.event == "real-roots-merged"
         assert res.epsilon == pytest.approx(1.0, abs=1e-5)
 
     def test_unstable_base_rejected(self):
         with pytest.raises(ValueError):
-            max_stable_step((-1j,), (1.0,))
+            max_stable_step(_movers((-1j,)), (1.0,))
+
+    def test_frozen_roots_ride_along(self):
+        # the frozen double root at 1 is appended unchanged to the landing
+        res = max_stable_step((1j, 2j), (0.0, 1.0), (1.0, 1.0))
+        assert res.event == "root-hit-boundary"
+        assert res.epsilon == pytest.approx(2.0, abs=1e-5)
+        assert res.roots[-2:] == (1.0, 1.0)
+
+    def test_mover_direction_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            max_stable_step((1j, 2j), (0.0, 1.0, 0.0))
 
     # (z, c, event, landing epsilon, most raw probes).  ITP lands where a
     # plain bisection to STEP_REL_WIDTH lands, with far fewer probes on the
@@ -240,50 +271,34 @@ class TestMaxStableStep:
 
     @pytest.mark.parametrize("z, c, event, epsilon, bound", ITP_CASES)
     def test_itp_probe_count(self, monkeypatch, z, c, event, epsilon, bound):
-        raw_calls = []
-        real = slices.find_roots
-
-        def counting(p, **kwargs):
-            if kwargs.get("raw"):
-                raw_calls.append(p)
-            return real(p, **kwargs)
-
-        monkeypatch.setattr(slices, "find_roots", counting)
-        res = max_stable_step(z, c)
+        raw_calls = _record_raw_probes(monkeypatch)
+        res = max_stable_step(_movers(z), c)
         assert res.event == event
         assert res.epsilon == pytest.approx(epsilon, rel=1e-12)
         assert len(raw_calls) <= bound
 
-    # (z, c, cap, event, most raw probes) on the predicted path: two probes
+    # (z, c, event, most raw probes) on the predicted path: two probes
     # verify the predicted step from either side and ITP narrows their
     # bracket (6, 2 and 23 probes here); a direction with no predicted
-    # crossing costs one probe at cap.  The doubling fallback alone spends
-    # 26 or more probes on each of these.
+    # crossing costs one probe at STEP_CAP.  The doubling fallback alone
+    # spends 26 or more probes on each of these.
     PREDICTED_CASES = [
-        ((3j, -2.0), (0.0, 1.0), 1e9, "root-hit-boundary", 8),
-        ((0j,), (-1j,), 1e9, "root-hit-boundary", 2),
-        ((0.0, -1.0), (0.0, 1.0), 1e9, "real-roots-merged", 25),
-        ((3j, -2.0), (0.0, -1.0), 1e6, "direction-unbounded", 1),
+        ((3j, -2.0), (0.0, 1.0), "root-hit-boundary", 8),
+        ((0j,), (-1j,), "root-hit-boundary", 2),
+        ((0.0, -1.0), (0.0, 1.0), "real-roots-merged", 25),
+        ((3j, -2.0), (0.0, -1.0), "direction-unbounded", 1),
     ]
 
-    @pytest.mark.parametrize("z, c, cap, event, bound", PREDICTED_CASES)
-    def test_predicted_probe_count(self, monkeypatch, z, c, cap, event, bound):
-        raw_calls = []
-        real = slices.find_roots
-
-        def counting(p, **kwargs):
-            if kwargs.get("raw"):
-                raw_calls.append(p)
-            return real(p, **kwargs)
-
-        monkeypatch.setattr(slices, "find_roots", counting)
-        res = max_stable_step(z, c, cap=cap)
+    @pytest.mark.parametrize("z, c, event, bound", PREDICTED_CASES)
+    def test_predicted_probe_count(self, monkeypatch, z, c, event, bound):
+        raw_calls = _record_raw_probes(monkeypatch)
+        res = max_stable_step(_movers(z), c)
         assert res.event == event
         assert len(raw_calls) <= bound
 
 
 def _factor_step_input(rng, n, H):
-    """A factor-mode step: interior movers, frozen roots on the boundary
+    """A compress-like step: interior movers, frozen roots on the boundary
     line of H, and a complex direction b for the movers' coefficients."""
     m = int(rng.integers(2, n + 1))
     movers = [H.from_upper(complex(rng.normal(0, 1.5), abs(rng.normal(0, 1)) + 0.05))
@@ -291,13 +306,7 @@ def _factor_step_input(rng, n, H):
     frozen = [H.from_upper(rng.normal(0, 1.5)) for _ in range(n - m)]
     b = rng.normal(size=m) + 1j * rng.normal(size=m)
     b /= np.max(np.abs(b))
-    # c = z-vector of (movers' direction polynomial) * (frozen factor)
-    move_raw = z_to_raw(b)
-    move_raw[0] = 0.0
-    frozen_raw = z_to_raw(vieta_from_roots(frozen).z) if frozen else np.ones(1)
-    c = raw_to_z(np.convolve(move_raw, frozen_raw))
-    factor = StepFactorization(movers=tuple(movers), b=tuple(b), frozen=tuple(frozen))
-    return vieta_from_roots(movers + frozen), c, movers + frozen, factor
+    return movers, b, frozen
 
 
 class TestStepPrediction:
@@ -320,10 +329,9 @@ class TestStepPrediction:
         events = set()
         for n in range(4, 11):
             for H in self.HALFPLANES:
-                z, c, roots, factor = _factor_step_input(rng, n, H)
-                kwargs = dict(halfplane=H, base_roots=roots, factor=factor)
-                predicted = max_stable_step(z, c, **kwargs)
-                fallback = self._fallback(monkeypatch, z, c, **kwargs)
+                movers, b, frozen = _factor_step_input(rng, n, H)
+                predicted = max_stable_step(movers, b, frozen, H)
+                fallback = self._fallback(monkeypatch, movers, b, frozen, H)
                 assert predicted.event == fallback.event
                 assert predicted.epsilon == pytest.approx(
                     fallback.epsilon, rel=1e-10, abs=2 * STEP_REL_WIDTH)
@@ -337,13 +345,13 @@ class TestStepPrediction:
         rng = np.random.default_rng(17)
         draws = [(_factor_step_input(rng, n, H), H)
                  for n in range(4, 9) for H in self.HALFPLANES]
-        (z, c, roots, factor), H = draws[-1]
-        res = max_stable_step(z, c, halfplane=H, base_roots=roots, factor=factor)
+        (movers, b, frozen), H = draws[-1]
+        res = max_stable_step(movers, b, frozen, H)
         assert res.event == "root-hit-boundary"
         assert res.epsilon == pytest.approx(1.4337242263065, rel=1e-9)
-        move_z = np.asarray(vieta_from_roots(factor.movers).z)
+        move_z = np.asarray(vieta_from_roots(movers).z)
         for eps, outside in ((1.43, False), (1.44, True), (1.9, True), (2.0, False)):
-            moved = np.roots(z_to_raw(move_z + eps * np.asarray(factor.b)))
+            moved = np.roots(z_to_raw(move_z + eps * b))
             assert (min(H.signed_distance(x) for x in moved) < 0.0) == outside
 
     def test_verify_probes_below_noise_fall_back_to_doubling(self):
@@ -357,7 +365,7 @@ class TestStepPrediction:
                                          0.9162470079135698 + 0.4152410595284843j,
                                          -1.6032901259175492 + 1.2133954349468397j]).z)
         c = np.array([-1.709935557093718, 0.7310533913006015, 0.44622781299094566])
-        res = max_stable_step(z, c)
+        res = max_stable_step(_movers(z), c)
         assert res.event == "root-hit-boundary"
         assert res.epsilon == pytest.approx(2.0827e-7, rel=1e-4)
         roots = np.roots(z_to_raw(z))
@@ -366,14 +374,51 @@ class TestStepPrediction:
             moved = np.roots(z_to_raw(z + eps * c))
             assert (float(np.min(moved.imag)) < -cut) == outside
 
+    # nine interior movers and one frozen root of a compress-like step in
+    # the half-plane of angle 2.5 through 1.5 + 0.5i
+    MISSED_PREDICTION_MOVERS = (
+        0.6714282720709912 - 0.17755473499943464j, 0.5348880173629043 - 0.7133601929496931j,
+        2.2472659468317353 - 0.8276501489000028j, 1.1943611462275547 - 0.051543484640647064j,
+        2.6920199542331953 - 0.3963869529473151j, 0.5251436568905227 + 1.1923791382688433j,
+        2.90263418807191 - 1.1364000316922203j, 2.169539268010009 - 0.2731858980874543j,
+        2.301047993446869 - 1.1251953248420985j)
+    MISSED_PREDICTION_B = (
+        -0.33173309206184964 - 0.9433732854130885j, -0.16647547032164028 + 0.03476303713457036j,
+        0.24184129730732382 - 0.20192890829511392j, 0.0584266762874577 - 0.4375035927477048j,
+        0.49109149092540894 - 0.282127138520346j, 0.47867785276975666 - 0.33691452102843034j,
+        -0.07989085705559164 - 0.08620390108309196j, -0.41855913845517667 + 0.043825085168528254j,
+        -0.07765697086045899 - 0.39392549838297636j)
+
+    def test_missed_prediction_falls_back_to_doubling(self, monkeypatch):
+        # the crossing is predicted at 6.623684550e-6, about 1e-9 relative
+        # past the landing: as far as STEP_VERIFY_DELTA reaches, so the
+        # inner verify probe reads inadmissible, and only the doubling
+        # search brackets the step.  This step is why the fallback stays.
+        H = HalfPlane(2.5, 1.5 + 0.5j)
+        movers, b = self.MISSED_PREDICTION_MOVERS, np.asarray(self.MISSED_PREDICTION_B)
+        frozen = (1.480129990817609 + 0.514843339905583j,)
+        move_z = np.asarray(vieta_from_roots(movers).z)
+        cut = STEP_MARGIN * BOUNDARY_SCALE * (1.0 + max(abs(x) for x in movers + frozen))
+        predicted = slices._first_crossing(move_z, b, H, cut)
+        assert predicted == pytest.approx(6.623684550e-6, rel=1e-9)
+        probes = _record_raw_probes(monkeypatch)
+        res = max_stable_step(movers, b, frozen, H)
+        assert res.event == "root-hit-boundary"
+        assert res.epsilon == pytest.approx(6.623684542e-6, rel=1e-9)
+        assert min(H.signed_distance(x) for x in probes[0]) < -cut
+        assert len(probes) == 11
+        for scale, outside in ((0.999, False), (1.001, True)):
+            moved = np.roots(z_to_raw(move_z + scale * res.epsilon * b))
+            assert (min(H.signed_distance(x) for x in moved) < 0.0) == outside
+
     def test_vanishing_crossing_polynomial_falls_back(self):
-        # c = 0 leaves F identically zero: no prediction, and the doubling
+        # b = 0 leaves F identically zero: no prediction, and the doubling
         # search walks to the cap
         assert slices._first_crossing(np.array([3j, -2.0]), np.zeros(2, dtype=complex),
                                       HalfPlane.upper(), 1e-8) is None
-        res = max_stable_step((3j, -2.0), (0.0, 0.0), cap=1e3)
+        res = max_stable_step(_movers((3j, -2.0)), (0.0, 0.0))
         assert res.event == "direction-unbounded"
-        assert res.epsilon == 1e3
+        assert res.epsilon == STEP_CAP
 
 
 class TestCompress:

@@ -437,6 +437,14 @@ class TestVarietySearch:
         assert r.starts > 0
         assert r.best_residual > 0.1
 
+    def test_overflowed_residual_is_no_hit(self):
+        # every residual in this box overflows to inf; the start ends at its
+        # first batch, and an inf residual must not pass as a hit
+        f = SymmetricPoly.from_terms(2, {(2,): 1e300, (0,): -1.0}, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = variety_search([f], budget=1, box=(1e10, 1e10, 1e10))
+        assert isinstance(r, NoneFound)
+
 
 class TestHalfDegreeOptimize:
     def test_imaginary_part_of_e1_is_nonnegative(self):
