@@ -538,7 +538,9 @@ def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
             "found": False,
             "patterns_tried": outcome.patterns_tried,
             "starts": outcome.starts,
-            "best_residual": float(outcome.best_residual),
+            # null when no start ran or none reached a finite residual norm
+            "best_residual": outcome.best_residual
+            if math.isfinite(outcome.best_residual) else None,
             "best_x": None if outcome.best_x is None
             else [_pair(v) for v in outcome.best_x],
             "note": outcome.note,
@@ -651,8 +653,13 @@ def main(argv=None) -> int:
                 "boundary": tolerances.get("boundary"),
                 "cluster": tolerances.get("cluster"),
             }
-            json.dump(result, out_stream, sort_keys=True)
-            out_stream.write("\n")
+            try:
+                text = json.dumps(result, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                # a non-finite number in a result is a fault of the program,
+                # not of the job, and nothing is written
+                raise RuntimeError(f"result is not JSON: {exc}") from exc
+            out_stream.write(text + "\n")
         code = 0
     except (NonConvergence, NoRootInRegion) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

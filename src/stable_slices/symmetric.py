@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoRootInRegion
+from .errors import DimensionMismatch, NonConvergence, NoRootInRegion
 from .polynomials import (
     BOUNDARY_SCALE,
     Poly,
@@ -149,9 +149,14 @@ class _TermTable:
         return cls(exponents=exponents, coefficients=coefficients)
 
     def at_points(self, x: np.ndarray) -> np.ndarray:
-        """Values (B x P) of every polynomial at every row of the B x n points x."""
-        monomials = np.prod(vieta_rows(x)[:, None, :] ** self.exponents, axis=2)
-        return monomials @ self.coefficients
+        """Values (..., P) of every polynomial at the points x (..., n).
+
+        A (starts, rows, n) stack goes through the matrix product one start
+        at a time, and the powers are laid out in C order whatever the
+        stack, so each start's rows round exactly as they would alone.
+        """
+        powers = np.power(vieta_rows(x)[..., None, :], self.exponents, order="C")
+        return np.prod(powers, axis=-1) @ self.coefficients
 
 
 @dataclasses.dataclass(frozen=True)
@@ -441,41 +446,38 @@ class _Pattern:
         rot = np.exp(1j * halfplane.theta)
         widths = self.multiplicities + (1,) * self.interior
         matrix = np.zeros((self.params, sum(widths)), dtype=complex)
-        clamped = []
+        floor = np.full(self.params, -np.inf)
         row = col = 0
         for k, width in enumerate(widths):
             matrix[row, col:col + width] = rot
             if k >= len(self.multiplicities) or not self.boundary_real:
                 matrix[row + 1, col:col + width] = 1j * rot
-                clamped.append(row + 1)
+                floor[row + 1] = 0.0
                 row += 1
             row += 1
             col += width
-        return _PatternMap(base=halfplane.base, matrix=matrix,
-                           clamped=np.asarray(clamped, dtype=int))
+        return _PatternMap(base=halfplane.base, matrix=matrix, floor=floor)
 
 
 @dataclasses.dataclass(frozen=True)
 class _PatternMap:
-    """x = base + theta @ matrix, with theta[clamped] >= 0.
+    """x = base + theta @ matrix, with theta >= floor.
 
-    ``clamped`` lists the parameters that are imaginary parts in the upper
-    chart.
+    ``floor`` is 0 at the parameters that are imaginary parts in the upper
+    chart and -inf elsewhere.
     """
 
     base: complex
     matrix: np.ndarray
-    clamped: np.ndarray
+    floor: np.ndarray
 
     def points(self, theta: np.ndarray) -> np.ndarray:
-        """Points for one parameter vector or for a B x params batch of them."""
+        """Points for one parameter vector, a batch or a stack of batches of them."""
         return self.base + theta @ self.matrix
 
     def project(self, theta: np.ndarray) -> np.ndarray:
         """Clamp the imaginary parts at 0, so the values stay in the closed half-plane."""
-        out = theta.copy()
-        out[..., self.clamped] = np.maximum(out[..., self.clamped], 0.0)
-        return out
+        return np.maximum(theta, self.floor)
 
 
 def _partitions(total: int, parts: int):
@@ -514,13 +516,18 @@ def _km_patterns(n: int, k_boundary: int, m_interior: int):
     return out
 
 
-def _start_theta(pmap: _PatternMap, rng, box) -> np.ndarray:
-    """Random parameters in box: imaginary parts from (0, im_hi), the
-    others from (re_lo, re_hi), drawn in parameter order."""
+def _start_thetas(pmap: _PatternMap, box, stream, starts) -> np.ndarray:
+    """Random parameters in box, one row per start index s, drawn from
+    ``default_rng([*stream, s])``: imaginary parts from (0, im_hi), the
+    others from (re_lo, re_hi), in parameter order."""
     re_lo, re_hi, im_hi = box
-    clamped = set(pmap.clamped.tolist())
-    return np.asarray([rng.uniform(0.0, im_hi) if q in clamped else rng.uniform(re_lo, re_hi)
-                       for q in range(pmap.matrix.shape[0])], dtype=float)
+    imaginary = (pmap.floor == 0.0).tolist()
+    rows = []
+    for s in starts:
+        rng = np.random.default_rng([*stream, s])
+        rows.append([rng.uniform(0.0, im_hi) if imag else rng.uniform(re_lo, re_hi)
+                     for imag in imaginary])
+    return np.asarray(rows, dtype=float).reshape(-1, len(imaginary))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -561,6 +568,94 @@ def _detect_pinned(polys) -> dict[int, complex]:
     return pinned
 
 
+_EPS = np.finfo(float).eps
+
+
+def _min_norm_solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of the stacked systems J x = b.
+
+    J is (starts, m, k) and b is (starts, m).  Singular values at or below
+    eps * max(m, k) * s_max count as zero, the cutoff LAPACK's gelsd applies
+    under ``np.linalg.lstsq(rcond=None)``.
+    """
+    U, s, Vh = np.linalg.svd(J, full_matrices=False)
+    kept = s > _EPS * max(J.shape[1:]) * s[:, :1]
+    c = np.divide(np.einsum("smk,sm->sk", U, b), s, out=np.zeros_like(s), where=kept)
+    return np.einsum("sk,skp->sp", c, Vh)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v, rounded as np.linalg.norm rounds one
+    row alone: each row is its own dot product."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+class _Lockstep:
+    """The live starts of a lockstep batch: the index, parameters and score
+    of each, in start order.
+
+    ``finish(start, theta, score)`` is called once for each start as it
+    ends; returning True ends, unfinished, every start of higher index.
+    """
+
+    def __init__(self, theta: np.ndarray, score: np.ndarray, finish) -> None:
+        self.start = np.arange(theta.shape[0])
+        self.theta = theta
+        self.score = score
+        self.finish = finish
+
+    def keep(self, mask: np.ndarray, *arrays: np.ndarray):
+        """End the live starts where mask is False, in start order, and
+        return ``arrays`` (rows per live start) cut to the starts left."""
+        if mask.all():
+            return arrays
+        for r in np.flatnonzero(~mask):
+            if self.finish(int(self.start[r]), self.theta[r], float(self.score[r])):
+                mask = mask & (self.start < self.start[r])
+                break
+        self.start, self.theta, self.score = self.start[mask], self.theta[mask], self.score[mask]
+        return tuple(a[mask] for a in arrays)
+
+
+def _gauss_newton(residuals, pmap: _PatternMap, theta: np.ndarray, finish) -> None:
+    """Damped Gauss-Newton from every row of theta (starts x params) in lockstep.
+
+    Each iteration advances every live start with one residual evaluation of
+    a (starts, params + 1, params) stack, each start's point and its
+    forward-difference neighbours, one stacked least-squares solve, and one
+    evaluation of a (starts, 25, params) stack of halved steps; a start takes
+    the first halved step that lowers its norm, as a sequential backtracking
+    search would.  A start ends when its residual batch overflows, its norm
+    reaches 1e-12, no halved step lowers it, or after _NEWTON_ITERATIONS
+    iterations; ``finish(start, theta, lowest norm)`` is then called as
+    ``_Lockstep`` describes.
+    """
+    batch = _Lockstep(theta, np.full(theta.shape[0], np.inf), finish)
+    params = theta.shape[1]
+    # row 0 of each start is theta, row q + 1 moves parameter q by its
+    # difference step
+    steps = np.vstack([np.zeros(params), np.eye(params)])
+    halvings = 0.5 ** np.arange(25)[:, None]
+    for _ in range(_NEWTON_ITERATIONS):
+        if not batch.start.size:
+            return
+        h = 1e-6 * (1.0 + np.abs(batch.theta))
+        R = residuals(pmap.points(batch.theta[:, None] + h[:, None] * steps))
+        F = R[:, 0]
+        norm = _row_norms(F)
+        # fmin passes over the NaN norm of an overflowed point
+        batch.score = np.fmin(batch.score, norm)
+        J = ((R[:, 1:] - F[:, None]) / h[:, :, None]).transpose(0, 2, 1)
+        # J is finite where the whole residual batch is and its differences
+        # do not overflow; elsewhere there is no usable step
+        F, J, norm = batch.keep((norm > 1e-12) & np.isfinite(J).all(axis=(1, 2)), F, J, norm)
+        cands = pmap.project(batch.theta[:, None] + halvings * _min_norm_solve(J, -F)[:, None])
+        lower = np.linalg.norm(residuals(pmap.points(cands)), axis=-1) < norm[:, None]
+        cands, lower = batch.keep(lower.any(axis=1), cands, lower)
+        batch.theta = cands[np.arange(len(cands)), lower.argmax(axis=1)]
+    batch.keep(np.zeros(batch.start.size, dtype=bool))
+
+
 def variety_search(polys, halfplane: HalfPlane | None = None, *,
                    pattern=None, budget: int = 200, seed: int = 0,
                    box: tuple[float, float, float] | None = None):
@@ -568,14 +663,16 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
 
     ``pattern`` is either an integer distinct-value budget or a pair
     (k_boundary, m_interior); ``budget`` counts Newton starts per pattern.
-    Starts run one after another, patterns in order, and the search stops
-    at the first hit.  Each start runs damped Gauss-Newton on the pattern's
-    parameters; every step evaluates the residuals once, as one batch
-    holding the current point, its forward-difference neighbours and all
-    line-search candidates.  A hit is checked again with the scalar
-    e-vector and term-by-term evaluation, independently of that batch.
-    Returns FoundPoint on the first verified hit, else NoneFound with
-    search statistics; a NoneFound is never a certificate of emptiness.
+    Patterns run in order.  Start 0 of a pattern runs alone; if it misses,
+    starts 1 to budget - 1 run as one lockstep batch of damped Gauss-Newton
+    on the pattern's parameters (``_gauss_newton``).  A start is verified as
+    it ends, unless a start of lower index has already hit, and a verified
+    hit ends the starts above it.  A hit is checked again with the scalar
+    e-vector and term-by-term evaluation, independently of the batch.  The
+    starts are then read in order, so the result is that of running them
+    one after another: FoundPoint on the first verified hit, else NoneFound
+    with search statistics; a NoneFound is never a certificate of
+    emptiness.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     polys = list(polys)
@@ -610,7 +707,7 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
 
     def residuals(x: np.ndarray) -> np.ndarray:
         vals = table.at_points(x)
-        return np.concatenate([vals.real, vals.imag], axis=1)
+        return np.concatenate([vals.real, vals.imag], axis=-1)
 
     def verify(x: np.ndarray):
         e = vieta_from_roots(tuple(x)).z
@@ -627,54 +724,36 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
             return None
         return tuple(float(v) for v in res)
 
-    halvings = 0.5 ** np.arange(25)
-
-    def run_start(p_idx: int, pmap: _PatternMap, s_idx: int):
-        rng = np.random.default_rng([_SEARCH_STREAM, seed, p_idx, s_idx])
-        theta = _start_theta(pmap, rng, box)
-        best_norm = float("inf")
-        for _ in range(_NEWTON_ITERATIONS):
-            # row 0 is theta, row q + 1 moves parameter q by its difference step
-            h = 1e-6 * (1.0 + np.abs(theta))
-            R = residuals(pmap.points(np.vstack([theta, theta + np.diag(h)])))
-            if not np.all(np.isfinite(R)):
-                # an overflowed batch leaves no usable Jacobian, and
-                # lstsq on it makes LAPACK write to stdout
-                break
-            F = R[0]
-            norm = float(np.linalg.norm(F))
-            best_norm = min(best_norm, norm)
-            if norm <= 1e-12:
-                break
-            J = ((R[1:] - F) / h[:, None]).T
-            delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            # the first of the halved steps that lowers the norm, as a
-            # sequential backtracking search would take it
-            cands = pmap.project(theta + halvings[:, None] * delta)
-            lower = np.flatnonzero(
-                np.linalg.norm(residuals(pmap.points(cands)), axis=1) < norm)
-            if lower.size == 0:
-                break
-            theta = cands[lower[0]]
-        x = pmap.points(theta)
-        return verify(x), x, best_norm
+    def sorted_point(x: np.ndarray) -> tuple[complex, ...]:
+        return tuple(sorted((complex(v) for v in x), key=lambda v: (v.real, v.imag)))
 
     total_starts = 0
     best_residual = float("inf")
     best_x = None
     for p_idx, pattern_obj in enumerate(patterns):
         pmap = pattern_obj.affine_map(H)
+        runs = {}
+
+        def finish(s_idx: int, theta: np.ndarray, norm: float) -> bool:
+            x = pmap.points(theta)
+            runs[s_idx] = (verify(x), x, norm)
+            return runs[s_idx][0] is not None
+
+        # start 0 alone, then, if it misses, the rest as one batch
+        for first, stop in ((0, min(budget, 1)), (1, budget)):
+            if first >= stop or any(run[0] is not None for run in runs.values()):
+                break
+            theta = _start_thetas(pmap, box, (_SEARCH_STREAM, seed, p_idx), range(first, stop))
+            _gauss_newton(residuals, pmap, theta,
+                          lambda s, t, norm: finish(first + s, t, norm))
         for s_idx in range(budget):
-            res, x, norm = run_start(p_idx, pmap, s_idx)
+            res, x, norm = runs[s_idx]
             total_starts += 1
             if norm < best_residual:
                 best_residual = norm
-                best_x = tuple(sorted((complex(v) for v in x),
-                                      key=lambda v: (v.real, v.imag)))
+                best_x = sorted_point(x)
             if res is not None:
-                xs = tuple(sorted((complex(v) for v in x),
-                                  key=lambda v: (v.real, v.imag)))
-                return FoundPoint(x=xs, residuals=res,
+                return FoundPoint(x=sorted_point(x), residuals=res,
                                   pattern=pattern_obj.describe(),
                                   starts_used=total_starts)
     return NoneFound(patterns_tried=len(patterns), starts=total_starts,
@@ -692,27 +771,51 @@ class HalfDegreeResult:
     k: int
 
 
-def _descend(objective, pmap: _PatternMap, theta0: np.ndarray):
-    """Projected gradient descent with backtracking; objective maps B x params to B."""
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise NonConvergence("half-degree objective is not finite at a descent point")
+    return values
+
+
+def _descend(objective, pmap: _PatternMap, theta0: np.ndarray, finish) -> None:
+    """Projected gradient descent with backtracking from every row of theta0
+    (starts x params), in lockstep.
+
+    ``objective`` maps (..., params) to (...).  Each iteration evaluates,
+    for every live start, one (starts, params, params) stack of
+    forward-difference points and one (starts, 40, params) stack of halved
+    steps; a start takes the first that lowers its value by more than a
+    relative 1e-14.  A start ends when its value is below _UNBOUNDED_FLOOR,
+    its gradient vanishes, no halved step lowers it, or after
+    _DESCENT_ITERATIONS iterations; ``finish(start, theta, value)`` is then
+    called as ``_Lockstep`` describes.  Raises NonConvergence when a start
+    point, a gradient point or an accepted step has a non-finite value.
+    """
     theta = pmap.project(theta0)
-    value = float(objective(theta[None, :])[0])
+    batch = _Lockstep(theta, _finite(objective(theta[:, None])[:, 0]), finish)
+    offsets = np.eye(theta.shape[1])
     halvings = 0.5 ** np.arange(40)
     for _ in range(_DESCENT_ITERATIONS):
-        if value < _UNBOUNDED_FLOOR:
-            break
+        batch.keep(batch.score >= _UNBOUNDED_FLOOR)
+        if not batch.start.size:
+            return
+        theta, value = batch.theta, batch.score
         h = 1e-6 * (1.0 + np.abs(theta))
-        grad = (objective(theta + np.diag(h)) - value) / h
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-12 * (1.0 + abs(value)):
-            break
-        step = max(1.0, abs(value) / (gnorm * gnorm + 1e-300))
-        cands = pmap.project(theta - (step * halvings)[:, None] * grad)
+        grad = (_finite(objective(theta[:, None] + h[:, :, None] * offsets))
+                - value[:, None]) / h
+        gnorm = _row_norms(grad)
+        grad, gnorm = batch.keep(~(gnorm <= 1e-12 * (1.0 + np.abs(value))), grad, gnorm)
+        theta, value = batch.theta, batch.score
+        step = np.maximum(1.0, np.abs(value) / (gnorm * gnorm + 1e-300))
+        cands = pmap.project(
+            theta[:, None] - (step[:, None] * halvings)[:, :, None] * grad[:, None])
         values = objective(cands)
-        lower = np.flatnonzero(values < value - 1e-14 * (1.0 + abs(value)))
-        if lower.size == 0:
-            break
-        theta, value = cands[lower[0]], float(values[lower[0]])
-    return value, theta
+        lower = values < (value - 1e-14 * (1.0 + np.abs(value)))[:, None]
+        cands, values, lower = batch.keep(lower.any(axis=1), cands, values, lower)
+        rows, pick = np.arange(len(cands)), lower.argmax(axis=1)
+        batch.theta = cands[rows, pick]
+        batch.score = _finite(values[rows, pick])
+    batch.keep(np.zeros(batch.start.size, dtype=bool))
 
 
 def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
@@ -723,9 +826,15 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
 
     The restricted space uses k = max(floor(d/2), 2): at most k distinct
     real coordinates (with multiplicities) plus at most k interior ones.
-    Unboundedness is reported when descent dives under the floor and the
+    All starts of a pattern descend as one lockstep batch (``_descend``).
+    Unboundedness is reported when a start dives under the floor and the
     doubled witness drops at least 1.5 times as far below the objective at
-    the half-plane's base point (all parameters zero) as the witness does.
+    the half-plane's base point (all parameters zero) as the witness does;
+    that test runs as a start ends, unless a start of lower index has
+    already passed it, and a pass ends the starts above it.  The starts are
+    then read in order, so the result is that of running them one after
+    another.  Raises NonConvergence when the objective overflows on the
+    descent's path.
     """
     H = HalfPlane.upper()
     n = f.n
@@ -737,31 +846,36 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
 
     def objective_for(pmap: _PatternMap):
         def objective(theta: np.ndarray) -> np.ndarray:
-            val = table.at_points(pmap.points(theta))[:, 0]
+            val = table.at_points(pmap.points(theta))[..., 0]
             return lam * val.real + mu * val.imag
         return objective
 
     def optimize(patterns, tag: int):
         best = float("inf")
         witness = None
-        unbounded = False
         for p_idx, pattern_obj in enumerate(patterns):
             pmap = pattern_obj.affine_map(H)
             objective = objective_for(pmap)
+            runs = {}
+
+            def finish(s_idx: int, theta: np.ndarray, value: float) -> bool:
+                dives = False
+                if value < _UNBOUNDED_FLOOR:
+                    base, doubled = objective(np.stack([np.zeros_like(theta), 2.0 * theta]))
+                    dives = bool(doubled - base <= 1.5 * (value - base))
+                runs[s_idx] = (value, theta, dives)
+                return dives
+
+            theta0 = _start_thetas(pmap, box, (_SEARCH_STREAM, seed, tag, p_idx), range(budget))
+            _descend(objective, pmap, theta0, finish)
             for s_idx in range(budget):
-                rng = np.random.default_rng([_SEARCH_STREAM, seed, tag, p_idx, s_idx])
-                theta0 = _start_theta(pmap, rng, box)
-                value, theta = _descend(objective, pmap, theta0)
+                value, theta, dives = runs[s_idx]
                 if value < best:
                     best = value
                     witness = pmap.points(theta)
-                if value < _UNBOUNDED_FLOOR:
-                    base, doubled = objective(np.stack([np.zeros_like(theta), 2.0 * theta]))
-                    if doubled - base <= 1.5 * (value - base):
-                        unbounded = True
-                        witness = pmap.points(theta)
-                        return float("-inf"), unbounded, witness
-        return best, unbounded, witness
+                if dives:
+                    return float("-inf"), True, pmap.points(theta)
+        return best, False, witness
 
     full_patterns = [_Pattern(multiplicities=(), interior=n, boundary_real=True)]
     restricted_patterns = _km_patterns(n, k, k)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from stable_slices import vieta_from_roots
+from stable_slices import cli, vieta_from_roots
 from stable_slices.cli import _JOB_SCHEMA, _PAYLOADS, _validate, main
 
 FLAGSHIP_Z = [[0.0, 23.0], [-463.0, 0.0], [0.0, -8461.0], [8020.0, 0.0]]
@@ -414,6 +414,68 @@ class TestNumericalFailure:
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+
+def strict_json(text):
+    """Parse text as JSON proper, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def sympoly_doc(n, degree, terms):
+    return {"n": n, "degree": degree,
+            "terms": [{"exponents": e, "coefficient": c} for e, c in terms]}
+
+
+class TestStrictJson:
+    def test_pinned_empty_search_writes_null(self, tmp_path):
+        # e1 = -i and e2 = 1 admit no point of the closed upper power set
+        code, text = run_job(tmp_path, {
+            "command": "variety-search",
+            "payload": {"polys": [sympoly_doc(2, 1, [([1], [1, 0]), ([0], [0, 1])]),
+                                  sympoly_doc(2, 2, [([0, 1], 1), ([0, 0], -1)])]},
+        })
+        assert code == 0
+        doc = strict_json(text)
+        assert doc["found"] is False and doc["starts"] == 0
+        assert doc["best_residual"] is None and doc["best_x"] is None
+
+    def test_all_overflow_search_writes_null(self, tmp_path):
+        # every residual in this box overflows, so no start has a norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, text = run_job(tmp_path, {
+                "command": "variety-search",
+                "payload": {"polys": [sympoly_doc(2, 2, [([2], 1e300), ([0], -1)])],
+                            "box": [1e10, 1e10, 1e10], "budget": 2},
+            })
+        assert code == 0
+        doc = strict_json(text)
+        # two patterns of two starts each
+        assert doc["found"] is False and doc["starts"] == 4
+        assert doc["best_residual"] is None and doc["best_x"] is None
+
+    def test_overflowing_halfdeg_objective_exits_3(self, tmp_path, capsys):
+        # 1e308 e1^2 overflows at every start; it once gave "inf_full":
+        # Infinity with an empty witness and a bounded -Infinity
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, text = run_job(tmp_path, {
+                "command": "halfdeg-opt",
+                "payload": {"f": sympoly_doc(2, 2, [([2], 1e308)]),
+                            "lambda": 1, "mu": 0, "budget": 2},
+            })
+        assert code == 3
+        assert text == ""
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_result_exits_4_with_nothing_written(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(cli, "_run_command", lambda *args: {"value": float("inf")})
+        code, text = run_job(tmp_path, {"command": "roots",
+                                        "payload": {"poly": {"z": [[0, 0], [1, 0]]}}})
+        assert code == 4
+        assert text == ""
+        assert "not JSON" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Elementary-symmetric evaluation, one-point reductions and variety search."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from stable_slices import (
     FoundPoint,
     HalfPlane,
+    NonConvergence,
     NoneFound,
     SufficientForm,
     SymmetricPoly,
@@ -19,10 +21,27 @@ from stable_slices import (
     halfdeg_optimize,
     halfplane_contains,
     variety_search,
+    vieta_from_roots,
     young_blocks_from_x_expansion,
     young_gws,
 )
-from stable_slices.symmetric import _budget_patterns, _km_patterns, _TermTable
+from stable_slices.polynomials import BOUNDARY_SCALE
+from stable_slices.slices import compactness_bounds
+from stable_slices.symmetric import (
+    _DESCENT_ITERATIONS,
+    _NEWTON_ITERATIONS,
+    _SEARCH_STREAM,
+    _UNBOUNDED_FLOOR,
+    GWS_RESIDUAL_SCALE,
+    _budget_patterns,
+    _detect_pinned,
+    _km_patterns,
+    _Lockstep,
+    _min_norm_solve,
+    _Pattern,
+    _start_thetas,
+    _TermTable,
+)
 
 
 def brute_elementary(x):
@@ -117,6 +136,24 @@ class TestTermTable:
                 for j, f in enumerate(polys):
                     scale = 1.0 + f.abs_eval_at_e(e)
                     assert abs(got[b, j] - f.eval_at_e(e)) <= 1e-12 * scale
+
+    def test_stack_rounds_like_its_batches(self):
+        # a start's rows must give the same bits in a stack of any height
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            n = int(rng.integers(3, 7))
+            terms = {(0,) * n: complex(rng.normal(), rng.normal())}
+            while len(terms) < 5:
+                key = tuple(int(v) for v in rng.integers(0, 3, size=n))
+                # products of several e_i, within the weighted degree n
+                if sum((i + 1) * e for i, e in enumerate(key)) <= n:
+                    terms[key] = complex(rng.normal(), rng.normal())
+            table = _TermTable.compile([SymmetricPoly.from_terms(n, terms, n)])
+            starts, rows = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+            x = rng.normal(size=(starts, rows, n)) + 1j * rng.normal(size=(starts, rows, n))
+            stacked = table.at_points(x)
+            for s in range(starts):
+                assert np.array_equal(stacked[s], table.at_points(x[s]))
 
 
 def pattern_point_reference(pattern, theta, halfplane):
@@ -472,3 +509,278 @@ class TestHalfDegreeOptimize:
         f = SymmetricPoly.from_terms(4, {(0, 1, 0, 0): 1.0}, 2)
         res = halfdeg_optimize(f, 1.0, 0.0, budget=6, seed=2)
         assert res.k == 2
+
+
+def reference_variety_search(polys, H, *, pattern, budget, seed):
+    """variety_search as it was before its starts ran in lockstep: one start
+    after another, each Gauss-Newton step with its own np.linalg.lstsq."""
+    n = polys[0].n
+    patterns = (list(_budget_patterns(n, pattern)) if isinstance(pattern, int)
+                else _km_patterns(n, *pattern))
+    pinned = _detect_pinned(polys)
+    if 0 in pinned and 1 in pinned:
+        bounds = compactness_bounds(pinned[0], pinned[1], n)
+        half = math.sqrt(bounds.re_sq_bound) + 1.0
+        box = (-half, half, bounds.im_hi + 1.0)
+    else:
+        box = (-5.0, 5.0, 5.0)
+    table = _TermTable.compile(polys)
+
+    def residuals(x):
+        vals = table.at_points(x)
+        return np.concatenate([vals.real, vals.imag], axis=1)
+
+    def verify(x):
+        e = vieta_from_roots(tuple(x)).z
+        res = []
+        for f in polys:
+            val = abs(f.eval_at_e(e))
+            if not math.isfinite(val) or val > GWS_RESIDUAL_SCALE * (1.0 + f.abs_eval_at_e(e)):
+                return None
+            res.append(val)
+        btol = BOUNDARY_SCALE * (1.0 + float(np.max(np.abs(x))))
+        if any(H.signed_distance(v) < -btol for v in x):
+            return None
+        return tuple(res)
+
+    def ordered(x):
+        return tuple(sorted((complex(v) for v in x), key=lambda v: (v.real, v.imag)))
+
+    halvings = 0.5 ** np.arange(25)
+    total, best, best_x = 0, float("inf"), None
+    for p_idx, pat in enumerate(patterns):
+        pmap = pat.affine_map(H)
+        for s_idx in range(budget):
+            theta = _start_thetas(pmap, box, (_SEARCH_STREAM, seed, p_idx), [s_idx])[0]
+            norm_best = float("inf")
+            for _ in range(_NEWTON_ITERATIONS):
+                h = 1e-6 * (1.0 + np.abs(theta))
+                R = residuals(pmap.points(np.vstack([theta, theta + np.diag(h)])))
+                if not np.all(np.isfinite(R)):
+                    break
+                F = R[0]
+                norm = float(np.linalg.norm(F))
+                norm_best = min(norm_best, norm)
+                if norm <= 1e-12:
+                    break
+                J = ((R[1:] - F) / h[:, None]).T
+                delta = np.linalg.lstsq(J, -F, rcond=None)[0]
+                cands = pmap.project(theta + halvings[:, None] * delta)
+                lower = np.flatnonzero(
+                    np.linalg.norm(residuals(pmap.points(cands)), axis=1) < norm)
+                if lower.size == 0:
+                    break
+                theta = cands[lower[0]]
+            x = pmap.points(theta)
+            total += 1
+            if norm_best < best:
+                best, best_x = norm_best, ordered(x)
+            res = verify(x)
+            if res is not None:
+                return FoundPoint(x=ordered(x), residuals=res, pattern=pat.describe(),
+                                  starts_used=total)
+    return NoneFound(patterns_tried=len(patterns), starts=total, best_residual=best,
+                     best_x=best_x)
+
+
+def reference_halfdeg(f, lam, mu, *, budget, seed):
+    """halfdeg_optimize's two optimizations as they were before the starts
+    ran in lockstep: one start after another.  Each gives (infimum,
+    unbounded, witness, (pattern, start) of the diving start or None)."""
+    H = HalfPlane.upper()
+    table = _TermTable.compile([f])
+    halvings = 0.5 ** np.arange(40)
+
+    def optimize(patterns, tag):
+        best, witness = float("inf"), None
+        for p_idx, pat in enumerate(patterns):
+            pmap = pat.affine_map(H)
+
+            def objective(theta):
+                val = table.at_points(pmap.points(theta))[:, 0]
+                return lam * val.real + mu * val.imag
+
+            for s_idx in range(budget):
+                theta0 = _start_thetas(pmap, (-3.0, 3.0, 3.0),
+                                       (_SEARCH_STREAM, seed, tag, p_idx), [s_idx])[0]
+                theta = pmap.project(theta0)
+                value = float(objective(theta[None, :])[0])
+                for _ in range(_DESCENT_ITERATIONS):
+                    if value < _UNBOUNDED_FLOOR:
+                        break
+                    h = 1e-6 * (1.0 + np.abs(theta))
+                    grad = (objective(theta + np.diag(h)) - value) / h
+                    gnorm = float(np.linalg.norm(grad))
+                    if gnorm <= 1e-12 * (1.0 + abs(value)):
+                        break
+                    step = max(1.0, abs(value) / (gnorm * gnorm + 1e-300))
+                    cands = pmap.project(theta - (step * halvings)[:, None] * grad)
+                    values = objective(cands)
+                    lower = np.flatnonzero(values < value - 1e-14 * (1.0 + abs(value)))
+                    if lower.size == 0:
+                        break
+                    theta, value = cands[lower[0]], float(values[lower[0]])
+                if value < best:
+                    best, witness = value, pmap.points(theta)
+                if value < _UNBOUNDED_FLOOR:
+                    base, doubled = objective(np.stack([np.zeros_like(theta), 2.0 * theta]))
+                    if doubled - base <= 1.5 * (value - base):
+                        return float("-inf"), True, pmap.points(theta), (p_idx, s_idx)
+        return best, False, witness, None
+
+    n, k = f.n, max(f.degree // 2, 2)
+    full = optimize([_Pattern(multiplicities=(), interior=n, boundary_real=True)], 0)
+    restricted = optimize(_km_patterns(n, k, k), 1)
+    return full, restricted
+
+
+def assert_same_points(a, b, tol):
+    """Each point of a within tol of one of b, and the other way round."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.all(np.min(np.abs(a[:, None] - b[None, :]), axis=1) <= tol)
+    assert np.all(np.min(np.abs(b[:, None] - a[None, :]), axis=1) <= tol)
+
+
+def affine_equations(rng, x, count):
+    """count random affine equations in the e_i that x satisfies."""
+    n = len(x)
+    e = np.asarray(elementary_symmetrics(x))
+    polys = []
+    for _ in range(count):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        terms = {tuple(1 if j == i else 0 for j in range(n)): c[i] for i in range(n)}
+        terms[(0,) * n] = -complex(c @ e)
+        polys.append(SymmetricPoly.from_terms(n, terms, n))
+    return polys
+
+
+def paper_quadruple(count):
+    e = elementary_symmetrics((-20 + 1j, 1j, 20 + 1j, 20j))
+    return [SymmetricPoly.from_terms(
+        4, {tuple(1 if j == i - 1 else 0 for j in range(i)): 1.0, (0,) * i: -e[i - 1]}, i)
+        for i in range(1, count + 1)]
+
+
+class TestMinNormSolve:
+    def test_matches_lstsq(self):
+        # square, overdetermined, underdetermined and rank-deficient systems
+        rng = np.random.default_rng(12)
+        for m, k, rank in ((6, 6, 6), (8, 3, 3), (2, 4, 2), (6, 6, 4), (4, 8, 1)):
+            J = np.stack([rng.normal(size=(m, rank)) @ rng.normal(size=(rank, k))
+                          for _ in range(5)])
+            b = rng.normal(size=(5, m))
+            got = _min_norm_solve(J, b)
+            for s in range(5):
+                want = np.linalg.lstsq(J[s], b[s], rcond=None)[0]
+                assert np.max(np.abs(got[s] - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+    def test_zero_matrix_gives_zero_step(self):
+        assert np.array_equal(_min_norm_solve(np.zeros((2, 4, 3)), np.ones((2, 4))),
+                              np.zeros((2, 3)))
+
+
+class TestLockstep:
+    def test_ending_starts_finish_in_order_and_a_hit_cuts_above(self):
+        finished = []
+
+        def finish(start, theta, score):
+            finished.append(start)
+            return start in (1, 3)
+
+        batch = _Lockstep(np.arange(6.0)[:, None], np.zeros(6), finish)
+        (rows,) = batch.keep(np.array([True, True, True, False, True, False]), np.arange(6))
+        # start 3 hits, so starts 4 and 5 end unfinished
+        assert finished == [3]
+        assert batch.start.tolist() == rows.tolist() == [0, 1, 2]
+        # a lower start that hits later wins, and ends the ones above it
+        (rows,) = batch.keep(np.array([True, False, True]), rows)
+        assert finished == [3, 1]
+        assert batch.start.tolist() == rows.tolist() == [0]
+        assert batch.keep(np.ones(1, dtype=bool), rows) == (rows,)
+
+
+class TestLockstepMatchesSequential:
+    """The lockstep starts against the one-at-a-time loops they replaced."""
+
+    def assert_same_search(self, polys, H=None, *, pattern, budget, seed, x_tol=1e-12):
+        H = H if H is not None else HalfPlane.upper()
+        got = variety_search(polys, H, pattern=pattern, budget=budget, seed=seed)
+        want = reference_variety_search(polys, H, pattern=pattern, budget=budget, seed=seed)
+        assert type(got) is type(want)
+        if isinstance(want, FoundPoint):
+            assert (got.pattern, got.starts_used) == (want.pattern, want.starts_used)
+            assert_same_points(got.x, want.x, x_tol)
+            assert np.allclose(got.residuals, want.residuals, rtol=0.0, atol=1e-12)
+        else:
+            assert (got.patterns_tried, got.starts) == (want.patterns_tried, want.starts)
+            assert got.best_residual == pytest.approx(want.best_residual, rel=1e-6)
+        return got
+
+    def test_paper_quadruple(self):
+        got = self.assert_same_search(paper_quadruple(4), pattern=4, budget=50, seed=0)
+        assert got.starts_used == 201
+
+    def test_no_e4_finds_nothing(self):
+        got = self.assert_same_search(paper_quadruple(3), pattern=2, budget=10, seed=3)
+        assert isinstance(got, NoneFound)
+        assert got.starts == 3 * 10
+
+    def test_two_value_planted_two_equations(self):
+        rng = np.random.default_rng(21)
+        polys = affine_equations(rng, (0.4 + 0.9j, 0.4 + 0.9j, -1.2, -1.2), 2)
+        self.assert_same_search(polys, pattern=2, budget=12, seed=4)
+
+    def test_underdetermined_two_value_pattern(self):
+        # one complex equation; a real value of multiplicity two and one
+        # interior value give three parameters against two residuals, so
+        # each step is a minimum-norm solution.  The pattern's solutions
+        # form a curve, and nothing pulls a start back along it: the point
+        # it ends at moves with the solver's rounding, which the
+        # forward-difference Jacobian amplifies by 1/h, to about 1e-10
+        rng = np.random.default_rng(22)
+        polys = affine_equations(rng, (0.6, 0.6, -0.4 + 0.9j), 1)
+        got = self.assert_same_search(polys, pattern=(1, 1), budget=12, seed=5, x_tol=1e-8)
+        assert isinstance(got, FoundPoint)
+        assert got.pattern == "boundary multiplicities (2,), interior 1"
+
+    def test_rotated_shifted_halfplane(self):
+        H = HalfPlane(theta=2.3, base=0.4 - 1.1j)
+        rng = np.random.default_rng(23)
+        x = [H.base + np.exp(1j * H.theta) * v for v in (0.8 + 0.5j, 0.8 + 0.5j, -1.3 + 0.2j)]
+        polys = affine_equations(rng, x, 2)
+        self.assert_same_search(polys, H, pattern=2, budget=12, seed=6)
+        self.assert_same_search(polys, H, pattern=(1, 1), budget=12, seed=6)
+
+    def test_first_hit_after_start_0(self):
+        # the pattern that hits takes more than one start, so the batch of
+        # starts 1..11 decides which start is first
+        rng = np.random.default_rng(5)
+        polys = affine_equations(rng, (0.7 + 0.3j, 0.7 + 0.3j, -1.1 + 0.8j, -1.1 + 0.8j), 2)
+        got = self.assert_same_search(polys, pattern=2, budget=8, seed=0)
+        assert isinstance(got, FoundPoint)
+        assert (got.starts_used - 1) % 8 > 0
+
+    @pytest.mark.parametrize("f, lam, mu, seed, diving", [
+        # unbounded; the first start to pass the doubling test is start 1
+        # of the full pattern and start 1 of the third restricted pattern
+        (SymmetricPoly.from_terms(2, {(0, 0): -0.75 + 0.2633j, (1, 0): -0.0383 + 0.4187j,
+                                      (2, 0): 0.0004 - 0.0709j}, 2),
+         -0.9633, -0.2684, 7, ((0, 1), (2, 1))),
+        # bounded: mu Im(c0 + c1 e1) with mu c1 > 0
+        (SymmetricPoly.from_terms(3, {(0, 0, 0): 0.3 - 0.4j, (1, 0, 0): 1.2}, 1),
+         0.0, 0.8, 2, (None, None)),
+    ])
+    def test_halfdeg_bit_for_bit(self, f, lam, mu, seed, diving):
+        got = halfdeg_optimize(f, lam, mu, budget=4, seed=seed)
+        full, restricted = reference_halfdeg(f, lam, mu, budget=4, seed=seed)
+        assert (full[3], restricted[3]) == diving
+        assert (got.inf_full, got.full_unbounded) == full[:2]
+        assert (got.inf_restricted, got.restricted_unbounded) == restricted[:2]
+        assert got.witness_full == tuple(complex(v) for v in full[2])
+        assert got.witness_restricted == tuple(complex(v) for v in restricted[2])
+
+    def test_halfdeg_overflow_raises(self):
+        f = SymmetricPoly.from_terms(2, {(2, 0): 1e308}, 2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence):
+            halfdeg_optimize(f, 1.0, 0.0, budget=2, seed=0)
