@@ -91,15 +91,16 @@ class Poly:
 
 
 def vieta_rows(x) -> np.ndarray:
-    """e_1, ..., e_n of every row of a (..., n) array, as a (..., n) array.
+    """e_1, ..., e_n of every row of a (B, n) array, as a (B, n) array.
 
     No finiteness check: a row that overflows comes back non-finite.
     """
     # one row of e per index keeps each update a contiguous slice
     xt = np.asarray(x, dtype=complex).T
-    e = np.zeros((xt.shape[0] + 1,) + xt.shape[1:], dtype=complex)
+    n, batch = xt.shape
+    e = np.zeros((n + 1, batch), dtype=complex)
     e[0] = 1.0
-    for j in range(xt.shape[0]):
+    for j in range(n):
         e[1:j + 2] += xt[j] * e[:j + 1]
     return e[1:].T
 

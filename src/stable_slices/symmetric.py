@@ -151,12 +151,20 @@ class _TermTable:
     def at_points(self, x: np.ndarray) -> np.ndarray:
         """Values (..., P) of every polynomial at the points x (..., n).
 
-        A (starts, rows, n) stack goes through the matrix product one start
-        at a time, and the powers are laid out in C order whatever the
-        stack, so each start's rows round exactly as they would alone.
+        The monomials of a (starts, rows, n) stack are formed as one
+        (starts * rows, n) batch, which NumPy lays out as it would a
+        (rows, n) batch, and multiplied by the coefficients one start at a
+        time, so each start's values round exactly as a batch of its own
+        would: the layout sets the order, and so the rounding, of the
+        product over the e_i and of the matrix product.  A one-row batch is
+        the exception, laid out row-major, so one-row starts are made
+        row-major too.
         """
-        powers = np.power(vieta_rows(x)[..., None, :], self.exponents, order="C")
-        return np.prod(powers, axis=-1) @ self.coefficients
+        e = vieta_rows(x.reshape(-1, x.shape[-1]))
+        if x.shape[-2:-1] == (1,):
+            e = np.ascontiguousarray(e)
+        monomials = np.prod(e[:, None, :] ** self.exponents, axis=2)
+        return monomials.reshape(x.shape[:-1] + monomials.shape[-1:]) @ self.coefficients
 
 
 @dataclasses.dataclass(frozen=True)
@@ -446,30 +454,31 @@ class _Pattern:
         rot = np.exp(1j * halfplane.theta)
         widths = self.multiplicities + (1,) * self.interior
         matrix = np.zeros((self.params, sum(widths)), dtype=complex)
-        floor = np.full(self.params, -np.inf)
+        clamped = []
         row = col = 0
         for k, width in enumerate(widths):
             matrix[row, col:col + width] = rot
             if k >= len(self.multiplicities) or not self.boundary_real:
                 matrix[row + 1, col:col + width] = 1j * rot
-                floor[row + 1] = 0.0
+                clamped.append(row + 1)
                 row += 1
             row += 1
             col += width
-        return _PatternMap(base=halfplane.base, matrix=matrix, floor=floor)
+        return _PatternMap(base=halfplane.base, matrix=matrix,
+                           clamped=np.asarray(clamped, dtype=int))
 
 
 @dataclasses.dataclass(frozen=True)
 class _PatternMap:
-    """x = base + theta @ matrix, with theta >= floor.
+    """x = base + theta @ matrix, with theta[clamped] >= 0.
 
-    ``floor`` is 0 at the parameters that are imaginary parts in the upper
-    chart and -inf elsewhere.
+    ``clamped`` lists the parameters that are imaginary parts in the upper
+    chart.
     """
 
     base: complex
     matrix: np.ndarray
-    floor: np.ndarray
+    clamped: np.ndarray
 
     def points(self, theta: np.ndarray) -> np.ndarray:
         """Points for one parameter vector, a batch or a stack of batches of them."""
@@ -477,7 +486,9 @@ class _PatternMap:
 
     def project(self, theta: np.ndarray) -> np.ndarray:
         """Clamp the imaginary parts at 0, so the values stay in the closed half-plane."""
-        return np.maximum(theta, self.floor)
+        out = theta.copy()
+        out[..., self.clamped] = np.maximum(out[..., self.clamped], 0.0)
+        return out
 
 
 def _partitions(total: int, parts: int):
@@ -521,13 +532,14 @@ def _start_thetas(pmap: _PatternMap, box, stream, starts) -> np.ndarray:
     ``default_rng([*stream, s])``: imaginary parts from (0, im_hi), the
     others from (re_lo, re_hi), in parameter order."""
     re_lo, re_hi, im_hi = box
-    imaginary = (pmap.floor == 0.0).tolist()
+    clamped = set(pmap.clamped.tolist())
+    params = pmap.matrix.shape[0]
     rows = []
     for s in starts:
         rng = np.random.default_rng([*stream, s])
-        rows.append([rng.uniform(0.0, im_hi) if imag else rng.uniform(re_lo, re_hi)
-                     for imag in imaginary])
-    return np.asarray(rows, dtype=float).reshape(-1, len(imaginary))
+        rows.append([rng.uniform(0.0, im_hi) if q in clamped else rng.uniform(re_lo, re_hi)
+                     for q in range(params)])
+    return np.asarray(rows, dtype=float).reshape(-1, params)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -568,22 +580,6 @@ def _detect_pinned(polys) -> dict[int, complex]:
     return pinned
 
 
-_EPS = np.finfo(float).eps
-
-
-def _min_norm_solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solutions of the stacked systems J x = b.
-
-    J is (starts, m, k) and b is (starts, m).  Singular values at or below
-    eps * max(m, k) * s_max count as zero, the cutoff LAPACK's gelsd applies
-    under ``np.linalg.lstsq(rcond=None)``.
-    """
-    U, s, Vh = np.linalg.svd(J, full_matrices=False)
-    kept = s > _EPS * max(J.shape[1:]) * s[:, :1]
-    c = np.divide(np.einsum("smk,sm->sk", U, b), s, out=np.zeros_like(s), where=kept)
-    return np.einsum("sk,skp->sp", c, Vh)
-
-
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of v, rounded as np.linalg.norm rounds one
     row alone: each row is its own dot product."""
@@ -622,7 +618,7 @@ def _gauss_newton(residuals, pmap: _PatternMap, theta: np.ndarray, finish) -> No
 
     Each iteration advances every live start with one residual evaluation of
     a (starts, params + 1, params) stack, each start's point and its
-    forward-difference neighbours, one stacked least-squares solve, and one
+    forward-difference neighbours, one ``np.linalg.lstsq`` per start, and one
     evaluation of a (starts, 25, params) stack of halved steps; a start takes
     the first halved step that lowers its norm, as a sequential backtracking
     search would.  A start ends when its residual batch overflows, its norm
@@ -643,13 +639,19 @@ def _gauss_newton(residuals, pmap: _PatternMap, theta: np.ndarray, finish) -> No
         R = residuals(pmap.points(batch.theta[:, None] + h[:, None] * steps))
         F = R[:, 0]
         norm = _row_norms(F)
-        # fmin passes over the NaN norm of an overflowed point
-        batch.score = np.fmin(batch.score, norm)
+        # an overflowed residual batch ends its start, and its norm does not count
+        batch.score = np.where(np.isfinite(R).all(axis=(1, 2)),
+                               np.minimum(batch.score, norm), batch.score)
         J = ((R[:, 1:] - F[:, None]) / h[:, :, None]).transpose(0, 2, 1)
         # J is finite where the whole residual batch is and its differences
-        # do not overflow; elsewhere there is no usable step
+        # do not overflow; elsewhere there is no usable step, and lstsq on
+        # it makes LAPACK write to stdout
         F, J, norm = batch.keep((norm > 1e-12) & np.isfinite(J).all(axis=(1, 2)), F, J, norm)
-        cands = pmap.project(batch.theta[:, None] + halvings * _min_norm_solve(J, -F)[:, None])
+        # one lstsq per start: a solve that rounds otherwise than gelsd moves
+        # the point a start that does not converge ends at, since the
+        # difference Jacobian amplifies each step's rounding by 1/h
+        delta = np.array([np.linalg.lstsq(j, -f, rcond=None)[0] for j, f in zip(J, F)])
+        cands = pmap.project(batch.theta[:, None] + halvings * delta.reshape(-1, 1, params))
         lower = np.linalg.norm(residuals(pmap.points(cands)), axis=-1) < norm[:, None]
         cands, lower = batch.keep(lower.any(axis=1), cands, lower)
         batch.theta = cands[np.arange(len(cands)), lower.argmax(axis=1)]
@@ -739,7 +741,9 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
             runs[s_idx] = (verify(x), x, norm)
             return runs[s_idx][0] is not None
 
-        # start 0 alone, then, if it misses, the rest as one batch
+        # start 0 alone, then, if it misses, the rest as one batch: a pattern
+        # whose start 0 hits then runs no batch, and one lstsq per live start
+        # makes a batch cost grow with its size
         for first, stop in ((0, min(budget, 1)), (1, budget)):
             if first >= stop or any(run[0] is not None for run in runs.values()):
                 break
@@ -771,12 +775,6 @@ class HalfDegreeResult:
     k: int
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NonConvergence("half-degree objective is not finite at a descent point")
-    return values
-
-
 def _descend(objective, pmap: _PatternMap, theta0: np.ndarray, finish) -> None:
     """Projected gradient descent with backtracking from every row of theta0
     (starts x params), in lockstep.
@@ -788,23 +786,27 @@ def _descend(objective, pmap: _PatternMap, theta0: np.ndarray, finish) -> None:
     relative 1e-14.  A start ends when its value is below _UNBOUNDED_FLOOR,
     its gradient vanishes, no halved step lowers it, or after
     _DESCENT_ITERATIONS iterations; ``finish(start, theta, value)`` is then
-    called as ``_Lockstep`` describes.  Raises NonConvergence when a start
-    point, a gradient point or an accepted step has a non-finite value.
+    called as ``_Lockstep`` describes.  A start also ends when a value it
+    reads is not finite: its start value, a value of its gradient batch
+    (it then finishes with value NaN) or an accepted step's value.
     """
     theta = pmap.project(theta0)
-    batch = _Lockstep(theta, _finite(objective(theta[:, None])[:, 0]), finish)
+    batch = _Lockstep(theta, objective(theta[:, None])[:, 0], finish)
     offsets = np.eye(theta.shape[1])
     halvings = 0.5 ** np.arange(40)
     for _ in range(_DESCENT_ITERATIONS):
-        batch.keep(batch.score >= _UNBOUNDED_FLOOR)
+        batch.keep(np.isfinite(batch.score) & (batch.score >= _UNBOUNDED_FLOOR))
         if not batch.start.size:
             return
         theta, value = batch.theta, batch.score
         h = 1e-6 * (1.0 + np.abs(theta))
-        grad = (_finite(objective(theta[:, None] + h[:, :, None] * offsets))
-                - value[:, None]) / h
+        shifted = objective(theta[:, None] + h[:, :, None] * offsets)
+        grad = (shifted - value[:, None]) / h
         gnorm = _row_norms(grad)
-        grad, gnorm = batch.keep(~(gnorm <= 1e-12 * (1.0 + np.abs(value))), grad, gnorm)
+        finite = np.isfinite(shifted).all(axis=1)
+        batch.score = np.where(finite, value, np.nan)
+        grad, gnorm = batch.keep(finite & ~(gnorm <= 1e-12 * (1.0 + np.abs(value))),
+                                 grad, gnorm)
         theta, value = batch.theta, batch.score
         step = np.maximum(1.0, np.abs(value) / (gnorm * gnorm + 1e-300))
         cands = pmap.project(
@@ -814,7 +816,7 @@ def _descend(objective, pmap: _PatternMap, theta0: np.ndarray, finish) -> None:
         cands, values, lower = batch.keep(lower.any(axis=1), cands, values, lower)
         rows, pick = np.arange(len(cands)), lower.argmax(axis=1)
         batch.theta = cands[rows, pick]
-        batch.score = _finite(values[rows, pick])
+        batch.score = values[rows, pick]
     batch.keep(np.zeros(batch.start.size, dtype=bool))
 
 
@@ -831,10 +833,11 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
     doubled witness drops at least 1.5 times as far below the objective at
     the half-plane's base point (all parameters zero) as the witness does;
     that test runs as a start ends, unless a start of lower index has
-    already passed it, and a pass ends the starts above it.  The starts are
-    then read in order, so the result is that of running them one after
-    another.  Raises NonConvergence when the objective overflows on the
-    descent's path.
+    already passed it, and a pass ends the starts above it.  A start whose
+    objective overflows on its descent's path ends the starts above it too.
+    The starts are then read in order, so the result is that of running
+    them one after another: NonConvergence is raised when the first start
+    that overflows comes before the first that passes the doubling test.
     """
     H = HalfPlane.upper()
     n = f.n
@@ -859,6 +862,10 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
             runs = {}
 
             def finish(s_idx: int, theta: np.ndarray, value: float) -> bool:
+                if not math.isfinite(value):
+                    # one start at a time, the search would stop here
+                    runs[s_idx] = None
+                    return True
                 dives = False
                 if value < _UNBOUNDED_FLOOR:
                     base, doubled = objective(np.stack([np.zeros_like(theta), 2.0 * theta]))
@@ -869,6 +876,9 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
             theta0 = _start_thetas(pmap, box, (_SEARCH_STREAM, seed, tag, p_idx), range(budget))
             _descend(objective, pmap, theta0, finish)
             for s_idx in range(budget):
+                if runs[s_idx] is None:
+                    raise NonConvergence(
+                        "half-degree objective is not finite at a descent point")
                 value, theta, dives = runs[s_idx]
                 if value < best:
                     best = value

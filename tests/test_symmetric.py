@@ -35,9 +35,9 @@ from stable_slices.symmetric import (
     GWS_RESIDUAL_SCALE,
     _budget_patterns,
     _detect_pinned,
+    _gauss_newton,
     _km_patterns,
     _Lockstep,
-    _min_norm_solve,
     _Pattern,
     _start_thetas,
     _TermTable,
@@ -583,43 +583,60 @@ def reference_variety_search(polys, H, *, pattern, budget, seed):
                      best_x=best_x)
 
 
+def reference_descend(objective, pmap, theta0):
+    """_descend as it was before the starts ran in lockstep, for one start,
+    with its rule for overflow: a non-finite value read at the start point,
+    in a gradient batch or at an accepted step raises NonConvergence."""
+    def finite(values):
+        if not np.all(np.isfinite(values)):
+            raise NonConvergence("half-degree objective is not finite at a descent point")
+        return values
+
+    halvings = 0.5 ** np.arange(40)
+    theta = pmap.project(theta0)
+    value = float(finite(objective(theta[None, :])[0]))
+    for _ in range(_DESCENT_ITERATIONS):
+        if value < _UNBOUNDED_FLOOR:
+            break
+        h = 1e-6 * (1.0 + np.abs(theta))
+        grad = (finite(objective(theta + np.diag(h))) - value) / h
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= 1e-12 * (1.0 + abs(value)):
+            break
+        step = max(1.0, abs(value) / (gnorm * gnorm + 1e-300))
+        cands = pmap.project(theta - (step * halvings)[:, None] * grad)
+        values = objective(cands)
+        lower = np.flatnonzero(values < value - 1e-14 * (1.0 + abs(value)))
+        if lower.size == 0:
+            break
+        theta, value = cands[lower[0]], float(finite(values[lower[0]]))
+    return value, theta
+
+
+def halfdeg_objective(f, lam, mu, pmap):
+    table = _TermTable.compile([f])
+
+    def objective(theta):
+        val = table.at_points(pmap.points(theta))[..., 0]
+        return lam * val.real + mu * val.imag
+    return objective
+
+
 def reference_halfdeg(f, lam, mu, *, budget, seed):
     """halfdeg_optimize's two optimizations as they were before the starts
     ran in lockstep: one start after another.  Each gives (infimum,
     unbounded, witness, (pattern, start) of the diving start or None)."""
     H = HalfPlane.upper()
-    table = _TermTable.compile([f])
-    halvings = 0.5 ** np.arange(40)
 
     def optimize(patterns, tag):
         best, witness = float("inf"), None
         for p_idx, pat in enumerate(patterns):
             pmap = pat.affine_map(H)
-
-            def objective(theta):
-                val = table.at_points(pmap.points(theta))[:, 0]
-                return lam * val.real + mu * val.imag
-
+            objective = halfdeg_objective(f, lam, mu, pmap)
             for s_idx in range(budget):
                 theta0 = _start_thetas(pmap, (-3.0, 3.0, 3.0),
                                        (_SEARCH_STREAM, seed, tag, p_idx), [s_idx])[0]
-                theta = pmap.project(theta0)
-                value = float(objective(theta[None, :])[0])
-                for _ in range(_DESCENT_ITERATIONS):
-                    if value < _UNBOUNDED_FLOOR:
-                        break
-                    h = 1e-6 * (1.0 + np.abs(theta))
-                    grad = (objective(theta + np.diag(h)) - value) / h
-                    gnorm = float(np.linalg.norm(grad))
-                    if gnorm <= 1e-12 * (1.0 + abs(value)):
-                        break
-                    step = max(1.0, abs(value) / (gnorm * gnorm + 1e-300))
-                    cands = pmap.project(theta - (step * halvings)[:, None] * grad)
-                    values = objective(cands)
-                    lower = np.flatnonzero(values < value - 1e-14 * (1.0 + abs(value)))
-                    if lower.size == 0:
-                        break
-                    theta, value = cands[lower[0]], float(values[lower[0]])
+                value, theta = reference_descend(objective, pmap, theta0)
                 if value < best:
                     best, witness = value, pmap.points(theta)
                 if value < _UNBOUNDED_FLOOR:
@@ -632,14 +649,6 @@ def reference_halfdeg(f, lam, mu, *, budget, seed):
     full = optimize([_Pattern(multiplicities=(), interior=n, boundary_real=True)], 0)
     restricted = optimize(_km_patterns(n, k, k), 1)
     return full, restricted
-
-
-def assert_same_points(a, b, tol):
-    """Each point of a within tol of one of b, and the other way round."""
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape
-    assert np.all(np.min(np.abs(a[:, None] - b[None, :]), axis=1) <= tol)
-    assert np.all(np.min(np.abs(b[:, None] - a[None, :]), axis=1) <= tol)
 
 
 def affine_equations(rng, x, count):
@@ -662,24 +671,6 @@ def paper_quadruple(count):
         for i in range(1, count + 1)]
 
 
-class TestMinNormSolve:
-    def test_matches_lstsq(self):
-        # square, overdetermined, underdetermined and rank-deficient systems
-        rng = np.random.default_rng(12)
-        for m, k, rank in ((6, 6, 6), (8, 3, 3), (2, 4, 2), (6, 6, 4), (4, 8, 1)):
-            J = np.stack([rng.normal(size=(m, rank)) @ rng.normal(size=(rank, k))
-                          for _ in range(5)])
-            b = rng.normal(size=(5, m))
-            got = _min_norm_solve(J, b)
-            for s in range(5):
-                want = np.linalg.lstsq(J[s], b[s], rcond=None)[0]
-                assert np.max(np.abs(got[s] - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
-
-    def test_zero_matrix_gives_zero_step(self):
-        assert np.array_equal(_min_norm_solve(np.zeros((2, 4, 3)), np.ones((2, 4))),
-                              np.zeros((2, 3)))
-
-
 class TestLockstep:
     def test_ending_starts_finish_in_order_and_a_hit_cuts_above(self):
         finished = []
@@ -699,22 +690,39 @@ class TestLockstep:
         assert batch.start.tolist() == rows.tolist() == [0]
         assert batch.keep(np.ones(1, dtype=bool), rows) == (rows,)
 
+    def test_overflowed_neighbours_do_not_count_towards_the_score(self):
+        # x = theta on the real line; the residual x - 0.5 overflows right
+        # of 1.000001, so start 0's point (theta = 1) is finite and its
+        # difference neighbour (theta + 2e-6) is not, while start 1 goes
+        # from -1 to 0.5.  As one start at a time, an overflowed batch ends
+        # the start before its norm counts.
+        pmap = _Pattern(multiplicities=(1,), interior=0,
+                        boundary_real=True).affine_map(HalfPlane.upper())
+
+        def residuals(x):
+            r = np.where(x.real > 1.000001, np.inf, x - 0.5)
+            return np.concatenate([r.real, r.imag], axis=-1)
+
+        scores = {}
+
+        def finish(start, theta, score):
+            scores[start] = score
+            return False
+
+        _gauss_newton(residuals, pmap, np.array([[1.0], [-1.0]]), finish)
+        assert scores[0] == np.inf and scores[1] <= 1e-12
+
 
 class TestLockstepMatchesSequential:
     """The lockstep starts against the one-at-a-time loops they replaced."""
 
-    def assert_same_search(self, polys, H=None, *, pattern, budget, seed, x_tol=1e-12):
+    def assert_same_search(self, polys, H=None, *, pattern, budget, seed):
         H = H if H is not None else HalfPlane.upper()
         got = variety_search(polys, H, pattern=pattern, budget=budget, seed=seed)
         want = reference_variety_search(polys, H, pattern=pattern, budget=budget, seed=seed)
         assert type(got) is type(want)
-        if isinstance(want, FoundPoint):
-            assert (got.pattern, got.starts_used) == (want.pattern, want.starts_used)
-            assert_same_points(got.x, want.x, x_tol)
-            assert np.allclose(got.residuals, want.residuals, rtol=0.0, atol=1e-12)
-        else:
-            assert (got.patterns_tried, got.starts) == (want.patterns_tried, want.starts)
-            assert got.best_residual == pytest.approx(want.best_residual, rel=1e-6)
+        # bit for bit: each start rounds in the batch as it did alone
+        assert got == want
         return got
 
     def test_paper_quadruple(self):
@@ -734,13 +742,10 @@ class TestLockstepMatchesSequential:
     def test_underdetermined_two_value_pattern(self):
         # one complex equation; a real value of multiplicity two and one
         # interior value give three parameters against two residuals, so
-        # each step is a minimum-norm solution.  The pattern's solutions
-        # form a curve, and nothing pulls a start back along it: the point
-        # it ends at moves with the solver's rounding, which the
-        # forward-difference Jacobian amplifies by 1/h, to about 1e-10
+        # each step is a minimum-norm solution
         rng = np.random.default_rng(22)
         polys = affine_equations(rng, (0.6, 0.6, -0.4 + 0.9j), 1)
-        got = self.assert_same_search(polys, pattern=(1, 1), budget=12, seed=5, x_tol=1e-8)
+        got = self.assert_same_search(polys, pattern=(1, 1), budget=12, seed=5)
         assert isinstance(got, FoundPoint)
         assert got.pattern == "boundary multiplicities (2,), interior 1"
 
@@ -772,15 +777,42 @@ class TestLockstepMatchesSequential:
          0.0, 0.8, 2, (None, None)),
     ])
     def test_halfdeg_bit_for_bit(self, f, lam, mu, seed, diving):
-        got = halfdeg_optimize(f, lam, mu, budget=4, seed=seed)
-        full, restricted = reference_halfdeg(f, lam, mu, budget=4, seed=seed)
+        full, restricted = self.assert_same_halfdeg(f, lam, mu, budget=4, seed=seed)
         assert (full[3], restricted[3]) == diving
+
+    def assert_same_halfdeg(self, f, lam, mu, *, budget, seed):
+        got = halfdeg_optimize(f, lam, mu, budget=budget, seed=seed)
+        full, restricted = reference_halfdeg(f, lam, mu, budget=budget, seed=seed)
         assert (got.inf_full, got.full_unbounded) == full[:2]
         assert (got.inf_restricted, got.restricted_unbounded) == restricted[:2]
         assert got.witness_full == tuple(complex(v) for v in full[2])
         assert got.witness_restricted == tuple(complex(v) for v in restricted[2])
+        return full, restricted
+
+    def test_halfdeg_dive_before_overflow(self):
+        # -1e307 Re(e1^2): start 0 of the full pattern dives at once, and
+        # start 3, which one start at a time is never run, overflows; the
+        # same holds for starts 0 and 2 of the first restricted pattern
+        f = SymmetricPoly.from_terms(2, {(2, 0): 1e307}, 2)
+        H = HalfPlane.upper()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tag, pat, overflows in ((0, _Pattern((), 2, True), 3),
+                                        (1, _km_patterns(2, 2, 2)[0], 2)):
+                pmap = pat.affine_map(H)
+                objective = halfdeg_objective(f, -1.0, 0.0, pmap)
+                theta0 = _start_thetas(pmap, (-3.0, 3.0, 3.0), (_SEARCH_STREAM, 29, tag, 0),
+                                       [0, overflows])
+                assert reference_descend(objective, pmap, theta0[0])[0] < _UNBOUNDED_FLOOR
+                with pytest.raises(NonConvergence):
+                    reference_descend(objective, pmap, theta0[1])
+            full, restricted = self.assert_same_halfdeg(f, -1.0, 0.0, budget=4, seed=29)
+        assert (full[3], restricted[3]) == ((0, 0), (0, 0))
 
     def test_halfdeg_overflow_raises(self):
+        # start 0 overflows before any start dives
         f = SymmetricPoly.from_terms(2, {(2, 0): 1e308}, 2)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence):
-            halfdeg_optimize(f, 1.0, 0.0, budget=2, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergence):
+                reference_halfdeg(f, 1.0, 0.0, budget=2, seed=0)
+            with pytest.raises(NonConvergence):
+                halfdeg_optimize(f, 1.0, 0.0, budget=2, seed=0)
