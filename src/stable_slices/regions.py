@@ -51,6 +51,16 @@ class HalfPlane:
         """Positive inside, ~0 on the boundary line, negative outside."""
         return (cmath.exp(-1j * self.theta) * (complex(point) - self.base)).imag
 
+    def signed_distances(self, points: np.ndarray) -> np.ndarray:
+        """signed_distance of every entry of an array, to the last bit.
+
+        Spelled out in real arithmetic as Python's complex product forms
+        it; NumPy's complex product can round the imaginary part otherwise.
+        """
+        rot = cmath.exp(-1j * self.theta)
+        d = np.asarray(points, dtype=complex) - self.base
+        return rot.real * d.imag + rot.imag * d.real
+
     def side(self, point: complex, tol: float) -> str:
         """"boundary" within tol of the line, else "interior" or "outside"."""
         s = self.signed_distance(point)

@@ -33,6 +33,7 @@ from .polynomials import (
     _deflate,
     cluster_roots,
     find_roots,
+    find_roots_rows,
     vieta_from_roots,
     z_to_raw,
 )
@@ -1053,9 +1054,12 @@ def sample_slice_section(S: Slice, halfplane: HalfPlane | None, free_axes: tuple
 
     Axis 2k is Re(z_{k+1}), axis 2k+1 is Im(z_{k+1}); both free axes must
     be annihilated by L so the sampled plane stays inside the affine
-    constraint set.  Rows of the grid follow the y coordinate.  A pixel
-    whose roots neither a warm nor a cold start can find raises
-    NonConvergence rather than being reported as a non-member.
+    constraint set.  Rows of the grid follow the y coordinate.  Every
+    pixel starts from find_roots' cold start, and all pixels iterate
+    together (find_roots_rows); a pixel that this pass cannot settle, by a
+    missed residual gate or a near-multiple root, gets find_roots and
+    cluster_roots of its own.  A pixel whose roots a cold start cannot find
+    raises NonConvergence rather than being reported as a non-member.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     n = S.n if S.k else (max(free_axes) // 2 + 1)
@@ -1089,25 +1093,15 @@ def sample_slice_section(S: Slice, halfplane: HalfPlane | None, free_axes: tuple
     x0, x1, y0, y1 = window
     xs = np.linspace(x0, x1, w)
     ys = np.linspace(y0, y1, h)
-    rows = []
-    warm = None
-    for y in ys:
-        row = []
-        for x in xs:
-            if not linear_ok:
-                row.append(False)
-                continue
-            zv = base + x * vi + y * vj
-            try:
-                roots = find_roots(Poly(tuple(zv)), initial=warm)
-            except NonConvergence:
-                if warm is None:
-                    raise  # the failed call was already the cold start
-                roots = find_roots(Poly(tuple(zv)))
-            warm = roots
-            profile = cluster_roots(roots, H)
-            row.append(profile.outside_total == 0)
-        rows.append(tuple(row))
+    members = np.zeros(h * w, dtype=bool)
+    if linear_ok:
+        Z = (base + xs[None, :, None] * vi + ys[:, None, None] * vj).reshape(h * w, n)
+        roots, clean = find_roots_rows(Z)
+        # cluster_roots' verdict when every root is its own cluster
+        btol = BOUNDARY_SCALE * (1.0 + np.max(np.abs(roots), axis=1))
+        members = ~np.any(H.signed_distances(roots) < -btol[:, None], axis=1)
+        for i in np.flatnonzero(~clean):
+            members[i] = cluster_roots(find_roots(Poly(tuple(Z[i]))), H).outside_total == 0
     return SectionGrid(xs=tuple(float(v) for v in xs),
                        ys=tuple(float(v) for v in ys),
-                       members=tuple(rows))
+                       members=tuple(map(tuple, members.reshape(h, w).tolist())))

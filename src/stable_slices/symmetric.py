@@ -658,6 +658,18 @@ def _gauss_newton(residuals, pmap: _PatternMap, theta: np.ndarray, finish) -> No
     batch.keep(np.zeros(batch.start.size, dtype=bool))
 
 
+def _sorted_point(x: np.ndarray) -> tuple[complex, ...]:
+    """The values of x by real part, then imaginary part.
+
+    Real parts are compared on a grid of BOUNDARY_SCALE (1 + max |x|):
+    values whose real parts agree in exact arithmetic carry rounding noise
+    of either sign there, and that noise must not decide the order.
+    """
+    grid = BOUNDARY_SCALE * (1.0 + float(np.max(np.abs(x))))
+    return tuple(sorted((complex(v) for v in x),
+                        key=lambda v: (float(np.rint(v.real / grid)), v.imag)))
+
+
 def variety_search(polys, halfplane: HalfPlane | None = None, *,
                    pattern=None, budget: int = 200, seed: int = 0,
                    box: tuple[float, float, float] | None = None):
@@ -726,9 +738,6 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
             return None
         return tuple(float(v) for v in res)
 
-    def sorted_point(x: np.ndarray) -> tuple[complex, ...]:
-        return tuple(sorted((complex(v) for v in x), key=lambda v: (v.real, v.imag)))
-
     total_starts = 0
     best_residual = float("inf")
     best_x = None
@@ -755,9 +764,9 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
             total_starts += 1
             if norm < best_residual:
                 best_residual = norm
-                best_x = sorted_point(x)
+                best_x = _sorted_point(x)
             if res is not None:
-                return FoundPoint(x=sorted_point(x), residuals=res,
+                return FoundPoint(x=_sorted_point(x), residuals=res,
                                   pattern=pattern_obj.describe(),
                                   starts_used=total_starts)
     return NoneFound(patterns_tried=len(patterns), starts=total_starts,

@@ -49,6 +49,15 @@ class TestContains:
         assert halfplane_contains(HalfPlane.upper(), 1e-3j, tol=1e-6) == "interior"
 
 
+@pytest.mark.parametrize("H", [HalfPlane.upper(), HalfPlane.left(), HalfPlane(4.4, 0.3 - 0.7j)])
+def test_signed_distances_match_signed_distance_bit_for_bit(H):
+    rng = np.random.default_rng(3)
+    points = (rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))) * 10.0 ** rng.uniform(
+        -6, 6, size=(50, 4))
+    expected = [[H.signed_distance(v) for v in row] for row in points]
+    assert H.signed_distances(points).tolist() == expected
+
+
 class TestToUpper:
     def test_upper_is_identity(self):
         p = Poly((1 + 2j, -0.5, 3j))

@@ -22,6 +22,7 @@ from stable_slices import (
     vieta_from_roots,
 )
 from stable_slices.errors import DimensionMismatch, NonConvergence
+from stable_slices.polynomials import cluster_roots
 from stable_slices.polynomials import BOUNDARY_SCALE, z_to_raw
 from stable_slices.slices import (
     STEP_CAP,
@@ -530,7 +531,79 @@ class TestCompress:
                 membership_tolerance(S.target_vector)
 
 
+def reference_section(S, H, free_axes, window, resolution):
+    """sample_slice_section's members as a loop over pixels: a cold
+    find_roots and cluster_roots for each one."""
+    n = S.n
+    (xa, ya), (w, h) = free_axes, resolution
+    base, *_ = np.linalg.lstsq(S.matrix, S.target_vector, rcond=None)
+    base[xa // 2] = 0.0
+    rows = []
+    for y in np.linspace(window[2], window[3], h):
+        row = []
+        for x in np.linspace(window[0], window[1], w):
+            z = base.copy()
+            z[xa // 2] += x
+            z[ya // 2] += 1j * y
+            row.append(cluster_roots(find_roots(Poly(tuple(z))), H).outside_total == 0)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def section_case(seed):
+    """A rank n - 1 slice through a stable point of degree 3 to 8, free in
+    one coefficient, with a window around that coefficient; a third of the
+    cases in rotated half-planes, half with dense slice rows."""
+    rng = np.random.default_rng([7, seed])
+    n = 3 + seed % 6
+    H = (HalfPlane(rng.uniform(0, 2 * np.pi), complex(*rng.normal(0, 1, 2)))
+         if seed % 3 == 0 else HalfPlane())
+    upper = rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))
+    z0 = np.asarray(vieta_from_roots([H.from_upper(u) for u in upper]).z)
+    free = int(rng.integers(0, n))
+    if seed % 2:
+        L = rng.normal(size=(n - 1, n)) + 1j * rng.normal(size=(n - 1, n))
+        L[:, free] = 0.0
+    else:
+        L = np.eye(n)[[j for j in range(n) if j != free]]
+    width = 0.75 * (1.0 + abs(z0[free]))
+    window = (z0[free].real - width, z0[free].real + width,
+              z0[free].imag - width, z0[free].imag + width)
+    return Slice.from_arrays(L, L @ z0), H, (2 * free, 2 * free + 1), window
+
+
 class TestSampleSliceSection:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_pixel_loop(self, seed):
+        S, H, axes, window = section_case(seed)
+        g = sample_slice_section(S, H, axes, window, (9, 7))
+        assert g.members == reference_section(S, H, axes, window, (9, 7))
+
+    @pytest.mark.parametrize("window, resolution, double_roots", [
+        ((0, 4, -1, 1), (5, 3), [2.0]),
+        ((-2, 2, -1, 1), (5, 5), [-2.0, 2.0]),
+    ])
+    def test_double_root_pixels_take_find_roots(self, monkeypatch, window, resolution,
+                                                double_roots):
+        # z2 pinned to 1: the pixels z1 = +-2 are (T -+ 1)^2, whose lockstep
+        # roots are a pair find_roots snaps together
+        S = proj_slice(2, [1], [1.0])
+        calls = []
+        real = slices.find_roots
+
+        def counting(p, **kwargs):
+            calls.append(p.z)
+            return real(p, **kwargs)
+
+        monkeypatch.setattr(slices, "find_roots", counting)
+        g = sample_slice_section(S, None, (0, 1), window, resolution)
+        assert [z[0] for z in calls] == double_roots
+        assert g.members == reference_section(S, HalfPlane(), (0, 1), window, resolution)
+        # a real double root lies on the boundary line: a member
+        middle = g.members[resolution[1] // 2]
+        assert all(middle[g.xs.index(z1)] for z1 in double_roots)
+
+
     def test_window_below_axis_is_empty(self):
         # e2 pinned to -1; any member needs Im e1 >= 0
         S = proj_slice(2, [1], [-1.0])

@@ -39,6 +39,7 @@ from stable_slices.symmetric import (
     _km_patterns,
     _Lockstep,
     _Pattern,
+    _sorted_point,
     _start_thetas,
     _TermTable,
 )
@@ -462,8 +463,16 @@ class TestVarietySearch:
         r = variety_search(polys, pattern=4, budget=50, seed=0)
         assert isinstance(r, FoundPoint)
         assert r.starts_used == 201
-        assert np.allclose(sorted(r.x, key=lambda v: (v.real, v.imag)),
-                           [-20 + 1j, 1j, 20j, 20 + 1j], atol=1e-6)
+        assert np.allclose(r.x, [-20 + 1j, 1j, 20j, 20 + 1j], atol=1e-6)
+
+    @pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=2))
+    def test_point_order_ignores_rounding_of_equal_real_parts(self, signs):
+        # i and 20i come out of the search with real parts of about 1e-16,
+        # of either sign
+        s1, s2 = signs
+        x = np.array([20 + 1j, s1 * 1e-16 + 20j, -20 + 1j, s2 * 1e-16 + 1j])
+        ordered = _sorted_point(x)
+        assert np.allclose(ordered, [-20 + 1j, 1j, 20j, 20 + 1j], rtol=0, atol=1e-15)
 
     def test_none_found_reports_statistics(self):
         # e1 = 1 and e1 = 2 cannot hold at once
@@ -543,9 +552,6 @@ def reference_variety_search(polys, H, *, pattern, budget, seed):
             return None
         return tuple(res)
 
-    def ordered(x):
-        return tuple(sorted((complex(v) for v in x), key=lambda v: (v.real, v.imag)))
-
     halvings = 0.5 ** np.arange(25)
     total, best, best_x = 0, float("inf"), None
     for p_idx, pat in enumerate(patterns):
@@ -574,10 +580,10 @@ def reference_variety_search(polys, H, *, pattern, budget, seed):
             x = pmap.points(theta)
             total += 1
             if norm_best < best:
-                best, best_x = norm_best, ordered(x)
+                best, best_x = norm_best, _sorted_point(x)
             res = verify(x)
             if res is not None:
-                return FoundPoint(x=ordered(x), residuals=res, pattern=pat.describe(),
+                return FoundPoint(x=_sorted_point(x), residuals=res, pattern=pat.describe(),
                                   starts_used=total)
     return NoneFound(patterns_tried=len(patterns), starts=total, best_residual=best,
                      best_x=best_x)
