@@ -53,8 +53,7 @@ def main() -> int:
               f"{str(st.measure_after):>8}  {st.membership_residual:>11.3e} "
               f"{st.stable}")
     print(f"checkpoints: {report.checkpoints}")
-    print(f"final measure {report.measure}; cap={report.cap_reached} "
-          f"stalled={report.stalled}")
+    print(f"final measure {report.measure} against targets {report.targets}")
     print(f"  roots: {describe_clusters(report.final_z)}")
     zf = np.asarray(report.final_z.z)
     print(f"  pin drift: {float(np.max(np.abs(zf[:k] - z[:k]))):.3e}")

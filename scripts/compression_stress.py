@@ -2,8 +2,11 @@
 """Randomized compression stress run with a summary table.
 
 Draws random stable polynomials and random slices (coordinate or dense,
-rank <= 3), compresses each, and reports terminations, bound violations
-and worst residuals.  Exit status 1 if any run breaks an invariant.
+rank <= 3), one instance in five in a random rotated and shifted
+half-plane, compresses each, and reports numerical failures, bound
+violations and worst residuals.  Residual and measure are checked in the
+instance's own coordinates and half-plane.  Exit status 1 if any run
+raises NonConvergence or breaks an invariant.
 
     python3 scripts/compression_stress.py --count 200 --seed 7
 """
@@ -15,7 +18,7 @@ import time
 
 import numpy as np
 
-from stable_slices import Slice, compress, vieta_from_roots
+from stable_slices import HalfPlane, NonConvergence, Slice, compress, vieta_from_roots
 from stable_slices.slices import membership_tolerance
 
 
@@ -29,7 +32,11 @@ class StressConfig:
     real_root_rate: float = 0.35
 
 
-def draw_instance(rng, cfg):
+def draw_instance(rng, cfg, rotated):
+    H = HalfPlane.upper()
+    if rotated:
+        H = HalfPlane(rng.uniform(0.3, 2 * np.pi - 0.3),
+                      complex(rng.normal(0, 0.5), rng.normal(0, 0.5)))
     n = int(rng.integers(cfg.n_lo, cfg.n_hi + 1))
     k = int(rng.integers(1, min(cfg.max_rank, n - 1) + 1))
     roots = []
@@ -39,7 +46,7 @@ def draw_instance(rng, cfg):
         else:
             roots.append(complex(rng.normal(0, 1.5),
                                  abs(rng.normal(0, 1.0)) + 1e-3))
-    p = vieta_from_roots(roots)
+    p = vieta_from_roots([H.from_upper(x) for x in roots])
     z = np.asarray(p.z)
     if rng.random() < 0.5:
         rows = rng.choice(n, size=k, replace=False)
@@ -48,7 +55,7 @@ def draw_instance(rng, cfg):
             L[i, r] = 1.0
     else:
         L = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
-    return p, Slice.from_arrays(L, L @ z)
+    return p, Slice.from_arrays(L, L @ z), H
 
 
 def main() -> int:
@@ -60,35 +67,37 @@ def main() -> int:
 
     rng = np.random.default_rng(cfg.seed)
     t0 = time.time()
-    capped = stalls = violations = 0
+    failures = violations = rotated = 0
     worst_membership = 0.0
     worst_steps = 0
     for idx in range(cfg.count):
-        p, S = draw_instance(rng, cfg)
-        report = compress(p, S)
-        if report.cap_reached:
-            capped += 1
+        p, S, H = draw_instance(rng, cfg, idx % 5 == 0)
+        rotated += idx % 5 == 0
+        try:
+            report = compress(p, S, H)
+        except NonConvergence as exc:
+            failures += 1
+            print(f"  numerical failure at instance {idx}: {exc}")
             continue
-        if report.stalled:
-            stalls += 1
         fi, fb = report.measure
         ti, tb = report.targets
+        outside = report.final_profile.outside_total
         resid = S.residual(np.asarray(report.final_z.z))
         tol = membership_tolerance(S.target_vector)
-        ok = fi <= ti and fb <= tb and resid <= tol
+        ok = fi <= ti and fb <= tb and not outside and resid <= tol
         if not ok:
             violations += 1
             print(f"  violation at instance {idx}: measure ({fi},{fb}) "
-                  f"targets ({ti},{tb}) residual {resid:.2e}")
+                  f"targets ({ti},{tb}) {outside} outside, residual {resid:.2e}")
         worst_membership = max(worst_membership, resid / tol)
         worst_steps = max(worst_steps, len(report.steps))
     dt = time.time() - t0
-    print(f"{cfg.count} instances, seed {cfg.seed}: "
-          f"{cfg.count - capped} finished, {capped} capped, {stalls} stalled, "
+    print(f"{cfg.count} instances ({rotated} in rotated half-planes), seed {cfg.seed}: "
+          f"{cfg.count - failures} finished, {failures} numerical failures, "
           f"{violations} violations in {dt:.1f}s")
     print(f"worst membership residual {worst_membership:.2e} of tolerance; "
           f"longest run {worst_steps} steps")
-    return 1 if (violations or capped) else 0
+    return 1 if (violations or failures) else 0
 
 
 if __name__ == "__main__":

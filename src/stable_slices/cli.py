@@ -400,8 +400,6 @@ def _report_doc(report) -> dict:
         "rank": report.rank,
         "sharpened": report.sharpened,
         "targets": list(report.targets),
-        "cap_reached": report.cap_reached,
-        "stalled": report.stalled,
         "checkpoints": [list(m) for m in report.checkpoints],
         "origin_boundary_clusters": report.origin_boundary_clusters,
         "steps": [

@@ -69,15 +69,13 @@ class HalfPlane:
         return "interior" if s > tol else "outside"
 
     def from_upper(self, u: complex) -> complex:
-        """Map a point of the closed upper half-plane into this half-plane."""
+        """Map a point, or an array of points, of the closed upper
+        half-plane into this half-plane."""
         return self.base + cmath.exp(1j * self.theta) * u
 
     def to_upper(self, point: complex) -> complex:
         """Inverse of from_upper."""
         return cmath.exp(-1j * self.theta) * (complex(point) - self.base)
-
-    def is_upper(self) -> bool:
-        return self.theta == 0.0 and self.base == 0.0
 
 
 def halfplane_contains(

@@ -37,7 +37,9 @@ from .polynomials import (
     vieta_from_roots,
     z_to_raw,
 )
-from .regions import HalfPlane, upper_chart
+# upper_chart is imported only so that bench/tracing.py, which patches it by
+# name, finds it; compress no longer uses a coefficient chart
+from .regions import HalfPlane, upper_chart  # noqa: F401
 from .stability import is_stable
 
 NULLSPACE_SCALE = 1e-10
@@ -552,8 +554,6 @@ class CompressionReport:
     rank: int
     sharpened: bool
     targets: tuple[int, int]
-    cap_reached: bool
-    stalled: bool
     checkpoints: tuple[tuple[int, int], ...]
     origin_boundary_clusters: int
 
@@ -598,53 +598,60 @@ def _position_tangents(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray) -> np.
 
 
 def _fiber_correct(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray,
-                   S2: Slice, tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+                   S2: Slice, H: HalfPlane,
+                   tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """Newton-project a walk state onto {L z(x) = a}, multiplicities fixed.
 
-    Real positions move along the axis; the interior roots are free to
-    absorb the complex part of the residual, which the axis-bound
+    Boundary positions move along the boundary line of H; the interior
+    roots are free to absorb the part of the residual that the line-bound
     positions alone cannot reach, but they are weighted to move only when
     the positions cannot do the job.  Unlike a least-squares correction
     of the coefficient vector, moving positions can never split a stack,
     so the multiplicity structure survives the projection exactly.
     """
     nx, nfr, err = _fiber_correct_mixed(
-        x, mu, frozen, np.ones(frozen.size, dtype=int), S2, tol,
+        x, mu, frozen, np.ones(frozen.size, dtype=int), S2, H, tol,
         xc_weight=1e-3)
     ok = err <= tol
-    if ok and nfr.size and float(np.min(nfr.imag)) <= 0.0:
+    if ok and nfr.size and float(np.min(H.signed_distances(nfr))) <= 0.0:
         ok = False
     return nx, nfr, ok
 
 
 def _fiber_correct_mixed(xr: np.ndarray, mur: np.ndarray,
                          xc: np.ndarray, muc: np.ndarray,
-                         S2: Slice, tol: float,
+                         S2: Slice, H: HalfPlane, tol: float,
                          xc_weight: float = 1.0) -> tuple[np.ndarray, np.ndarray, float]:
     """Newton-project a mixed root state onto {L z(x) = a}.
 
-    Real positions get one degree of freedom along the axis, complex ones
-    two; multiplicities never change, so stacks survive the projection.
-    A small xc_weight makes the complex positions expensive, so they only
-    move when the real positions cannot reach the residual.  Returns the
-    best positions found and the residual they achieve.
+    A boundary root is a real line coordinate t standing for the root
+    H.from_upper(t), so it gets one degree of freedom along the boundary
+    line; an interior root gets two.  Multiplicities never change, so
+    stacks survive the projection.  A small xc_weight makes the interior
+    positions expensive, so they only move when the line coordinates
+    cannot reach the residual.  Returns the best line coordinates and
+    interior positions found and the residual they achieve.
     """
     nr, nc = xr.size, xc.size
-    pos = np.concatenate([xr.astype(complex), xc])
+    t, xc = np.asarray(xr, dtype=float), np.asarray(xc, dtype=complex)
     mu = np.concatenate([mur, muc]).astype(int)
+    w = cmath.exp(1j * H.theta)
     empty = np.zeros(0, dtype=complex)
-    best, best_err = pos.copy(), np.inf
+    best, best_err = (t, xc), np.inf
     prev = np.inf
     for _ in range(16):
+        pos = np.concatenate([H.from_upper(t), xc])
         zc = np.asarray(vieta_from_roots(_state_roots(pos, mu, empty)).z, dtype=complex)
         res = S2.matrix @ zc - S2.target_vector
         err = float(np.max(np.abs(res))) if res.size else 0.0
         if err < best_err:
-            best, best_err = pos.copy(), err
+            best, best_err = (t, xc), err
         if err <= 0.01 * tol or err > 0.9 * prev:
             break
         prev = err
         Jc = S2.matrix @ _position_tangents(pos, mu, empty)
+        # a unit step in t moves the root by e^{i theta}
+        Jc[:, :nr] *= w
         A = np.empty((2 * Jc.shape[0], nr + 2 * nc))
         A[:, :nr] = np.vstack([Jc[:, :nr].real, Jc[:, :nr].imag])
         A[:, nr::2] = np.vstack([Jc[:, nr:].real, Jc[:, nr:].imag])
@@ -656,34 +663,33 @@ def _fiber_correct_mixed(xr: np.ndarray, mur: np.ndarray,
         if not np.all(np.isfinite(delta)):
             break
         delta[nr:] *= xc_weight
-        pos = pos.copy()
-        pos[:nr] += delta[:nr]
-        pos[nr:] += delta[nr::2] + 1j * delta[nr + 1::2]
-    return best[:nr].real, best[nr:], best_err
+        t = t + delta[:nr]
+        xc = xc + (delta[nr::2] + 1j * delta[nr + 1::2])
+    return best[0], best[1], best_err
 
 
-def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
+def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count, *,
                    micro_budget: int):
     """Merge boundary root positions until at most t_bd remain.
 
-    The state is the exact root multiset: real positions x with
-    multiplicities mu plus interior roots that move only as much as the
-    constraint projection demands.  Every micro step moves the positions
+    The state is the exact root multiset: line coordinates x, each
+    standing for the boundary root H.from_upper(x), with multiplicities
+    mu, plus interior roots that move only as much as the constraint
+    projection demands.  Every micro step moves the positions
     along the steepest-descent direction of the fixed linear functional
     Re<u, z> inside the tangent kernel of the slice constraints, then
     Newton-projects back onto the constraint fiber.
     Stacks travel as units, so the distinct-value count only ever changes
     at collisions, where two positions merge and their multiplicities
     add.  The functional decreases throughout, which rules out cycles; a
-    vanishing projected gradient under both functionals means the walk
-    sits at a critical point and is reported as stalled.
+    vanishing projected gradient under every descent mode means the walk
+    sits at a critical point.  The last return value names why the walk
+    stopped above t_bd, or is None when it reached it.
     """
     x = np.asarray(x, dtype=float).copy()
     mu = np.asarray(mu, dtype=int).copy()
     frozen = np.asarray(frozen, dtype=complex).copy()
     records: list[CompressionStep] = []
-    stalled = False
-    exhausted = False
     ctol = 1e-12 * (1.0 + float(np.max(np.abs(S2.target_vector))))
     seg_dir: np.ndarray | None = None
     seg_len = 0.0
@@ -694,14 +700,13 @@ def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
     h_cap: float | None = None
     v_prev: np.ndarray | None = None
 
-    x, frozen, ok = _fiber_correct(x, mu, frozen, S2, ctol)
+    x, frozen, ok = _fiber_correct(x, mu, frozen, S2, H, ctol)
     if not ok:
-        return x, mu, frozen, records, True, False
+        return x, mu, frozen, records, "boundary walk could not project onto the slice"
 
     while x.size > t_bd:
         if micro_budget <= 0:
-            exhausted = True
-            break
+            return x, mu, frozen, records, "boundary walk ran out of micro steps"
         span = float(np.max(x) - np.min(x)) if x.size > 1 else 0.0
         merge_tol = 1e-7 * (1.0 + span)
         order = np.argsort(x)
@@ -714,11 +719,11 @@ def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
             keep = [t for t in range(x.size) if t not in (i1, i2)]
             x = np.append(x[keep], center)
             mu = np.append(mu[keep], mu[i1] + mu[i2])
-            x, frozen, ok = _fiber_correct(x, mu, frozen, S2, ctol)
+            x, frozen, ok = _fiber_correct(x, mu, frozen, S2, H, ctol)
             if not ok:
-                stalled = True
-                break
-            zc = np.asarray(vieta_from_roots(_state_roots(x, mu, frozen)).z, dtype=complex)
+                return x, mu, frozen, records, "boundary walk could not project a merge"
+            zc = np.asarray(vieta_from_roots(_state_roots(H.from_upper(x), mu, frozen)).z,
+                            dtype=complex)
             records.append(CompressionStep(
                 mode="boundary",
                 direction=tuple(seg_dir) if seg_dir is not None else (0.0,) * S2.n,
@@ -735,12 +740,12 @@ def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
             v_prev = None
             continue
 
-        cols = _position_tangents(x, mu, frozen)
+        # a unit step in a line coordinate moves its root by e^{i theta}
+        cols = _position_tangents(H.from_upper(x), mu, frozen) * cmath.exp(1j * H.theta)
         J = S2.matrix @ cols
         V = _kernel_basis(np.vstack([J.real, J.imag]), x.size)
         if V.shape[1] == 0:
-            stalled = True
-            break
+            return x, mu, frozen, records, "boundary walk has no tangent direction"
         h0 = 0.05 * (1.0 + span)
         h_floor = 1e-9 * (1.0 + span)
         if h_cap is None:
@@ -792,7 +797,7 @@ def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
                     h = min(h_cap, max(float(times.min()), 0.0))
             ok = False
             for _ in range(8):
-                trial, tfrozen, ok = _fiber_correct(x + h * v, mu, frozen, S2, ctol)
+                trial, tfrozen, ok = _fiber_correct(x + h * v, mu, frozen, S2, H, ctol)
                 if ok:
                     break
                 h *= 0.25
@@ -813,10 +818,9 @@ def _boundary_walk(x, mu, frozen, S2, functionals, t_bd, interior_count, *,
             moved = True
             break
         if not moved:
-            stalled = True
-            break
+            return x, mu, frozen, records, "boundary walk stalled at a critical point"
 
-    return x, mu, frozen, records, stalled, exhausted
+    return x, mu, frozen, records, None
 
 
 def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
@@ -830,7 +834,7 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
     step freezes the boundary factor, takes a complex kernel direction
     that only stirs the interior roots, and walks to the stability
     boundary, where one of them lands on the boundary line.  The
-    remaining boundary roots are then treated as real positions with
+    remaining boundary roots are then treated as line coordinates with
     multiplicities and flow along the constraint fiber until positions
     collide and their stacks merge, until at most the target number of
     distinct values remains.  Both phases move downhill for one fixed
@@ -838,9 +842,11 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
     every recorded step strictly decreases the lexicographic measure
     (interior_total, boundary_distinct).
 
+    The descent runs on the caller's slice in the caller's half-plane.
     The root multiset is the state: it is found once, for the starting
-    point, and the report's final profile is the descent's last multiset
-    mapped out of the upper-half-plane chart, never re-found from final_z.
+    point, and the report's final profile is the descent's last multiset,
+    never re-found from final_z.  A descent that stops above its targets
+    raises NonConvergence naming the cause.
     """
     opts = options if options is not None else CompressOptions()
     H = halfplane if halfplane is not None else HalfPlane.upper()
@@ -857,25 +863,17 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
     if S.residual(p0) > membership_tolerance(S.target_vector) * 1e3:
         raise ValueError("starting point does not satisfy the slice constraints")
 
-    chart = None
-    if H.is_upper():
-        zc = np.asarray(p0.z, dtype=complex)
-        S_work = S
-    else:
-        A, shift = upper_chart(H, n)
-        zc = A @ np.asarray(p0.z, dtype=complex) + shift
-        L2 = np.linalg.solve(A.T, S.matrix.T).T if S.k else np.zeros((0, n), dtype=complex)
-        a2 = S.target_vector + L2 @ shift if S.k else np.zeros(0, dtype=complex)
-        S_work = Slice.from_arrays(L2, a2) if S.k else Slice(rows=(), target=())
-        chart = (A, shift)
-    upper = HalfPlane.upper()
-
-    S2 = augment(S_work, zc)
+    zc = np.asarray(p0.z, dtype=complex)
+    S2 = augment(S, zc)
     r = S2.rank
     sharpened = _is_coordinate_prefix(S2.matrix, r)
     t_int = r
     t_bd = r if sharpened else 2 * r
     mem_tol = membership_tolerance(S2.target_vector)
+
+    def stopped(cause: str, measure: tuple[int, int]) -> NonConvergence:
+        return NonConvergence(f"compress stopped at measure {measure} above targets "
+                              f"{(t_int, t_bd)}: {cause}")
 
     rng = np.random.default_rng([_PHI_STREAM, opts.functional_seed])
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -883,32 +881,24 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
     u2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     u2 /= np.linalg.norm(u2)
 
-    roots = tuple(H.to_upper(x) for x in initial_roots)
+    roots = tuple(initial_roots)
     resid0 = S2.residual(zc)
     steps: list[CompressionStep] = []
     checkpoints: list[tuple[int, int]] = []
-    cap_reached = False
-    stalled = False
     iterations = 0
 
     while True:
         scale = 1.0 + max(abs(x) for x in roots)
         btol = opts.boundary_tol if opts.boundary_tol is not None else BOUNDARY_SCALE * scale
         radius = opts.cluster_radius if opts.cluster_radius is not None else CLUSTER_SCALE * scale
-        profile = cluster_roots(roots, upper, radius=radius, boundary_tol=btol)
+        profile = cluster_roots(roots, H, radius=radius, boundary_tol=btol)
         measure = profile.measure()
         if not checkpoints or measure < checkpoints[-1]:
             checkpoints.append(measure)
         if profile.interior_total <= t_int and profile.boundary_distinct <= t_bd:
             break
         if iterations >= max(4 * n, 64):
-            cap_reached = True
-            steps.append(CompressionStep(mode="none", direction=(0.0,) * n,
-                                         step_size=0.0, event="cap-reached",
-                                         measure_after=measure,
-                                         membership_residual=S2.residual(zc),
-                                         stable=True))
-            break
+            raise stopped(f"{iterations} steps reached the iteration cap", measure)
 
         interior = [cl for cl in profile.clusters if cl.side == "interior"]
         boundary = [cl for cl in profile.clusters if cl.side == "boundary"]
@@ -918,8 +908,7 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
             cof = alternated_cofactor(frozen)
             kern = kernel_direction(S2, cof, len(movers))
             if kern is None:
-                stalled = True
-                break
+                raise stopped("no kernel direction moves the interior roots", measure)
             c = np.asarray(kern.c, dtype=complex)
             b = np.asarray(kern.b, dtype=complex)
             norm = float(np.max(np.abs(c)))
@@ -934,18 +923,12 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
                 c = phase * c
                 b = phase * b
             eps_min = 1e-11 * (1.0 + float(np.max(np.abs(zc))))
-            st = max_stable_step(movers, b, frozen, upper,
+            st = max_stable_step(movers, b, frozen, H,
                                  boundary_tol=btol, cluster_radius=radius)
             if st.event == "direction-unbounded":
-                cap_reached = True
-                steps.append(CompressionStep(
-                    mode="interior", direction=tuple(c), step_size=float(st.epsilon),
-                    event="direction-unbounded", measure_after=measure,
-                    membership_residual=S2.residual(zc), stable=True))
-                break
+                raise stopped("the kernel direction is unbounded", measure)
             if st.epsilon <= eps_min:
-                stalled = True
-                break
+                raise stopped(f"step {st.epsilon:.3e} at or below {eps_min:.3e}", measure)
             # The settled roots are the state; re-expanding them keeps the
             # coefficient vector at rounding distance from the exact
             # product, which is what lets multiple roots survive
@@ -954,19 +937,19 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
             # size d would split an m-fold root by d**(1/m), while moving
             # positions keeps every stack intact.
             roots = np.asarray(st.roots, dtype=complex)
-            after = cluster_roots(roots, upper, radius=radius, boundary_tol=btol)
+            after = cluster_roots(roots, H, radius=radius, boundary_tol=btol)
             bd = [cl for cl in after.clusters if cl.side == "boundary"]
             nb = [cl for cl in after.clusters if cl.side != "boundary"]
-            xr = np.array([cl.center.real for cl in bd], dtype=float)
+            xr = np.array([H.to_upper(cl.center).real for cl in bd], dtype=float)
             mur = np.array([cl.multiplicity for cl in bd], dtype=int)
             xcp = np.array([cl.center for cl in nb], dtype=complex)
             muc = np.array([cl.multiplicity for cl in nb], dtype=int)
             raw_err = S2.residual(np.asarray(vieta_from_roots(roots).z, dtype=complex))
-            nxr, nxc, err = _fiber_correct_mixed(xr, mur, xcp, muc, S2, 0.1 * mem_tol)
+            nxr, nxc, err = _fiber_correct_mixed(xr, mur, xcp, muc, S2, H, 0.1 * mem_tol)
             if err < raw_err:
-                roots = np.concatenate([np.repeat(nxr.astype(complex), mur),
+                roots = np.concatenate([np.repeat(H.from_upper(nxr), mur),
                                         np.repeat(nxc, muc)])
-                after = cluster_roots(roots, upper, radius=radius, boundary_tol=btol)
+                after = cluster_roots(roots, H, radius=radius, boundary_tol=btol)
             zc = np.asarray(vieta_from_roots(roots).z, dtype=complex)
             iterations += 1
             steps.append(CompressionStep(
@@ -980,30 +963,21 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
             ))
             roots = tuple(roots)
         else:
-            xb = np.array([cl.center.real for cl in boundary], dtype=float)
+            xb = np.array([H.to_upper(cl.center).real for cl in boundary], dtype=float)
             mub = np.array([cl.multiplicity for cl in boundary], dtype=int)
             fr = np.array([x for cl in interior for x in cl.members], dtype=complex)
-            xb, mub, fr, walk_steps, walk_stalled, walk_exhausted = _boundary_walk(
-                xb, mub, fr, S2, (u, u2), t_bd, profile.interior_total,
+            xb, mub, fr, walk_steps, cause = _boundary_walk(
+                xb, mub, fr, S2, H, (u, u2), t_bd, profile.interior_total,
                 micro_budget=_WALK_BUDGET)
-            roots = tuple(_state_roots(xb, mub, fr))
+            if cause is not None:
+                raise stopped(cause, (profile.interior_total, int(xb.size)))
+            roots = tuple(_state_roots(H.from_upper(xb), mub, fr))
             zc = np.asarray(vieta_from_roots(roots).z, dtype=complex)
             for rec in walk_steps:
                 steps.append(rec)
                 iterations += 1
                 if not checkpoints or rec.measure_after < checkpoints[-1]:
                     checkpoints.append(rec.measure_after)
-            if walk_stalled:
-                stalled = True
-                break
-            if walk_exhausted:
-                cap_reached = True
-                steps.append(CompressionStep(
-                    mode="none", direction=(0.0,) * n, step_size=0.0,
-                    event="cap-reached",
-                    measure_after=(profile.interior_total, int(xb.size)),
-                    membership_residual=S2.residual(zc), stable=True))
-                break
 
     if iterations:
         drifted = S2.residual(zc)
@@ -1012,13 +986,7 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
                 f"slice membership residual grew to {drifted:.3e} during descent"
             )
 
-    if chart is not None:
-        A, shift = chart
-        z_final = np.linalg.solve(A, zc - shift)
-    else:
-        z_final = zc
-    final_poly = Poly(tuple(z_final))
-    final_profile = cluster_roots([H.from_upper(x) for x in roots], H,
+    final_profile = cluster_roots(roots, H,
                                   radius=opts.cluster_radius,
                                   boundary_tol=opts.boundary_tol)
     origin = sum(1 for cl in final_profile.clusters
@@ -1027,14 +995,12 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
     return CompressionReport(
         initial_profile=initial_profile,
         final_profile=final_profile,
-        final_z=final_poly,
+        final_z=Poly(tuple(zc)),
         steps=tuple(steps),
         iterations=iterations,
         rank=r,
         sharpened=sharpened,
         targets=(t_int, t_bd),
-        cap_reached=cap_reached,
-        stalled=stalled,
         checkpoints=tuple(checkpoints),
         origin_boundary_clusters=origin,
     )

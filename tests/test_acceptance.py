@@ -38,7 +38,7 @@ from stable_slices import (
     vieta_from_roots,
     young_gws,
 )
-from stable_slices.errors import NoRootInRegion
+from stable_slices.errors import NonConvergence, NoRootInRegion
 from stable_slices.slices import membership_tolerance
 
 EXAMPLE_ROOTS = (-20 + 1j, 1j, 20 + 1j, 20j)
@@ -141,13 +141,13 @@ def test_criterion_03_compression_bounds():
     t0 = time.perf_counter()
     failures = []
     rng = np.random.default_rng(20260826)
-    finished = 0
     for idx in range(100):
         p, S, k, n, coord = _random_compress_instance(rng)
-        report = compress(p, S)
-        if report.cap_reached:
+        try:
+            report = compress(p, S)
+        except NonConvergence as exc:
+            failures.append(f"instance {idx}: {exc}")
             continue
-        finished += 1
         r = int(np.linalg.matrix_rank(np.asarray(S.matrix)))
         fi = report.final_profile.interior_total
         fb = report.final_profile.boundary_distinct
@@ -175,8 +175,6 @@ def test_criterion_03_compression_bounds():
         step_measures = [st.measure_after for st in report.steps]
         if any(b > a for a, b in zip(step_measures, step_measures[1:])):
             failures.append(f"instance {idx}: step measures increased")
-    if finished < 95:
-        failures.append(f"only {finished}/100 instances finished under the cap")
     _finish(3, "compression bounds on 100 instances", t0, 60.0, failures)
 
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the JSON batch interface."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -9,10 +10,17 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from stable_slices import cli, vieta_from_roots
+from stable_slices import HalfPlane, cli, vieta_from_roots
 from stable_slices.cli import _JOB_SCHEMA, _PAYLOADS, _validate, main
+from stable_slices.polynomials import BOUNDARY_SCALE
+from stable_slices.slices import membership_tolerance
 
 FLAGSHIP_Z = [[0.0, 23.0], [-463.0, 0.0], [0.0, -8461.0], [8020.0, 0.0]]
+
+# compress jobs of degree 20 and 24 as the benchmark's job generator draws
+# them from default_rng([77, n]), stored verbatim
+SWEEP_JOBS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "compress_sweep_jobs.json").read_text())
 
 
 def run_job(tmp_path, job, args=()):
@@ -146,10 +154,48 @@ class TestCompress:
         assert z[2][0] == pytest.approx(6.384900179459756, abs=1e-8)
         assert doc["final_profile"]["boundary_distinct"] == 2
         assert doc["final_profile"]["interior_total"] == 0
-        assert doc["cap_reached"] is False
         assert doc["checkpoints"] == [[0, 3], [0, 2]]
         for step in doc["steps"]:
             assert step["stable"] is True
+
+    # Rotated half-planes: the first four exited 0 with final_z off the
+    # slice by up to 8.8e-6 while the descent ran in an upper-half-plane
+    # coefficient chart; the last stopped at (4, 20) against (4, 8)
+    @pytest.mark.parametrize("name", [
+        "compress-15-n20-k1-prefix",
+        "compress-25-n20-k2-coords",
+        "compress-30-n20-k1-prefix",
+        "compress-30-n24-k1-prefix",
+        "compress-10-n24-k2-coords",
+    ])
+    def test_sweep_job_stays_on_the_slice(self, tmp_path, name):
+        job = SWEEP_JOBS[name]
+        payload = job["payload"]
+        doc = run_json(tmp_path, job)
+        L = np.array([[complex(*v) for v in row] for row in payload["slice"]["matrix"]])
+        a = np.array([complex(*v) for v in payload["slice"]["target"]])
+        z = np.array([complex(*v) for v in doc["final_z"]["z"]])
+        assert np.max(np.abs(L @ z - a)) <= membership_tolerance(a)
+        H = HalfPlane(payload["halfplane"]["theta"], complex(*payload["halfplane"]["base"]))
+        profile = doc["final_profile"]
+        centers = [complex(*cl["center"]) for cl in profile["clusters"]]
+        btol = BOUNDARY_SCALE * (1.0 + max(abs(c) for c in centers))
+        assert min(H.signed_distance(c) for c in centers) >= -btol
+        roots = [c for c, cl in zip(centers, profile["clusters"])
+                 for _ in range(cl["multiplicity"])]
+        assert np.allclose(vieta_from_roots(roots).z, z, rtol=0.0, atol=1e-7 * (1.0 + np.abs(z)))
+        targets = doc["targets"]
+        assert profile["interior_total"] <= targets[0]
+        assert profile["boundary_distinct"] <= targets[1]
+
+    def test_stalled_descent_exits_3(self, tmp_path, capsys):
+        # upper half-plane; the boundary walk cannot project its first
+        # state onto the slice and used to exit 0 at (4, 20)
+        code, text = run_job(tmp_path, SWEEP_JOBS["compress-34-n24-k2-coords"])
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "measure (4, 20) above targets (4, 8)" in err
 
 
 class TestGws:
