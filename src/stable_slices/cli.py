@@ -5,15 +5,20 @@ Exit codes: 0 computed (including negative verdicts like NoneFound),
 Diagnostics go to stderr only; the output stream carries exactly one
 document.  Complex numbers are [re, im] pairs; polynomial documents carry
 the Vieta-signed z vector and an explicit convention tag.
+
+Each command is one entry of ``_COMMANDS``: its payload schema and its
+handler, entered together by the ``_command`` decorator.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
+from typing import Callable, NamedTuple, TextIO
 
 import jsonschema
 import numpy as np
@@ -51,269 +56,54 @@ from .symmetric import (
     young_gws,
 )
 
-_COMPLEX = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-_SCALAR = {"oneOf": [{"type": "number"}, _COMPLEX]}
-_POLY = {
-    "type": "object",
-    "properties": {
-        "z": {"type": "array", "items": _COMPLEX, "minItems": 1},
-        "convention": {"const": "vieta-alternating"},
-    },
-    "required": ["z"],
-    "additionalProperties": False,
-}
-_HALFPLANE = {
-    "type": "object",
-    "properties": {
-        "theta": {"type": "number"},
-        "base": _COMPLEX,
-        "name": {"enum": ["upper", "left"]},
-    },
-    "additionalProperties": False,
-}
-_SLICE = {
-    "type": "object",
-    "properties": {
-        "matrix": {"type": "array", "items": {"type": "array", "items": _SCALAR}},
-        "target": {"type": "array", "items": _SCALAR},
-    },
-    "required": ["matrix", "target"],
-    "additionalProperties": False,
-}
-_TERMS = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
-            "exponents": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-            "coefficient": _SCALAR,
-        },
-        "required": ["exponents", "coefficient"],
-        "additionalProperties": False,
-    },
-}
-_SYMPOLY = {
-    "type": "object",
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "degree": {"type": "integer", "minimum": 0},
-        "terms": _TERMS,
-    },
-    "required": ["n", "degree", "terms"],
-    "additionalProperties": False,
-}
-_REAL_COEFFS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 
-_PAYLOADS = {
-    "roots": {
-        "type": "object",
-        "properties": {"poly": _POLY},
-        "required": ["poly"],
-        "additionalProperties": False,
-    },
-    "vieta": {
-        "type": "object",
-        "properties": {"roots": {"type": "array", "items": _COMPLEX, "minItems": 1}},
-        "required": ["roots"],
-        "additionalProperties": False,
-    },
-    "stable-check": {
-        "type": "object",
-        "properties": {"poly": _POLY, "halfplane": _HALFPLANE},
-        "required": ["poly"],
-        "additionalProperties": False,
-    },
-    "hurwitz-check": {
-        "type": "object",
-        "properties": {"coefficients": _REAL_COEFFS},
-        "required": ["coefficients"],
-        "additionalProperties": False,
-    },
-    "embed": {
-        "type": "object",
-        "properties": {"coefficients": _REAL_COEFFS},
-        "required": ["coefficients"],
-        "additionalProperties": False,
-    },
-    "unembed": {
-        "type": "object",
-        "properties": {"poly": _POLY},
-        "required": ["poly"],
-        "additionalProperties": False,
-    },
-    "bounds": {
-        "type": "object",
-        "properties": {
-            "a1": _SCALAR,
-            "a2": _SCALAR,
-            "n": {"type": "integer", "minimum": 2},
-        },
-        "required": ["a1", "a2", "n"],
-        "additionalProperties": False,
-    },
-    "compress": {
-        "type": "object",
-        "properties": {
-            "poly": _POLY,
-            "slice": _SLICE,
-            "halfplane": _HALFPLANE,
-        },
-        "required": ["poly", "slice"],
-        "additionalProperties": False,
-    },
-    "gws": {
-        "type": "object",
-        "properties": {
-            "f": _SYMPOLY,
-            "x": {"type": "array", "items": _COMPLEX, "minItems": 1},
-            "halfplane": _HALFPLANE,
-        },
-        "required": ["f", "x"],
-        "additionalProperties": False,
-    },
-    "coincide": {
-        "type": "object",
-        "properties": {
-            "form": {
-                "type": "object",
-                "properties": {
-                    "matrix": {"type": "array", "items": {"type": "array", "items": _SCALAR}},
-                    "gk": _TERMS,
-                },
-                "required": ["matrix", "gk"],
-                "additionalProperties": False,
-            },
-            "x": {"type": "array", "items": _COMPLEX, "minItems": 1},
-            "halfplane": _HALFPLANE,
-        },
-        "required": ["form", "x"],
-        "additionalProperties": False,
-    },
-    "young-gws": {
-        "type": "object",
-        "properties": {
-            "blocks": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                       "minItems": 1},
-            "f": _SYMPOLY,
-            "block_terms": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "weights": {"type": "array",
-                                    "items": {"type": "integer", "minimum": 0}},
-                        "coefficient": _SCALAR,
-                    },
-                    "required": ["weights", "coefficient"],
-                    "additionalProperties": False,
-                },
-            },
-            "x": {"type": "array", "items": _COMPLEX, "minItems": 1},
-            "halfplane": _HALFPLANE,
-        },
-        "required": ["blocks", "x"],
-        "additionalProperties": False,
-    },
-    "variety-search": {
-        "type": "object",
-        "properties": {
-            "polys": {"type": "array", "items": _SYMPOLY, "minItems": 1},
-            "halfplane": _HALFPLANE,
-            "pattern": {"oneOf": [
-                {"type": "integer", "minimum": 1},
-                {"type": "array", "items": {"type": "integer", "minimum": 0},
-                 "minItems": 2, "maxItems": 2},
-            ]},
-            "budget": {"type": "integer", "minimum": 1},
-            "box": {"type": "array", "items": {"type": "number"},
-                    "minItems": 3, "maxItems": 3},
-        },
-        "required": ["polys"],
-        "additionalProperties": False,
-    },
-    "halfdeg-opt": {
-        "type": "object",
-        "properties": {
-            "f": _SYMPOLY,
-            "lambda": {"type": "number"},
-            "mu": {"type": "number"},
-            "budget": {"type": "integer", "minimum": 1},
-            "box": {"type": "array", "items": {"type": "number"},
-                    "minItems": 3, "maxItems": 3},
-        },
-        "required": ["f", "lambda", "mu"],
-        "additionalProperties": False,
-    },
-    "slice-sample": {
-        "type": "object",
-        "properties": {
-            "slice": _SLICE,
-            "halfplane": _HALFPLANE,
-            "free_axes": {"type": "array", "items": {"type": "integer", "minimum": 0},
-                          "minItems": 2, "maxItems": 2},
-            "window": {"type": "array", "items": {"type": "number"},
-                       "minItems": 4, "maxItems": 4},
-            "resolution": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                           "minItems": 2, "maxItems": 2},
-            "format": {"enum": ["csv", "json"]},
-        },
-        "required": ["slice", "free_axes", "window", "resolution"],
-        "additionalProperties": False,
-    },
-    "moebius": {
-        "type": "object",
-        "properties": {
-            "map": {
-                "type": "object",
-                "properties": {"a": _SCALAR, "b": _SCALAR, "c": _SCALAR, "d": _SCALAR},
-                "required": ["a", "b", "c", "d"],
-                "additionalProperties": False,
-            },
-            "poly": _POLY,
-        },
-        "required": ["map", "poly"],
-        "additionalProperties": False,
-    },
-}
-
-_JOB_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"enum": sorted(_PAYLOADS)},
-        "payload": {"type": "object"},
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "boundary": {"type": "number", "exclusiveMinimum": 0},
-                "cluster": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["command", "payload"],
-    "additionalProperties": False,
-}
+def _closed(properties: dict, *required: str) -> dict:
+    """Schema of an object with these properties.  Every other key is an
+    input error, so a misspelt option is refused rather than ignored."""
+    schema = {"type": "object", "properties": properties}
+    if required:
+        schema["required"] = list(required)
+    schema["additionalProperties"] = False
+    return schema
 
 
-@functools.cache
-def _validator(command: str | None):
-    """Validator of one command's payload schema, or of the job schema for None.
-
-    Built on first use, so the schema is checked against its meta-schema
-    once per process rather than once per job, and import stays cheap.
-    """
-    schema = _JOB_SCHEMA if command is None else _PAYLOADS[command]
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+def _array(items: dict, min_items: int | None = None, max_items: int | None = None) -> dict:
+    schema = {"type": "array", "items": items}
+    if min_items is not None:
+        schema["minItems"] = min_items
+    if max_items is not None:
+        schema["maxItems"] = max_items
+    return schema
 
 
-def _validate(doc, command: str | None) -> None:
-    """Raise the error ``jsonschema.validate`` would raise for doc."""
-    error = best_match(_validator(command).iter_errors(doc))
-    if error is not None:
-        raise error
+_NUMBER = {"type": "number"}
+_NONNEG_INT = {"type": "integer", "minimum": 0}
+_POS_INT = {"type": "integer", "minimum": 1}
+_COMPLEX = _array(_NUMBER, 2, 2)
+_SCALAR = {"oneOf": [_NUMBER, _COMPLEX]}
+_POINTS = _array(_COMPLEX, 1)
+_MATRIX = _array(_array(_SCALAR))
+_BOX = _array(_NUMBER, 3, 3)
+_POLY = _closed({"z": _POINTS, "convention": {"const": "vieta-alternating"}}, "z")
+_HALFPLANE = _closed({
+    "theta": _NUMBER,
+    "base": _COMPLEX,
+    "name": {"enum": ["upper", "left"]},
+})
+_SLICE = _closed({"matrix": _MATRIX, "target": _array(_SCALAR)}, "matrix", "target")
+
+
+def _terms(key: str) -> dict:
+    """Schema of a term list: each term a coefficient and the exponent
+    vector under ``key``."""
+    return _array(_closed({key: _array(_NONNEG_INT), "coefficient": _SCALAR},
+                          key, "coefficient"))
+
+
+_SYMPOLY = _closed({"n": _POS_INT, "degree": _NONNEG_INT, "terms": _terms("exponents")},
+                   "n", "degree", "terms")
+_POLY_PAYLOAD = _closed({"poly": _POLY}, "poly")
+_COEFFICIENTS_PAYLOAD = _closed({"coefficients": _array(_NUMBER, 1)}, "coefficients")
 
 
 def _c(value) -> complex:
@@ -327,15 +117,21 @@ def _pair(value: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _points(docs) -> tuple[complex, ...]:
+    return tuple(_c(v) for v in docs)
+
+
 def _poly_doc(p: Poly) -> dict:
     return {"convention": "vieta-alternating", "z": [_pair(v) for v in p.z]}
 
 
 def _parse_poly(doc) -> Poly:
-    return Poly(tuple(_c(v) for v in doc["z"]))
+    return Poly(_points(doc["z"]))
 
 
-def _parse_halfplane(doc) -> HalfPlane:
+def _parse_halfplane(payload) -> HalfPlane:
+    """The payload's half-plane; the upper one when it names none."""
+    doc = payload.get("halfplane")
     if doc is None:
         return HalfPlane.upper()
     if "name" in doc:
@@ -345,8 +141,16 @@ def _parse_halfplane(doc) -> HalfPlane:
     return HalfPlane(theta=theta, base=base)
 
 
+def _parse_matrix(rows) -> list[list[complex]]:
+    return [[_c(v) for v in row] for row in rows]
+
+
+def _parse_terms(docs, key: str = "exponents") -> dict[tuple[int, ...], complex]:
+    return {tuple(t[key]): _c(t["coefficient"]) for t in docs}
+
+
 def _parse_slice(doc) -> Slice:
-    matrix = [[_c(v) for v in row] for row in doc["matrix"]]
+    matrix = _parse_matrix(doc["matrix"])
     target = [_c(v) for v in doc["target"]]
     if len(matrix) != len(target):
         raise DimensionMismatch("matrix rows and target length differ")
@@ -361,8 +165,7 @@ def _parse_real(coefficients) -> Poly:
 
 
 def _parse_sympoly(doc) -> SymmetricPoly:
-    terms = {tuple(t["exponents"]): _c(t["coefficient"]) for t in doc["terms"]}
-    return SymmetricPoly.from_terms(doc["n"], terms, doc["degree"])
+    return SymmetricPoly.from_terms(doc["n"], _parse_terms(doc["terms"]), doc["degree"])
 
 
 def _profile_doc(profile) -> dict:
@@ -432,157 +235,287 @@ def emit_section_csv(grid, stream) -> None:
             stream.write(f"{fmt(x)},{fmt(y)},{1 if grid.members[i][j] else 0}\n")
 
 
-def _run_command(command: str, payload: dict, tolerances: dict, seed: int,
-                 out_stream) -> dict | None:
-    boundary = tolerances.get("boundary")
-    cluster = tolerances.get("cluster")
-    H = _parse_halfplane(payload.get("halfplane"))
-    x = tuple(_c(v) for v in payload.get("x", ()))
+@dataclasses.dataclass(frozen=True)
+class _Context:
+    """What a handler gets besides its payload: the job's seed and
+    tolerances, and the stream a CSV document is written to."""
 
-    if command == "roots":
-        p = _parse_poly(payload["poly"])
-        roots = find_roots(p)
-        return {"roots": [_pair(r) for r in roots]}
+    seed: int
+    boundary: float | None
+    cluster: float | None
+    out: TextIO
 
-    if command == "vieta":
-        roots = tuple(_c(v) for v in payload["roots"])
-        return {"poly": _poly_doc(vieta_from_roots(roots))}
+    def compress_options(self) -> CompressOptions:
+        return CompressOptions(functional_seed=self.seed, cluster_radius=self.cluster,
+                               boundary_tol=self.boundary)
 
-    if command == "stable-check":
-        p = _parse_poly(payload["poly"])
-        return _verdict_doc(is_stable(p, H, cluster_radius=cluster, boundary_tol=boundary))
 
-    if command == "hurwitz-check":
-        p = _parse_real(payload["coefficients"])
-        return _verdict_doc(is_weakly_hurwitz(p, cluster_radius=cluster, boundary_tol=boundary))
+class _Command(NamedTuple):
+    schema: dict
+    # returns the JSON document, or None when it wrote its own document
+    handler: Callable[[dict, _Context], dict | None]
 
-    if command == "embed":
-        return {"poly": _poly_doc(hurwitz_embed(_parse_real(payload["coefficients"])))}
 
-    if command == "unembed":
-        p = hurwitz_unembed(_parse_poly(payload["poly"]))
-        raw = p.raw_coefficients()
-        return {"coefficients": [float(v.real) for v in raw[1:]]}
+_COMMANDS: dict[str, _Command] = {}
 
-    if command == "bounds":
-        result = compactness_bounds(_c(payload["a1"]), _c(payload["a2"]), payload["n"])
-        if result is None:
-            return {"empty": True}
-        return {"empty": False, "im": [result.im_lo, result.im_hi],
-                "re_sq_bound": result.re_sq_bound}
 
-    if command == "compress":
-        p = _parse_poly(payload["poly"])
-        S = _parse_slice(payload["slice"])
-        opts = CompressOptions(functional_seed=seed, cluster_radius=cluster,
-                               boundary_tol=boundary)
-        return _report_doc(compress(p, S, H, opts))
+def _command(name: str, schema: dict):
+    """Enter the decorated handler into ``_COMMANDS`` under name.
 
-    if command == "gws":
+    Handlers reach the library through this module's globals at call
+    time, so a caller that patches ``cli.compress`` (the benchmark's
+    tracer does) sees every call.
+    """
+
+    def enter(handler):
+        _COMMANDS[name] = _Command(schema, handler)
+        return handler
+
+    return enter
+
+
+@_command("roots", _POLY_PAYLOAD)
+def _roots(payload: dict, ctx: _Context) -> dict:
+    roots = find_roots(_parse_poly(payload["poly"]))
+    return {"roots": [_pair(r) for r in roots]}
+
+
+@_command("vieta", _closed({"roots": _POINTS}, "roots"))
+def _vieta(payload: dict, ctx: _Context) -> dict:
+    return {"poly": _poly_doc(vieta_from_roots(_points(payload["roots"])))}
+
+
+@_command("stable-check", _closed({"poly": _POLY, "halfplane": _HALFPLANE}, "poly"))
+def _stable_check(payload: dict, ctx: _Context) -> dict:
+    p = _parse_poly(payload["poly"])
+    H = _parse_halfplane(payload)
+    return _verdict_doc(is_stable(p, H, cluster_radius=ctx.cluster, boundary_tol=ctx.boundary))
+
+
+@_command("hurwitz-check", _COEFFICIENTS_PAYLOAD)
+def _hurwitz_check(payload: dict, ctx: _Context) -> dict:
+    p = _parse_real(payload["coefficients"])
+    return _verdict_doc(is_weakly_hurwitz(p, cluster_radius=ctx.cluster,
+                                          boundary_tol=ctx.boundary))
+
+
+@_command("embed", _COEFFICIENTS_PAYLOAD)
+def _embed(payload: dict, ctx: _Context) -> dict:
+    return {"poly": _poly_doc(hurwitz_embed(_parse_real(payload["coefficients"])))}
+
+
+@_command("unembed", _POLY_PAYLOAD)
+def _unembed(payload: dict, ctx: _Context) -> dict:
+    p = hurwitz_unembed(_parse_poly(payload["poly"]))
+    raw = p.raw_coefficients()
+    return {"coefficients": [float(v.real) for v in raw[1:]]}
+
+
+@_command("bounds", _closed({
+    "a1": _SCALAR,
+    "a2": _SCALAR,
+    "n": {"type": "integer", "minimum": 2},
+}, "a1", "a2", "n"))
+def _bounds(payload: dict, ctx: _Context) -> dict:
+    result = compactness_bounds(_c(payload["a1"]), _c(payload["a2"]), payload["n"])
+    if result is None:
+        return {"empty": True}
+    return {"empty": False, "im": [result.im_lo, result.im_hi],
+            "re_sq_bound": result.re_sq_bound}
+
+
+@_command("compress", _closed({
+    "poly": _POLY,
+    "slice": _SLICE,
+    "halfplane": _HALFPLANE,
+}, "poly", "slice"))
+def _compress(payload: dict, ctx: _Context) -> dict:
+    p = _parse_poly(payload["poly"])
+    S = _parse_slice(payload["slice"])
+    return _report_doc(compress(p, S, _parse_halfplane(payload), ctx.compress_options()))
+
+
+@_command("gws", _closed({
+    "f": _SYMPOLY,
+    "x": _POINTS,
+    "halfplane": _HALFPLANE,
+}, "f", "x"))
+def _gws(payload: dict, ctx: _Context) -> dict:
+    f = _parse_sympoly(payload["f"])
+    x = _points(payload["x"])
+    y = gws_solve(f, x, _parse_halfplane(payload))
+    residual = abs(eval_symmetric(f, (y,) * f.n) - eval_symmetric(f, x))
+    return {"y": _pair(y), "residual": float(residual)}
+
+
+@_command("coincide", _closed({
+    "form": _closed({"matrix": _MATRIX, "gk": _terms("exponents")}, "matrix", "gk"),
+    "x": _POINTS,
+    "halfplane": _HALFPLANE,
+}, "form", "x"))
+def _coincide(payload: dict, ctx: _Context) -> dict:
+    fdoc = payload["form"]
+    form = SufficientForm.from_data(_parse_matrix(fdoc["matrix"]), _parse_terms(fdoc["gk"]))
+    x = _points(payload["x"])
+    H = _parse_halfplane(payload)
+    x_tilde, report = coincide(form, x, H, ctx.compress_options())
+    prof = coordinate_profile(x_tilde, H)
+    return {
+        "x_tilde": [_pair(v) for v in x_tilde],
+        "value_in": _pair(eval_symmetric(form, x)),
+        "value_out": _pair(eval_symmetric(form, x_tilde)),
+        "profile": {"boundary_distinct": prof.boundary_distinct,
+                    "interior_count": prof.interior_count},
+        "report": _report_doc(report),
+    }
+
+
+@_command("young-gws", _closed({
+    "blocks": _array(_POS_INT, 1),
+    "f": _SYMPOLY,
+    "block_terms": _terms("weights"),
+    "x": _POINTS,
+    "halfplane": _HALFPLANE,
+}, "blocks", "x"))
+def _young_gws(payload: dict, ctx: _Context) -> dict:
+    blocks = tuple(payload["blocks"])
+    if ("f" in payload) == ("block_terms" in payload):
+        raise DimensionMismatch("provide exactly one of 'f' or 'block_terms'")
+    if "f" in payload:
         f = _parse_sympoly(payload["f"])
-        y = gws_solve(f, x, H)
-        residual = abs(eval_symmetric(f, (y,) * f.n) - eval_symmetric(f, x))
-        return {"y": _pair(y), "residual": float(residual)}
+    else:
+        f = _parse_terms(payload["block_terms"], "weights")
+    ys = young_gws(blocks, f, _points(payload["x"]), _parse_halfplane(payload))
+    return {"y": [_pair(v) for v in ys]}
 
-    if command == "coincide":
-        fdoc = payload["form"]
-        terms = {tuple(t["exponents"]): _c(t["coefficient"]) for t in fdoc["gk"]}
-        matrix = [[_c(v) for v in row] for row in fdoc["matrix"]]
-        form = SufficientForm.from_data(matrix, terms)
-        x_tilde, report = coincide(form, x, H,
-                                   CompressOptions(functional_seed=seed,
-                                                   cluster_radius=cluster,
-                                                   boundary_tol=boundary))
-        prof = coordinate_profile(x_tilde, H)
+
+@_command("variety-search", _closed({
+    "polys": _array(_SYMPOLY, 1),
+    "halfplane": _HALFPLANE,
+    "pattern": {"oneOf": [_POS_INT, _array(_NONNEG_INT, 2, 2)]},
+    "budget": _POS_INT,
+    "box": _BOX,
+}, "polys"))
+def _variety_search(payload: dict, ctx: _Context) -> dict:
+    polys = [_parse_sympoly(d) for d in payload["polys"]]
+    pat = payload.get("pattern")
+    if isinstance(pat, list):
+        pat = (pat[0], pat[1])
+    box = tuple(payload["box"]) if "box" in payload else None
+    outcome = variety_search(polys, _parse_halfplane(payload), pattern=pat,
+                             budget=payload.get("budget", 200),
+                             seed=ctx.seed, box=box)
+    if isinstance(outcome, FoundPoint):
         return {
-            "x_tilde": [_pair(v) for v in x_tilde],
-            "value_in": _pair(eval_symmetric(form, x)),
-            "value_out": _pair(eval_symmetric(form, x_tilde)),
-            "profile": {"boundary_distinct": prof.boundary_distinct,
-                        "interior_count": prof.interior_count},
-            "report": _report_doc(report),
+            "found": True,
+            "x": [_pair(v) for v in outcome.x],
+            "residuals": [float(v) for v in outcome.residuals],
+            "pattern": outcome.pattern,
+            "starts_used": outcome.starts_used,
         }
+    return {
+        "found": False,
+        "patterns_tried": outcome.patterns_tried,
+        "starts": outcome.starts,
+        # null when no start ran or none reached a finite residual norm
+        "best_residual": outcome.best_residual
+        if math.isfinite(outcome.best_residual) else None,
+        "best_x": None if outcome.best_x is None
+        else [_pair(v) for v in outcome.best_x],
+        "note": outcome.note,
+    }
 
-    if command == "young-gws":
-        blocks = tuple(payload["blocks"])
-        if ("f" in payload) == ("block_terms" in payload):
-            raise DimensionMismatch("provide exactly one of 'f' or 'block_terms'")
-        if "f" in payload:
-            f = _parse_sympoly(payload["f"])
-        else:
-            f = {tuple(t["weights"]): _c(t["coefficient"])
-                 for t in payload["block_terms"]}
-        ys = young_gws(blocks, f, x, H)
-        return {"y": [_pair(v) for v in ys]}
 
-    if command == "variety-search":
-        polys = [_parse_sympoly(d) for d in payload["polys"]]
-        pat = payload.get("pattern")
-        if isinstance(pat, list):
-            pat = (pat[0], pat[1])
-        box = tuple(payload["box"]) if "box" in payload else None
-        outcome = variety_search(polys, H, pattern=pat,
-                                 budget=payload.get("budget", 200),
-                                 seed=seed, box=box)
-        if isinstance(outcome, FoundPoint):
-            return {
-                "found": True,
-                "x": [_pair(v) for v in outcome.x],
-                "residuals": [float(v) for v in outcome.residuals],
-                "pattern": outcome.pattern,
-                "starts_used": outcome.starts_used,
-            }
-        return {
-            "found": False,
-            "patterns_tried": outcome.patterns_tried,
-            "starts": outcome.starts,
-            # null when no start ran or none reached a finite residual norm
-            "best_residual": outcome.best_residual
-            if math.isfinite(outcome.best_residual) else None,
-            "best_x": None if outcome.best_x is None
-            else [_pair(v) for v in outcome.best_x],
-            "note": outcome.note,
-        }
+@_command("halfdeg-opt", _closed({
+    "f": _SYMPOLY,
+    "lambda": _NUMBER,
+    "mu": _NUMBER,
+    "budget": _POS_INT,
+    "box": _BOX,
+}, "f", "lambda", "mu"))
+def _halfdeg_opt(payload: dict, ctx: _Context) -> dict:
+    f = _parse_sympoly(payload["f"])
+    box = tuple(payload["box"]) if "box" in payload else None
+    result = halfdeg_optimize(f, payload["lambda"], payload["mu"],
+                              budget=payload.get("budget", 20), seed=ctx.seed, box=box)
+    return {
+        "k": result.k,
+        "inf_full": None if result.full_unbounded else result.inf_full,
+        "full_unbounded": result.full_unbounded,
+        "witness_full": [_pair(v) for v in result.witness_full],
+        "inf_restricted": None if result.restricted_unbounded else result.inf_restricted,
+        "restricted_unbounded": result.restricted_unbounded,
+        "witness_restricted": [_pair(v) for v in result.witness_restricted],
+    }
 
-    if command == "halfdeg-opt":
-        f = _parse_sympoly(payload["f"])
-        box = tuple(payload["box"]) if "box" in payload else None
-        result = halfdeg_optimize(f, payload["lambda"], payload["mu"],
-                                  budget=payload.get("budget", 20), seed=seed, box=box)
-        return {
-            "k": result.k,
-            "inf_full": None if result.full_unbounded else result.inf_full,
-            "full_unbounded": result.full_unbounded,
-            "witness_full": [_pair(v) for v in result.witness_full],
-            "inf_restricted": None if result.restricted_unbounded else result.inf_restricted,
-            "restricted_unbounded": result.restricted_unbounded,
-            "witness_restricted": [_pair(v) for v in result.witness_restricted],
-        }
 
-    if command == "slice-sample":
-        S = _parse_slice(payload["slice"])
-        grid = sample_slice_section(S, H, tuple(payload["free_axes"]),
-                                    tuple(payload["window"]),
-                                    tuple(payload["resolution"]))
-        if payload.get("format", "csv") == "csv":
-            emit_section_csv(grid, out_stream)
-            return None
-        return {
-            "xs": list(grid.xs),
-            "ys": list(grid.ys),
-            "members": [[1 if v else 0 for v in row] for row in grid.members],
-        }
+@_command("slice-sample", _closed({
+    "slice": _SLICE,
+    "halfplane": _HALFPLANE,
+    "free_axes": _array(_NONNEG_INT, 2, 2),
+    "window": _array(_NUMBER, 4, 4),
+    "resolution": _array(_POS_INT, 2, 2),
+    "format": {"enum": ["csv", "json"]},
+}, "slice", "free_axes", "window", "resolution"))
+def _slice_sample(payload: dict, ctx: _Context) -> dict | None:
+    S = _parse_slice(payload["slice"])
+    grid = sample_slice_section(S, _parse_halfplane(payload), tuple(payload["free_axes"]),
+                                tuple(payload["window"]),
+                                tuple(payload["resolution"]))
+    if payload.get("format", "csv") == "csv":
+        emit_section_csv(grid, ctx.out)
+        return None
+    return {
+        "xs": list(grid.xs),
+        "ys": list(grid.ys),
+        "members": [[1 if v else 0 for v in row] for row in grid.members],
+    }
 
-    if command == "moebius":
-        mdoc = payload["map"]
-        M = Moebius(a=_c(mdoc["a"]), b=_c(mdoc["b"]), c=_c(mdoc["c"]), d=_c(mdoc["d"]))
-        image = moebius_transform_poly(M, _parse_poly(payload["poly"]))
-        return {
-            "coefficients": [_pair(v) for v in image.coefficients],
-            "degree_drop": image.degree_drop,
-        }
 
-    raise ValueError(f"unhandled command {command}")
+@_command("moebius", _closed({
+    "map": _closed({"a": _SCALAR, "b": _SCALAR, "c": _SCALAR, "d": _SCALAR},
+                   "a", "b", "c", "d"),
+    "poly": _POLY,
+}, "map", "poly"))
+def _moebius(payload: dict, ctx: _Context) -> dict:
+    mdoc = payload["map"]
+    M = Moebius(a=_c(mdoc["a"]), b=_c(mdoc["b"]), c=_c(mdoc["c"]), d=_c(mdoc["d"]))
+    image = moebius_transform_poly(M, _parse_poly(payload["poly"]))
+    return {
+        "coefficients": [_pair(v) for v in image.coefficients],
+        "degree_drop": image.degree_drop,
+    }
+
+
+_JOB_SCHEMA = _closed({
+    "command": {"enum": sorted(_COMMANDS)},
+    "payload": {"type": "object"},
+    "tolerances": _closed({
+        "boundary": {"type": "number", "exclusiveMinimum": 0},
+        "cluster": {"type": "number", "exclusiveMinimum": 0},
+    }),
+    "seed": _NONNEG_INT,
+}, "command", "payload")
+
+
+@functools.cache
+def _validator(command: str | None):
+    """Validator of one command's payload schema, or of the job schema for None.
+
+    Built on first use, so the schema is checked against its meta-schema
+    once per process rather than once per job, and import stays cheap.
+    """
+    schema = _JOB_SCHEMA if command is None else _COMMANDS[command].schema
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(doc, command: str | None) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for doc."""
+    error = best_match(_validator(command).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def _finite_float(text: str) -> float:
@@ -644,13 +577,12 @@ def main(argv=None) -> int:
         print(f"error: cannot open output: {exc}", file=sys.stderr)
         return 4
 
+    ctx = _Context(seed=seed, boundary=tolerances.get("boundary"),
+                   cluster=tolerances.get("cluster"), out=out_stream)
     try:
-        result = _run_command(job["command"], job["payload"], tolerances, seed, out_stream)
+        result = _COMMANDS[job["command"]].handler(job["payload"], ctx)
         if result is not None:
-            result["tolerances"] = {
-                "boundary": tolerances.get("boundary"),
-                "cluster": tolerances.get("cluster"),
-            }
+            result["tolerances"] = {"boundary": ctx.boundary, "cluster": ctx.cluster}
             try:
                 text = json.dumps(result, sort_keys=True, allow_nan=False)
             except ValueError as exc:

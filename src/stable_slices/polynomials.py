@@ -134,7 +134,7 @@ def _floor_reached(aw: list[float], x: np.ndarray, pv: np.ndarray, floor: float)
 def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> tuple[np.ndarray, bool]:
     """Aberth iterates, and whether they stopped at the rounding floor."""
     n = x.size
-    dw = w[:-1] * np.arange(n, 0, -1)
+    dw = _derivative(w)
     aw = np.abs(w).tolist()
     floor = _FLOOR_FACTOR * n * np.finfo(float).eps
     previous = np.inf
@@ -204,7 +204,7 @@ def _aberth_rows(W: np.ndarray, X: np.ndarray, max_iterations: int) -> tuple[np.
     floor = _FLOOR_FACTOR * n * np.finfo(float).eps
     diagonal = np.arange(n)
     live = np.arange(rows)
-    dw = w[:, :-1] * np.arange(n, 0, -1)
+    dw = _derivative(w)
     aw = np.abs(w)
     previous = np.full(rows, np.inf)
     stalled = np.zeros(rows, dtype=bool)
@@ -259,7 +259,7 @@ def _circle_start(w: np.ndarray) -> np.ndarray:
 
 def _newton_polish_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """find_roots' closing Newton steps on every row of a stack."""
-    dw = w[:, :-1] * np.arange(w.shape[1] - 1, 0, -1)
+    dw = _derivative(w)
     for _ in range(_POLISH_STEPS):
         pv = _horner(w, x)
         dpv = _horner(dw, x)
@@ -268,11 +268,12 @@ def _newton_polish_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _nth_derivative(w: np.ndarray, order: int) -> np.ndarray:
-    out = w
+def _derivative(w: np.ndarray, order: int = 1) -> np.ndarray:
+    """Descending coefficients of the order-th derivative of each
+    descending coefficient vector along the last axis of w."""
     for _ in range(order):
-        out = out[:-1] * np.arange(out.size - 1, 0, -1)
-    return out
+        w = w[..., :-1] * np.arange(w.shape[-1] - 1, 0, -1)
+    return w
 
 
 def _deflate(w: np.ndarray, r: complex) -> np.ndarray:
@@ -307,8 +308,8 @@ def _collapse_refine(w: np.ndarray, z: np.ndarray, x: np.ndarray):
             mu = complex(np.mean(x[g]))
             m = len(g)
             if m > 1:
-                dw = _nth_derivative(w, m - 1)
-                ddw = dw[:-1] * np.arange(dw.size - 1, 0, -1)
+                dw = _derivative(w, m - 1)
+                ddw = _derivative(dw)
                 for _ in range(3):
                     dpv = np.polyval(ddw, mu)
                     if abs(dpv) < 1e-200:
@@ -326,7 +327,7 @@ def _collapse_refine(w: np.ndarray, z: np.ndarray, x: np.ndarray):
             for mu, m in stacks:
                 for _ in range(m):
                     q = _deflate(q, mu)
-            dq = q[:-1] * np.arange(q.size - 1, 0, -1)
+            dq = _derivative(q)
             for i, mu in enumerate(singles):
                 for _ in range(3):
                     dv = np.polyval(dq, mu)
@@ -402,7 +403,7 @@ def find_roots(
     # Newton cannot improve residuals already at the floor; inside a tight
     # cluster it would only blow the rounding noise up by 1/p'
     if not floored:
-        dw = w[:-1] * np.arange(n, 0, -1)
+        dw = _derivative(w)
         for _ in range(_POLISH_STEPS):
             pv = np.polyval(w, x)
             dpv = np.polyval(dw, x)

@@ -34,6 +34,7 @@ from .polynomials import (
     cluster_roots,
     find_roots,
     find_roots_rows,
+    raw_to_z,
     vieta_from_roots,
     z_to_raw,
 )
@@ -587,13 +588,11 @@ def _position_tangents(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray) -> np.
     that quotient into the z-perturbation.
     """
     roots = _state_roots(x, mu, frozen)
-    n = roots.size
     w = np.asarray(vieta_from_roots(roots).raw_coefficients(), dtype=complex)
-    signs = np.array([(-1.0) ** t for t in range(1, n + 1)])
-    cols = np.empty((n, x.size), dtype=complex)
+    cols = np.empty((roots.size, x.size), dtype=complex)
     for i in range(x.size):
         q = _deflate(w, complex(x[i]))
-        cols[:, i] = signs * (-float(mu[i])) * q
+        cols[:, i] = -float(mu[i]) * raw_to_z(np.concatenate(([0.0], q)))
     return cols
 
 

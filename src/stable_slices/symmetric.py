@@ -560,23 +560,17 @@ class NoneFound:
 
 
 def _detect_pinned(polys) -> dict[int, complex]:
+    """{i: v} for each polynomial of the form c_0 + c e_{i+1}, which pins
+    e_{i+1} = v = -c_0 / c."""
     pinned: dict[int, complex] = {}
     for f in polys:
-        const = 0.0 + 0.0j
-        linear: dict[int, complex] = {}
-        ok = True
-        for exps, coeff in f.terms:
-            total = sum(exps)
-            if total == 0:
-                const += coeff
-            elif total == 1:
-                linear[exps.index(1)] = linear.get(exps.index(1), 0) + coeff
-            else:
-                ok = False
-        if ok and len(linear) == 1:
-            i, c = next(iter(linear.items()))
-            if c != 0:
-                pinned[i] = -const / c
+        if not f.is_multiaffine:
+            continue
+        c = f.affine_coefficients()
+        (linear,) = np.nonzero(c[1:])
+        if linear.size == 1:
+            i = int(linear[0])
+            pinned[i] = -complex(c[0]) / complex(c[i + 1])
     return pinned
 
 

@@ -11,7 +11,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from stable_slices import HalfPlane, cli, vieta_from_roots
-from stable_slices.cli import _JOB_SCHEMA, _PAYLOADS, _validate, main
+from stable_slices.cli import _COMMANDS, _JOB_SCHEMA, _validate, main
 from stable_slices.polynomials import BOUNDARY_SCALE
 from stable_slices.slices import membership_tolerance
 
@@ -21,6 +21,33 @@ FLAGSHIP_Z = [[0.0, 23.0], [-463.0, 0.0], [0.0, -8461.0], [8020.0, 0.0]]
 # them from default_rng([77, n]), stored verbatim
 SWEEP_JOBS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "compress_sweep_jobs.json").read_text())
+
+E1_MINUS_1 = {"n": 2, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1},
+                                             {"exponents": [0], "coefficient": -1}]}
+# one payload each command computes with exit 0
+EXAMPLE_PAYLOADS = {
+    "roots": {"poly": {"z": FLAGSHIP_Z}},
+    "vieta": {"roots": [[0, 1], [0, 2]]},
+    "stable-check": {"poly": {"z": FLAGSHIP_Z}, "halfplane": {"theta": 0.3, "base": [0.1, 0]}},
+    "hurwitz-check": {"coefficients": [4, 6, 4]},
+    "embed": {"coefficients": [4, 6, 4]},
+    "unembed": {"poly": {"z": [[0, 4], [-6, 0], [0, -4]]}},
+    "bounds": {"a1": [0, 23], "a2": [-463, 0], "n": 4},
+    "compress": {"poly": {"z": FLAGSHIP_Z},
+                 "slice": {"matrix": [[1, 0, 0, 0]], "target": [[0, 23]]}},
+    "gws": {"f": {"n": 2, "degree": 2, "terms": [{"exponents": [0, 1], "coefficient": 1}]},
+            "x": [[0, 2], [0, 8]]},
+    "coincide": {"form": {"matrix": [[1, 0, 0, 0]],
+                          "gk": [{"exponents": [2], "coefficient": 1}]},
+                 "x": [[0, 1], [0, 2], [1, 1], [-1, 2]]},
+    "young-gws": {"blocks": [1, 1], "x": [[0, 1], [1, 1]],
+                  "f": {"n": 2, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1}]}},
+    "variety-search": {"polys": [E1_MINUS_1], "pattern": [1, 0], "budget": 5},
+    "halfdeg-opt": {"f": E1_MINUS_1, "lambda": 0.0, "mu": 1.0, "budget": 4},
+    "slice-sample": {"slice": {"matrix": [[0, 1]], "target": [-1]}, "free_axes": [0, 1],
+                     "window": [-1, 1, 0, 1], "resolution": [3, 2]},
+    "moebius": {"map": {"a": 1, "b": 1, "c": 0, "d": 1}, "poly": {"z": [[0, 0], [1, 0]]}},
+}
 
 
 def run_job(tmp_path, job, args=()):
@@ -386,7 +413,7 @@ class TestValidation:
         assert "cannot read job" in err
 
     def test_schemas_pass_the_meta_schema(self):
-        for schema in [_JOB_SCHEMA, *_PAYLOADS.values()]:
+        for schema in [_JOB_SCHEMA, *(entry.schema for entry in _COMMANDS.values())]:
             validator_for(schema).check_schema(schema)
 
     def test_cached_validators_raise_the_same_errors(self):
@@ -401,11 +428,52 @@ class TestValidation:
         for job in jobs:
             with pytest.raises(jsonschema.ValidationError) as expected:
                 jsonschema.validate(job, _JOB_SCHEMA)
-                jsonschema.validate(job["payload"], _PAYLOADS[job["command"]])
+                jsonschema.validate(job["payload"], _COMMANDS[job["command"]].schema)
             with pytest.raises(jsonschema.ValidationError) as got:
                 _validate(job, None)
                 _validate(job["payload"], job["command"])
             assert got.value.message == expected.value.message
+
+
+class TestCommandTable:
+    def test_every_command_has_an_example(self):
+        assert set(EXAMPLE_PAYLOADS) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_unknown_payload_key_exits_2(self, tmp_path, capsys, command):
+        jf = tmp_path / "job.json"
+        jf.write_text(json.dumps({"command": command, "payload": EXAMPLE_PAYLOADS[command]}))
+        assert main(["--job", str(jf)]) == 0
+        capsys.readouterr()
+        payload = {**EXAMPLE_PAYLOADS[command], "frobnicate": 1}
+        jf.write_text(json.dumps({"command": command, "payload": payload}))
+        assert main(["--job", str(jf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "'frobnicate' was unexpected" in err
+
+    def test_handlers_call_the_names_the_tracer_patches(self, tmp_path, monkeypatch):
+        # bench/tracing.py replaces these module globals of cli for a traced
+        # run; a handler holding its own reference would bypass the spans
+        users = {"find_roots": "roots", "is_stable": "stable-check",
+                 "compress": "compress", "sample_slice_section": "slice-sample",
+                 "coincide": "coincide", "variety_search": "variety-search",
+                 "halfdeg_optimize": "halfdeg-opt"}
+        calls = dict.fromkeys(users, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in users:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        for command in users.values():
+            code, _ = run_job(tmp_path, {"command": command,
+                                         "payload": EXAMPLE_PAYLOADS[command]})
+            assert code == 0
+        assert all(count > 0 for count in calls.values()), calls
 
 
 class TestNumericalFailure:
@@ -516,7 +584,8 @@ class TestStrictJson:
 
     def test_non_finite_result_exits_4_with_nothing_written(self, tmp_path, capsys,
                                                             monkeypatch):
-        monkeypatch.setattr(cli, "_run_command", lambda *args: {"value": float("inf")})
+        monkeypatch.setitem(_COMMANDS, "roots", _COMMANDS["roots"]._replace(
+            handler=lambda payload, ctx: {"value": float("inf")}))
         code, text = run_job(tmp_path, {"command": "roots",
                                         "payload": {"poly": {"z": [[0, 0], [1, 0]]}}})
         assert code == 4

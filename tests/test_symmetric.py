@@ -418,6 +418,18 @@ class TestYoungGws:
 
 
 class TestVarietySearch:
+    def test_detect_pinned_reads_affine_single_e(self):
+        polys = [
+            SymmetricPoly.from_terms(3, {(1, 0, 0): 2.0, (): -1j}, 1),  # e1 = i/2
+            SymmetricPoly.from_terms(3, {(0, 1, 0): 4.0, (): 2.0}, 2),  # e2 = -1/2
+            SymmetricPoly.from_terms(3, {(1, 0, 0): 1.0, (0, 0, 1): 1.0}, 3),  # two e's
+            SymmetricPoly.from_terms(3, {(2, 0, 0): 1.0, (): -1.0}, 2),  # not affine
+            SymmetricPoly.from_terms(3, {(): 5.0}, 0),  # no e at all
+        ]
+        pinned = _detect_pinned(polys)
+        assert pinned == {0: 0.5j, 1: -0.5}
+        assert all(type(v) is complex for v in pinned.values())
+
     def test_trivial_kernel_of_e1(self):
         e1 = SymmetricPoly.from_terms(2, {(1, 0): 1.0}, 1)
         r = variety_search([e1], pattern=(1, 0), budget=50, seed=0)
