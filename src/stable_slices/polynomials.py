@@ -131,6 +131,10 @@ def _floor_reached(aw: list[float], x: np.ndarray, pv: np.ndarray, floor: float)
     return bool(np.all(np.abs(pv) <= floor * np.polyval(aw, np.abs(x))))
 
 
+# Iterates far from the roots overflow p(x) and the corrections.  The
+# iterations catch a non-finite step and report it, so NumPy's warnings
+# would only print to stderr, once per source line and process.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> tuple[np.ndarray, bool]:
     """Aberth iterates, and whether they stopped at the rounding floor."""
     n = x.size
@@ -188,6 +192,7 @@ def _floor_reached_rows(aw: np.ndarray, x: np.ndarray, pv: np.ndarray,
     return screen & np.all(np.abs(pv) <= floor * _horner(aw, np.abs(x)), axis=1)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _aberth_rows(W: np.ndarray, X: np.ndarray, max_iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """_aberth on every row of a stack at once: W holds (rows, n + 1)
     coefficients, X (rows, n) starts.

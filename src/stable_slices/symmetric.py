@@ -34,6 +34,9 @@ _UNBOUNDED_FLOOR = -1e12
 # Gauss-Newton steps per variety_search start, descent steps per
 # halfdeg_optimize start
 _NEWTON_ITERATIONS = 60
+# a Gauss-Newton step that lowers a start's norm by less than this
+# relative amount ends the start
+_STAGNATION = 1e-6
 _DESCENT_ITERATIONS = 300
 
 
@@ -129,11 +132,18 @@ class _TermTable:
 
     ``exponents`` holds the union of the lists' monomials row-wise (T x n),
     ``coefficients`` the coefficient of each monomial in each polynomial
-    (T x P).
+    (T x P).  ``lowered`` and ``weights`` (n + 1 slabs) give the monomials
+    and their derivatives: slab 0 holds the exponents with weight 1, slab
+    i + 1 the exponents with that of e_{i+1} lowered by one, weighted by
+    the exponent it had.  ``deflate`` ((n + 1) x n) is 1 but for a 0 at
+    (l + 1, l).
     """
 
     exponents: np.ndarray
     coefficients: np.ndarray
+    lowered: np.ndarray
+    weights: np.ndarray
+    deflate: np.ndarray
 
     @classmethod
     def compile(cls, polys) -> "_TermTable":
@@ -145,8 +155,13 @@ class _TermTable:
         for j, f in enumerate(polys):
             for exps, coeff in f.terms:
                 coefficients[index[exps], j] += coeff
-        exponents = np.asarray(list(index), dtype=int).reshape(len(index), polys[0].n)
-        return cls(exponents=exponents, coefficients=coefficients)
+        n = polys[0].n
+        exponents = np.asarray(list(index), dtype=int).reshape(len(index), n)
+        lowered = np.maximum(exponents - np.eye(n, dtype=int)[:, None, :], 0)
+        return cls(exponents=exponents, coefficients=coefficients,
+                   lowered=np.concatenate([exponents[None], lowered]),
+                   weights=np.vstack([np.ones(len(index)), exponents.T]),
+                   deflate=1.0 - np.eye(n + 1, n, -1))
 
     def at_points(self, x: np.ndarray) -> np.ndarray:
         """Values (..., P) of every polynomial at the points x (..., n).
@@ -165,6 +180,22 @@ class _TermTable:
             e = np.ascontiguousarray(e)
         monomials = np.prod(e[:, None, :] ** self.exponents, axis=2)
         return monomials.reshape(x.shape[:-1] + monomials.shape[-1:]) @ self.coefficients
+
+    def with_derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (B, P) and derivatives df/dx (B, n, P) at the points x (B, n).
+
+        de_k/dx_l = e_{k-1}(x without x_l), and e_k(x without x_l) is e_k of
+        x with x_l set to 0; one expansion of the (B, n + 1, n) stack of x and
+        its n deflated copies gives both.  Every start's rows are laid out
+        alike whatever B is, so a start rounds in a batch as it does alone.
+        """
+        batch, n = x.shape
+        deflated = (x[:, None, :] * self.deflate).reshape(-1, n)
+        e = np.ascontiguousarray(vieta_rows(deflated)).reshape(batch, n + 1, n)
+        monomials = np.prod(e[:, :1, None, :] ** self.lowered, axis=3) * self.weights
+        # values, then df/de_k
+        g = monomials @ self.coefficients
+        return g[:, 0], g[:, 1:2] + e[:, 1:, :-1] @ g[:, 2:]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -607,49 +638,85 @@ class _Lockstep:
         return tuple(a[mask] for a in arrays)
 
 
-def _gauss_newton(residuals, pmap: _PatternMap, theta: np.ndarray, finish) -> None:
-    """Damped Gauss-Newton from every row of theta (starts x params) in lockstep.
+def _real_parts(values: np.ndarray) -> np.ndarray:
+    """Complex (..., P) as real (..., 2P): real parts, then imaginary parts."""
+    return np.concatenate([values.real, values.imag], axis=-1)
 
-    Each iteration advances every live start with one residual evaluation of
-    a (starts, params + 1, params) stack, each start's point and its
-    forward-difference neighbours, one ``np.linalg.lstsq`` per start, and one
-    evaluation of a (starts, 25, params) stack of halved steps; a start takes
-    the first halved step that lowers its norm, as a sequential backtracking
-    search would.  A start ends when its residual batch overflows, its norm
-    reaches 1e-12, no halved step lowers it, or after _NEWTON_ITERATIONS
-    iterations; ``finish(start, theta, lowest norm)`` is then called as
-    ``_Lockstep`` describes.
+
+def _min_norm_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of J delta = -F for every start
+    of a stack, J (B, m, k) and F (B, m), with gelsd's cutoff: singular
+    values at or below eps max(m, k) sigma_max count as zero."""
+    u, s, vt = np.linalg.svd(J, full_matrices=False)
+    inverse = np.divide(-1.0, s, out=np.zeros_like(s),
+                        where=s > np.finfo(float).eps * max(J.shape[1:]) * s[:, :1])
+    return (((F[:, None, :] @ u) * inverse[:, None, :]) @ vt)[:, 0]
+
+
+def _newton_system(table: _TermTable, pmap: _PatternMap, theta: np.ndarray):
+    """Residuals F (B, 2P) of the real and imaginary parts of the table's
+    polynomials at the parameters theta (B, params), their norms, and their
+    exact Jacobians J (B, 2P, params): df/dtheta = matrix @ df/dx.
+
+    Each point is formed as a one-row stack of its start, so a start rounds
+    in a batch as it does alone.
     """
+    values, dfdx = table.with_derivatives(pmap.points(theta[:, None])[:, 0])
+    F = _real_parts(values)
+    return F, _row_norms(F), _real_parts(pmap.matrix @ dfdx).transpose(0, 2, 1)
+
+
+def _gauss_newton(table: _TermTable, pmap: _PatternMap, theta: np.ndarray, finish) -> None:
+    """Damped Gauss-Newton on the real and imaginary parts of the table's
+    polynomials from every row of theta (starts x params), in lockstep.
+
+    Each iteration advances every live start with one stacked minimum-norm
+    solve (``_min_norm_steps``) of its exact Jacobian and one evaluation of
+    the residuals and Jacobians at the full steps (``_newton_system``).  Only
+    a start whose full step does not lower its norm evaluates the 24 halved
+    steps; it takes the first that does, as a sequential backtracking search
+    would.  A start ends when its residuals or Jacobian overflow (an
+    overflowed residual does not count towards its lowest norm), its norm
+    reaches 1e-12, no step lowers it, a step lowers it by less than a
+    relative _STAGNATION, or after _NEWTON_ITERATIONS steps;
+    ``finish(start, theta, lowest norm)`` is then called as ``_Lockstep``
+    describes.
+    """
+    halvings = 0.5 ** np.arange(1, 25)[:, None]
     batch = _Lockstep(theta, np.full(theta.shape[0], np.inf), finish)
-    params = theta.shape[1]
-    # row 0 of each start is theta, row q + 1 moves parameter q by its
-    # difference step
-    steps = np.vstack([np.zeros(params), np.eye(params)])
-    halvings = 0.5 ** np.arange(25)[:, None]
-    for _ in range(_NEWTON_ITERATIONS):
+    F, norm, J = _newton_system(table, pmap, theta)
+    progress = np.ones(theta.shape[0], dtype=bool)
+    for iteration in range(_NEWTON_ITERATIONS + 1):
+        finite = np.isfinite(norm)
+        batch.score = np.where(finite, np.minimum(batch.score, norm), batch.score)
+        # a non-finite J has no usable step, and an SVD of it raises
+        go = progress & finite & (norm > 1e-12) & np.isfinite(J).all(axis=(1, 2))
+        F, norm, J = batch.keep(go & (iteration < _NEWTON_ITERATIONS), F, norm, J)
         if not batch.start.size:
             return
-        h = 1e-6 * (1.0 + np.abs(batch.theta))
-        R = residuals(pmap.points(batch.theta[:, None] + h[:, None] * steps))
-        F = R[:, 0]
-        norm = _row_norms(F)
-        # an overflowed residual batch ends its start, and its norm does not count
-        batch.score = np.where(np.isfinite(R).all(axis=(1, 2)),
-                               np.minimum(batch.score, norm), batch.score)
-        J = ((R[:, 1:] - F[:, None]) / h[:, :, None]).transpose(0, 2, 1)
-        # J is finite where the whole residual batch is and its differences
-        # do not overflow; elsewhere there is no usable step, and lstsq on
-        # it makes LAPACK write to stdout
-        F, J, norm = batch.keep((norm > 1e-12) & np.isfinite(J).all(axis=(1, 2)), F, J, norm)
-        # one lstsq per start: a solve that rounds otherwise than gelsd moves
-        # the point a start that does not converge ends at, since the
-        # difference Jacobian amplifies each step's rounding by 1/h
-        delta = np.array([np.linalg.lstsq(j, -f, rcond=None)[0] for j, f in zip(J, F)])
-        cands = pmap.project(batch.theta[:, None] + halvings * delta.reshape(-1, 1, params))
-        lower = np.linalg.norm(residuals(pmap.points(cands)), axis=-1) < norm[:, None]
-        cands, lower = batch.keep(lower.any(axis=1), cands, lower)
-        batch.theta = cands[np.arange(len(cands)), lower.argmax(axis=1)]
-    batch.keep(np.zeros(batch.start.size, dtype=bool))
+        delta = _min_norm_steps(J, F)
+        step = pmap.project(batch.theta + delta)
+        F, lowered, J = _newton_system(table, pmap, step)
+        # a step is decided by the norm of the evaluation that chose it
+        new = lowered.copy()
+        missed = np.flatnonzero(~(new < norm))
+        if missed.size:
+            cands = pmap.project(batch.theta[missed, None] + halvings * delta[missed, None])
+            values = _real_parts(table.at_points(pmap.points(cands)))
+            tried = _row_norms(values.reshape(-1, values.shape[-1])).reshape(cands.shape[:-1])
+            lower = tried < norm[missed, None]
+            hit, pick = lower.any(axis=1), lower.argmax(axis=1)
+            rows = np.arange(missed.size)
+            new[missed] = np.where(hit, tried[rows, pick], np.nan)
+            if hit.any():
+                again = missed[hit]
+                step[again] = cands[rows[hit], pick[hit]]
+                F[again], lowered[again], J[again] = _newton_system(table, pmap, step[again])
+        moved = new < norm
+        batch.theta = np.where(moved[:, None], step, batch.theta)
+        # a step that lowers the norm by too little ends the start after it
+        F, norm, J, progress = batch.keep(moved, F, lowered, J,
+                                          new < (1.0 - _STAGNATION) * norm)
 
 
 def _sorted_point(x: np.ndarray) -> tuple[complex, ...]:
@@ -673,14 +740,16 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
     (k_boundary, m_interior); ``budget`` counts Newton starts per pattern.
     Patterns run in order.  Start 0 of a pattern runs alone; if it misses,
     starts 1 to budget - 1 run as one lockstep batch of damped Gauss-Newton
-    on the pattern's parameters (``_gauss_newton``).  A start is verified as
-    it ends, unless a start of lower index has already hit, and a verified
-    hit ends the starts above it.  A hit is checked again with the scalar
-    e-vector and term-by-term evaluation, independently of the batch.  The
-    starts are then read in order, so the result is that of running them
-    one after another: FoundPoint on the first verified hit, else NoneFound
-    with search statistics; a NoneFound is never a certificate of
-    emptiness.
+    on the pattern's parameters (``_gauss_newton``), with the exact Jacobian
+    and one stacked minimum-norm solve per step; a start stops once a step
+    lowers its residual norm by less than a relative 1e-6.  A start is
+    verified as it ends, unless a start of lower index has already hit, and
+    a verified hit ends the starts above it.  A hit is checked again with
+    the scalar e-vector and term-by-term evaluation, independently of the
+    batch.  The starts are then read in order, so the result is that of
+    running them one after another: FoundPoint on the first verified hit,
+    else NoneFound with search statistics; a NoneFound is never a
+    certificate of emptiness.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     polys = list(polys)
@@ -713,10 +782,6 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
 
     table = _TermTable.compile(polys)
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        vals = table.at_points(x)
-        return np.concatenate([vals.real, vals.imag], axis=-1)
-
     def verify(x: np.ndarray):
         e = vieta_from_roots(tuple(x)).z
         res = []
@@ -745,13 +810,13 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
             return runs[s_idx][0] is not None
 
         # start 0 alone, then, if it misses, the rest as one batch: a pattern
-        # whose start 0 hits then runs no batch, and one lstsq per live start
-        # makes a batch cost grow with its size
+        # whose start 0 hits then runs no batch, and a step of a batch costs
+        # more than a step of one start
         for first, stop in ((0, min(budget, 1)), (1, budget)):
             if first >= stop or any(run[0] is not None for run in runs.values()):
                 break
             theta = _start_thetas(pmap, box, (_SEARCH_STREAM, seed, p_idx), range(first, stop))
-            _gauss_newton(residuals, pmap, theta,
+            _gauss_newton(table, pmap, theta,
                           lambda s, t, norm: finish(first + s, t, norm))
         for s_idx in range(budget):
             res, x, norm = runs[s_idx]

@@ -21,6 +21,12 @@ FLAGSHIP_Z = [[0.0, 23.0], [-463.0, 0.0], [0.0, -8461.0], [8020.0, 0.0]]
 # them from default_rng([77, n]), stored verbatim
 SWEEP_JOBS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "compress_sweep_jobs.json").read_text())
+# the variety-search jobs of the benchmark's search workload at seed 1,
+# stored verbatim with the verdict each gave before the Gauss-Newton steps
+# used the exact Jacobian: found, pattern and starts_used, or, when
+# nothing was found, patterns_tried and starts
+SEARCH_VERDICTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "search_verdicts.json").read_text())
 
 E1_MINUS_1 = {"n": 2, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1},
                                              {"exponents": [0], "coefficient": -1}]}
@@ -476,21 +482,36 @@ class TestCommandTable:
         assert all(count > 0 for count in calls.values()), calls
 
 
+def root_overflow_job():
+    """roots of a stable degree-40 polynomial on which the Aberth iteration
+    overflows."""
+    rng = np.random.default_rng(40)
+    roots = rng.normal(0, 1.5, 40) + 1j * np.abs(rng.normal(0, 1.0, 40))
+    z = vieta_from_roots(roots).z
+    return {"command": "roots", "payload": {"poly": {"z": [[v.real, v.imag] for v in z]}}}
+
+
 class TestNumericalFailure:
     def test_root_overflow_exits_3(self, tmp_path, capsys):
-        # a stable degree-40 polynomial on which the Aberth iteration
-        # overflows; until the root finder holds at this degree the CLI
-        # must report a numerical failure, not invalid input
-        rng = np.random.default_rng(40)
-        roots = rng.normal(0, 1.5, 40) + 1j * np.abs(rng.normal(0, 1.0, 40))
-        z = vieta_from_roots(roots).z
-        code, text = run_job(tmp_path, {
-            "command": "roots",
-            "payload": {"poly": {"z": [[v.real, v.imag] for v in z]}},
-        })
+        # until the root finder holds at this degree the CLI must report a
+        # numerical failure, not invalid input
+        code, text = run_job(tmp_path, root_overflow_job())
         assert code == 3
         assert text == ""
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_root_overflow_prints_only_the_failure_line(self, tmp_path):
+        # in a fresh process, where NumPy has printed no warning yet: the
+        # iteration's overflow must not reach stderr
+        jf = tmp_path / "job.json"
+        jf.write_text(json.dumps(root_overflow_job()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stable_slices.cli", "--job", str(jf)],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: numerical failure: ")
 
     def test_unfindable_pixel_exits_3(self, tmp_path, capsys):
         # a one-pixel window at a stable degree-24 point whose roots
@@ -591,6 +612,19 @@ class TestStrictJson:
         assert code == 4
         assert text == ""
         assert "not JSON" in capsys.readouterr().err
+
+
+class TestSearchVerdicts:
+    def test_verdicts_are_pinned(self, tmp_path):
+        keys = ("found", "pattern", "starts_used", "patterns_tried", "starts")
+        changed = []
+        for entry in SEARCH_VERDICTS:
+            doc = run_json(tmp_path, entry["job"])
+            verdict = {key: doc[key] for key in keys if key in doc}
+            if verdict != entry["verdict"]:
+                changed.append((entry["name"], entry["verdict"], verdict))
+        assert len(SEARCH_VERDICTS) == 98
+        assert changed == []
 
 
 class TestDeterminism:

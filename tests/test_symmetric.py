@@ -25,12 +25,14 @@ from stable_slices import (
     young_blocks_from_x_expansion,
     young_gws,
 )
+from stable_slices import symmetric
 from stable_slices.polynomials import BOUNDARY_SCALE
 from stable_slices.slices import compactness_bounds
 from stable_slices.symmetric import (
     _DESCENT_ITERATIONS,
     _NEWTON_ITERATIONS,
     _SEARCH_STREAM,
+    _STAGNATION,
     _UNBOUNDED_FLOOR,
     GWS_RESIDUAL_SCALE,
     _budget_patterns,
@@ -38,7 +40,10 @@ from stable_slices.symmetric import (
     _gauss_newton,
     _km_patterns,
     _Lockstep,
+    _min_norm_steps,
+    _newton_system,
     _Pattern,
+    _row_norms,
     _sorted_point,
     _start_thetas,
     _TermTable,
@@ -155,6 +160,81 @@ class TestTermTable:
             stacked = table.at_points(x)
             for s in range(starts):
                 assert np.array_equal(stacked[s], table.at_points(x[s]))
+
+
+def random_symmetric_polys(rng, n):
+    """One to three random polynomials in the e_i of weighted degree at most
+    n, each with a constant and an e1^2 term among its monomials."""
+    polys = []
+    for _ in range(int(rng.integers(1, 4))):
+        terms = {(0,) * n: complex(rng.normal(), rng.normal()),
+                 (2,) + (0,) * (n - 1): complex(rng.normal(), rng.normal())}
+        for _ in range(4):
+            key = tuple(int(v) for v in rng.integers(0, 3, size=n))
+            if sum((i + 1) * e for i, e in enumerate(key)) <= n:
+                terms[key] = complex(rng.normal(), rng.normal())
+        polys.append(SymmetricPoly.from_terms(n, terms, n))
+    return polys
+
+
+class TestExactJacobian:
+    @pytest.mark.parametrize("H", [HalfPlane.upper(), HalfPlane(theta=2.3, base=0.4 - 1.1j)],
+                             ids=["upper", "rotated"])
+    def test_matches_central_differences(self, H):
+        # value patterns (two parameters per value) and boundary-real
+        # patterns with interior values; h = 1e-5 (1 + |theta_q|) leaves a
+        # difference error near 1e-9 of the Jacobian's scale
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            table = _TermTable.compile(random_symmetric_polys(rng, n))
+            patterns = list(_budget_patterns(n, n)) + _km_patterns(n, 2, 2)
+            for k in rng.choice(len(patterns), size=3, replace=False):
+                pmap = patterns[k].affine_map(H)
+                theta = rng.normal(size=(4, pmap.matrix.shape[0]))
+                F, norm, J = _newton_system(table, pmap, theta)
+                assert np.allclose(norm, np.linalg.norm(F, axis=1), rtol=1e-15, atol=0)
+                scale = 1.0 + np.max(np.abs(J), axis=(1, 2))
+                for q in range(theta.shape[1]):
+                    shift = np.zeros_like(theta)
+                    shift[:, q] = 1e-5 * (1.0 + np.abs(theta[:, q]))
+                    central = (_newton_system(table, pmap, theta + shift)[0]
+                               - _newton_system(table, pmap, theta - shift)[0]) \
+                        / (2.0 * shift[:, q:q + 1])
+                    assert np.all(np.abs(central - J[:, :, q]) <= 1e-7 * scale[:, None])
+
+    def test_values_match_at_points_and_round_alike_in_any_batch(self):
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            polys = (random_symmetric_polys(rng, n) if n > 1
+                     else [SymmetricPoly.from_terms(1, {(1,): 2.0 - 1j, (0,): 0.5}, 1)])
+            table = _TermTable.compile(polys)
+            rows = int(rng.integers(1, 9))
+            x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+            values, dfdx = table.with_derivatives(x)
+            assert np.allclose(values, table.at_points(x[:, None])[:, 0], rtol=1e-13, atol=1e-13)
+            for b in range(x.shape[0]):
+                alone = table.with_derivatives(x[b:b + 1])
+                assert np.array_equal(alone[0][0], values[b])
+                assert np.array_equal(alone[1][0], dfdx[b])
+
+
+class TestMinNormSteps:
+    @pytest.mark.parametrize("m, k, rank", [(6, 3, 3), (4, 4, 4), (2, 5, 2), (6, 4, 2)])
+    def test_matches_lstsq(self, m, k, rank):
+        # full rank over- and square, underdetermined, and rank-deficient
+        rng = np.random.default_rng(33)
+        J = rng.normal(size=(7, m, rank)) @ rng.normal(size=(7, rank, k))
+        F = rng.normal(size=(7, m))
+        got = _min_norm_steps(J, F)
+        for j, f, delta in zip(J, F, got):
+            want = np.linalg.lstsq(j, -f, rcond=None)[0]
+            assert np.allclose(delta, want, rtol=1e-9, atol=1e-12)
+
+    def test_zero_jacobian_gives_no_step(self):
+        assert np.array_equal(_min_norm_steps(np.zeros((2, 4, 3)), np.ones((2, 4))),
+                              np.zeros((2, 3)))
 
 
 def pattern_point_reference(pattern, theta, halfplane):
@@ -533,8 +613,9 @@ class TestHalfDegreeOptimize:
 
 
 def reference_variety_search(polys, H, *, pattern, budget, seed):
-    """variety_search as it was before its starts ran in lockstep: one start
-    after another, each Gauss-Newton step with its own np.linalg.lstsq."""
+    """variety_search one start after another: each start runs
+    _gauss_newton's damped Gauss-Newton alone, on one-start stacks of the
+    same evaluations and solve, with its rules written out as loops."""
     n = polys[0].n
     patterns = (list(_budget_patterns(n, pattern)) if isinstance(pattern, int)
                 else _km_patterns(n, *pattern))
@@ -547,9 +628,10 @@ def reference_variety_search(polys, H, *, pattern, budget, seed):
         box = (-5.0, 5.0, 5.0)
     table = _TermTable.compile(polys)
 
-    def residuals(x):
-        vals = table.at_points(x)
-        return np.concatenate([vals.real, vals.imag], axis=1)
+    def evaluate(pmap, theta):
+        """Residuals, norm and Jacobian at one parameter vector."""
+        F, norm, J = _newton_system(table, pmap, theta[None])
+        return F, float(norm[0]), J
 
     def verify(x):
         e = vieta_from_roots(tuple(x)).z
@@ -564,31 +646,35 @@ def reference_variety_search(polys, H, *, pattern, budget, seed):
             return None
         return tuple(res)
 
-    halvings = 0.5 ** np.arange(25)
+    halvings = 0.5 ** np.arange(1, 25)
     total, best, best_x = 0, float("inf"), None
     for p_idx, pat in enumerate(patterns):
         pmap = pat.affine_map(H)
         for s_idx in range(budget):
             theta = _start_thetas(pmap, box, (_SEARCH_STREAM, seed, p_idx), [s_idx])[0]
-            norm_best = float("inf")
-            for _ in range(_NEWTON_ITERATIONS):
-                h = 1e-6 * (1.0 + np.abs(theta))
-                R = residuals(pmap.points(np.vstack([theta, theta + np.diag(h)])))
-                if not np.all(np.isfinite(R)):
+            F, norm, J = evaluate(pmap, theta)
+            norm_best, stalled = float("inf"), False
+            for iteration in range(_NEWTON_ITERATIONS + 1):
+                if math.isfinite(norm):
+                    norm_best = min(norm_best, norm)
+                if (stalled or iteration == _NEWTON_ITERATIONS or not math.isfinite(norm)
+                        or norm <= 1e-12 or not np.all(np.isfinite(J))):
                     break
-                F = R[0]
-                norm = float(np.linalg.norm(F))
-                norm_best = min(norm_best, norm)
-                if norm <= 1e-12:
-                    break
-                J = ((R[1:] - F) / h[:, None]).T
-                delta = np.linalg.lstsq(J, -F, rcond=None)[0]
-                cands = pmap.project(theta + halvings[:, None] * delta)
-                lower = np.flatnonzero(
-                    np.linalg.norm(residuals(pmap.points(cands)), axis=1) < norm)
-                if lower.size == 0:
-                    break
-                theta = cands[lower[0]]
+                delta = _min_norm_steps(J, F)[0]
+                step = pmap.project(theta + delta)
+                F_step, norm_step, J_step = evaluate(pmap, step)
+                new = norm_step
+                if not new < norm:
+                    cands = pmap.project(theta + halvings[:, None] * delta)
+                    values = table.at_points(pmap.points(cands[None]))[0]
+                    tried = _row_norms(np.concatenate([values.real, values.imag], axis=1))
+                    lower = np.flatnonzero(tried < norm)
+                    if lower.size == 0:
+                        break
+                    step, new = cands[lower[0]], float(tried[lower[0]])
+                    F_step, norm_step, J_step = evaluate(pmap, step)
+                stalled = not new < (1.0 - _STAGNATION) * norm
+                theta, F, norm, J = step, F_step, norm_step, J_step
             x = pmap.points(theta)
             total += 1
             if norm_best < best:
@@ -708,27 +794,72 @@ class TestLockstep:
         assert batch.start.tolist() == rows.tolist() == [0]
         assert batch.keep(np.ones(1, dtype=bool), rows) == (rows,)
 
-    def test_overflowed_neighbours_do_not_count_towards_the_score(self):
-        # x = theta on the real line; the residual x - 0.5 overflows right
-        # of 1.000001, so start 0's point (theta = 1) is finite and its
-        # difference neighbour (theta + 2e-6) is not, while start 1 goes
-        # from -1 to 0.5.  As one start at a time, an overflowed batch ends
-        # the start before its norm counts.
+    def test_overflow_ends_a_start_and_only_finite_norms_count(self):
+        # f(x) = x - 0.5 on the real line (x = theta), whose value overflows
+        # right of 2 and whose derivative overflows right of 1.  Start 0
+        # (theta = 3) ends at once with no norm; start 1 (theta = 1.5) ends
+        # at once, since its Jacobian has no usable step, but its finite
+        # norm counts; start 2 goes from -1 to 0.5.
         pmap = _Pattern(multiplicities=(1,), interior=0,
                         boundary_real=True).affine_map(HalfPlane.upper())
 
-        def residuals(x):
-            r = np.where(x.real > 1.000001, np.inf, x - 0.5)
-            return np.concatenate([r.real, r.imag], axis=-1)
+        class Table:
+            def at_points(self, x):
+                return np.where(x.real > 2.0, np.inf, x - 0.5)
 
-        scores = {}
+            def with_derivatives(self, x):
+                slope = np.where(x.real > 1.0, np.inf, 1.0)[:, :, None]
+                return self.at_points(x), slope + 0j
+
+        ended = {}
 
         def finish(start, theta, score):
-            scores[start] = score
+            ended[start] = (theta.tolist(), score)
             return False
 
-        _gauss_newton(residuals, pmap, np.array([[1.0], [-1.0]]), finish)
-        assert scores[0] == np.inf and scores[1] <= 1e-12
+        with np.errstate(invalid="ignore"):
+            _gauss_newton(Table(), pmap, np.array([[3.0], [1.5], [-1.0]]), finish)
+        assert ended[0] == ([3.0], np.inf)
+        assert ended[1] == ([1.5], 1.0)
+        assert ended[2][0] == [0.5] and ended[2][1] <= 1e-12
+
+    def test_stagnation_ends_a_start_creeping_along_the_boundary(self, monkeypatch):
+        # One equation at n = 3 (the benchmark's planted-n3-d2-q1 job of
+        # search seed 1).  Its one-value pattern has a zero at 1.4174 +
+        # 0.1616i, but start 0 is drawn to the zero -0.5783 - 0.0092i below
+        # the real axis: every step points below it, the projection clamps
+        # the step, and the norm falls by a few units in the last place per
+        # step.  The stagnation stop ends the start within ten steps; without
+        # it the start runs to the iteration cap.
+        f = SymmetricPoly.from_terms(3, {
+            (1, 0, 0): 1.3374159122471887 + 0.45122975573070345j,
+            (0, 1, 0): -1.986348462290602 + 0.2111265900241306j,
+            (0, 0, 1): 0.534717517350342 - 0.7809799081406799j,
+            (0, 0, 0): 4.417348663126724 + 0.5256127691168003j}, 3)
+        table = _TermTable.compile([f])
+        pmap = _Pattern(multiplicities=(3,), interior=0,
+                        boundary_real=False).affine_map(HalfPlane.upper())
+        theta0 = _start_thetas(pmap, (-5.0, 5.0, 5.0), (_SEARCH_STREAM, 1857297659, 0), [0])
+
+        def run(stagnation):
+            monkeypatch.setattr(symmetric, "_STAGNATION", stagnation)
+            steps = []
+            # one solve per Gauss-Newton step
+            solve = symmetric._min_norm_steps
+            monkeypatch.setattr(symmetric, "_min_norm_steps",
+                                lambda J, F: steps.append(len(J)) or solve(J, F))
+            ended = {}
+            _gauss_newton(table, pmap, theta0,
+                          lambda start, theta, score: ended.update(theta=theta, score=score))
+            monkeypatch.setattr(symmetric, "_min_norm_steps", solve)
+            return len(steps), ended
+
+        steps, ended = run(_STAGNATION)
+        assert steps <= 10
+        assert ended["theta"][1] == 0.0 and abs(ended["theta"][0] + 0.5782) < 1e-3
+        assert 0.1056 < ended["score"] < 0.1057
+        creeping, _ = run(0.0)
+        assert creeping == _NEWTON_ITERATIONS
 
 
 class TestLockstepMatchesSequential:
