@@ -696,9 +696,9 @@ def _gauss_newton(table: _TermTable, pmap: _PatternMap, theta: np.ndarray, finis
             return
         delta = _min_norm_steps(J, F)
         step = pmap.project(batch.theta + delta)
-        F, lowered, J = _newton_system(table, pmap, step)
+        F, step_norm, J = _newton_system(table, pmap, step)
         # a step is decided by the norm of the evaluation that chose it
-        new = lowered.copy()
+        new = step_norm.copy()
         missed = np.flatnonzero(~(new < norm))
         if missed.size:
             cands = pmap.project(batch.theta[missed, None] + halvings * delta[missed, None])
@@ -711,11 +711,11 @@ def _gauss_newton(table: _TermTable, pmap: _PatternMap, theta: np.ndarray, finis
             if hit.any():
                 again = missed[hit]
                 step[again] = cands[rows[hit], pick[hit]]
-                F[again], lowered[again], J[again] = _newton_system(table, pmap, step[again])
+                F[again], step_norm[again], J[again] = _newton_system(table, pmap, step[again])
         moved = new < norm
         batch.theta = np.where(moved[:, None], step, batch.theta)
         # a step that lowers the norm by too little ends the start after it
-        F, norm, J, progress = batch.keep(moved, F, lowered, J,
+        F, norm, J, progress = batch.keep(moved, F, step_norm, J,
                                           new < (1.0 - _STAGNATION) * norm)
 
 
