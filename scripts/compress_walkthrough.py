@@ -3,7 +3,10 @@
 
 Prints the step table (mode, event, step size, measure, membership
 residual) and the before/after root clusters for the instance whose first
-two coefficients are pinned to (-4+2i, -1-8i).
+two coefficients are pinned to (-4+2i, -1-8i).  The clusters are the
+report's initial and final profiles: the final one is the multiset the
+descent ended at, not a second root search on final_z, which could split
+a merged root.
 """
 
 import argparse
@@ -11,13 +14,12 @@ import sys
 
 import numpy as np
 
-from stable_slices import HalfPlane, Slice, cluster_roots, compress, find_roots, vieta_from_roots
+from stable_slices import Slice, compress, vieta_from_roots
 
 DEFAULT_ROOTS = [1 + 1j, -1 + 1j, 2, -2, 1, -1, -1, -1, -1, -1]
 
 
-def describe_clusters(p):
-    prof = cluster_roots(find_roots(p), HalfPlane.upper())
+def describe_clusters(prof):
     parts = []
     for cl in sorted(prof.clusters, key=lambda c: (c.center.real, c.center.imag)):
         parts.append(f"{cl.center:.9g} x{cl.multiplicity} [{cl.side}]")
@@ -40,10 +42,9 @@ def main() -> int:
     for i in range(k):
         L[i, i] = 1.0
     S = Slice.from_arrays(L, z[:k])
+    report = compress(p, S, seed=args.seed)
     print(f"start: degree {n}, pins {[complex(v) for v in z[:k]]}")
-    print(f"  roots: {describe_clusters(p)}")
-
-    report = compress(p, S)
+    print(f"  roots: {describe_clusters(report.initial_profile)}")
     print(f"rank {report.rank} (augmented), sharpened={report.sharpened}, "
           f"targets {report.targets}")
     print(f"{'step':>4}  {'mode':<10} {'event':<22} {'size':>12} "
@@ -54,7 +55,7 @@ def main() -> int:
               f"{st.stable}")
     print(f"checkpoints: {report.checkpoints}")
     print(f"final measure {report.measure} against targets {report.targets}")
-    print(f"  roots: {describe_clusters(report.final_z)}")
+    print(f"  roots: {describe_clusters(report.final_profile)}")
     zf = np.asarray(report.final_z.z)
     print(f"  pin drift: {float(np.max(np.abs(zf[:k] - z[:k]))):.3e}")
     return 0

@@ -28,7 +28,6 @@ from .regions import (
 )
 from .slices import (
     Bounds,
-    CompressOptions,
     CompressionReport,
     CompressionStep,
     KernelDirection,

@@ -36,7 +36,6 @@ from .errors import (
 from .polynomials import Poly, find_roots, vieta_from_roots
 from .regions import HalfPlane, Moebius, moebius_transform_poly
 from .slices import (
-    CompressOptions,
     Slice,
     compactness_bounds,
     compress,
@@ -48,7 +47,6 @@ from .symmetric import (
     SufficientForm,
     SymmetricPoly,
     coincide,
-    coordinate_profile,
     eval_symmetric,
     gws_solve,
     halfdeg_optimize,
@@ -237,17 +235,11 @@ def emit_section_csv(grid, stream) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class _Context:
-    """What a handler gets besides its payload: the job's seed and
-    tolerances, and the stream a CSV document is written to."""
+    """What a handler gets besides its payload: the job's seed and the
+    stream a CSV document is written to."""
 
     seed: int
-    boundary: float | None
-    cluster: float | None
     out: TextIO
-
-    def compress_options(self) -> CompressOptions:
-        return CompressOptions(functional_seed=self.seed, cluster_radius=self.cluster,
-                               boundary_tol=self.boundary)
 
 
 class _Command(NamedTuple):
@@ -289,14 +281,13 @@ def _vieta(payload: dict, ctx: _Context) -> dict:
 def _stable_check(payload: dict, ctx: _Context) -> dict:
     p = _parse_poly(payload["poly"])
     H = _parse_halfplane(payload)
-    return _verdict_doc(is_stable(p, H, cluster_radius=ctx.cluster, boundary_tol=ctx.boundary))
+    return _verdict_doc(is_stable(p, H))
 
 
 @_command("hurwitz-check", _COEFFICIENTS_PAYLOAD)
 def _hurwitz_check(payload: dict, ctx: _Context) -> dict:
     p = _parse_real(payload["coefficients"])
-    return _verdict_doc(is_weakly_hurwitz(p, cluster_radius=ctx.cluster,
-                                          boundary_tol=ctx.boundary))
+    return _verdict_doc(is_weakly_hurwitz(p))
 
 
 @_command("embed", _COEFFICIENTS_PAYLOAD)
@@ -332,7 +323,7 @@ def _bounds(payload: dict, ctx: _Context) -> dict:
 def _compress(payload: dict, ctx: _Context) -> dict:
     p = _parse_poly(payload["poly"])
     S = _parse_slice(payload["slice"])
-    return _report_doc(compress(p, S, _parse_halfplane(payload), ctx.compress_options()))
+    return _report_doc(compress(p, S, _parse_halfplane(payload), seed=ctx.seed))
 
 
 @_command("gws", _closed({
@@ -358,14 +349,14 @@ def _coincide(payload: dict, ctx: _Context) -> dict:
     form = SufficientForm.from_data(_parse_matrix(fdoc["matrix"]), _parse_terms(fdoc["gk"]))
     x = _points(payload["x"])
     H = _parse_halfplane(payload)
-    x_tilde, report = coincide(form, x, H, ctx.compress_options())
-    prof = coordinate_profile(x_tilde, H)
+    x_tilde, report = coincide(form, x, H, seed=ctx.seed)
+    final = report.final_profile
     return {
         "x_tilde": [_pair(v) for v in x_tilde],
         "value_in": _pair(eval_symmetric(form, x)),
         "value_out": _pair(eval_symmetric(form, x_tilde)),
-        "profile": {"boundary_distinct": prof.boundary_distinct,
-                    "interior_count": prof.interior_count},
+        "profile": {"boundary_distinct": final.boundary_distinct,
+                    "interior_count": final.interior_total},
         "report": _report_doc(report),
     }
 
@@ -490,10 +481,6 @@ def _moebius(payload: dict, ctx: _Context) -> dict:
 _JOB_SCHEMA = _closed({
     "command": {"enum": sorted(_COMMANDS)},
     "payload": {"type": "object"},
-    "tolerances": _closed({
-        "boundary": {"type": "number", "exclusiveMinimum": 0},
-        "cluster": {"type": "number", "exclusiveMinimum": 0},
-    }),
     "seed": _NONNEG_INT,
 }, "command", "payload")
 
@@ -567,7 +554,6 @@ def main(argv=None) -> int:
         print(f"error: invalid job: {exc.message}", file=sys.stderr)
         return 2
 
-    tolerances = job.get("tolerances", {})
     seed = args.seed if args.seed is not None else job.get("seed", 0)
 
     out_stream = None
@@ -577,12 +563,10 @@ def main(argv=None) -> int:
         print(f"error: cannot open output: {exc}", file=sys.stderr)
         return 4
 
-    ctx = _Context(seed=seed, boundary=tolerances.get("boundary"),
-                   cluster=tolerances.get("cluster"), out=out_stream)
+    ctx = _Context(seed=seed, out=out_stream)
     try:
         result = _COMMANDS[job["command"]].handler(job["payload"], ctx)
         if result is not None:
-            result["tolerances"] = {"boundary": ctx.boundary, "cluster": ctx.cluster}
             try:
                 text = json.dumps(result, sort_keys=True, allow_nan=False)
             except ValueError as exc:

@@ -371,9 +371,7 @@ def _first_crossing(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
     return float(eps.min()) if eps.size else math.inf
 
 
-def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None, *,
-                    boundary_tol: float | None = None,
-                    cluster_radius: float | None = None) -> StepResult:
+def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) -> StepResult:
     """Largest epsilon in [0, STEP_CAP] at which the moving factor, with
     coefficient vector vieta(movers) + epsilon*b, times the frozen factor
     prod (T - x) stays stable: predict, verify, then ITP.
@@ -408,8 +406,8 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None, *,
     H = halfplane if halfplane is not None else HalfPlane.upper()
     roots0 = base_move + frozen
     scale = 1.0 + max(abs(x) for x in roots0)
-    btol = boundary_tol if boundary_tol is not None else BOUNDARY_SCALE * scale
-    radius = cluster_radius if cluster_radius is not None else CLUSTER_SCALE * scale
+    btol = BOUNDARY_SCALE * scale
+    radius = CLUSTER_SCALE * scale
     min0 = _min_distance(roots0, H)
     if min0 < -btol:
         raise ValueError("base point is not stable")
@@ -525,13 +523,6 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None, *,
     else:
         event = "root-hit-boundary"
     return StepResult(epsilon=float(lo), event=event, roots=tuple(final))
-
-
-@dataclasses.dataclass(frozen=True)
-class CompressOptions:
-    functional_seed: int = 0
-    cluster_radius: float | None = None
-    boundary_tol: float | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -822,8 +813,8 @@ def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count, *,
     return x, mu, frozen, records, None
 
 
-def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
-             options: CompressOptions | None = None) -> CompressionReport:
+def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
+             seed: int = 0) -> CompressionReport:
     """Descend to a slice member with few interior roots and few distinct
     boundary roots.
 
@@ -837,9 +828,11 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
     multiplicities and flow along the constraint fiber until positions
     collide and their stacks merge, until at most the target number of
     distinct values remains.  Both phases move downhill for one fixed
-    random linear functional, so the descent cannot revisit a state, and
-    every recorded step strictly decreases the lexicographic measure
-    (interior_total, boundary_distinct).
+    random linear functional, drawn from seed, so the descent cannot
+    revisit a state, and every recorded step strictly decreases the
+    lexicographic measure (interior_total, boundary_distinct).  Roots are
+    clustered and judged against the boundary at the scale-relative
+    tolerances of ``cluster_roots``.
 
     The descent runs on the caller's slice in the caller's half-plane.
     The root multiset is the state: it is found once, for the starting
@@ -847,16 +840,13 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
     never re-found from final_z.  A descent that stops above its targets
     raises NonConvergence naming the cause.
     """
-    opts = options if options is not None else CompressOptions()
     H = halfplane if halfplane is not None else HalfPlane.upper()
     n = p0.degree
     if S.k and S.n != n:
         raise DimensionMismatch("slice dimension does not match polynomial degree")
 
     initial_roots = find_roots(p0)
-    initial_profile = cluster_roots(initial_roots, H,
-                                    radius=opts.cluster_radius,
-                                    boundary_tol=opts.boundary_tol)
+    initial_profile = cluster_roots(initial_roots, H)
     if initial_profile.outside_total:
         raise ValueError("starting point is not stable in the given half-plane")
     if S.residual(p0) > membership_tolerance(S.target_vector) * 1e3:
@@ -874,7 +864,7 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
         return NonConvergence(f"compress stopped at measure {measure} above targets "
                               f"{(t_int, t_bd)}: {cause}")
 
-    rng = np.random.default_rng([_PHI_STREAM, opts.functional_seed])
+    rng = np.random.default_rng([_PHI_STREAM, seed])
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     u /= np.linalg.norm(u)
     u2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -887,10 +877,10 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
     iterations = 0
 
     while True:
-        scale = 1.0 + max(abs(x) for x in roots)
-        btol = opts.boundary_tol if opts.boundary_tol is not None else BOUNDARY_SCALE * scale
-        radius = opts.cluster_radius if opts.cluster_radius is not None else CLUSTER_SCALE * scale
-        profile = cluster_roots(roots, H, radius=radius, boundary_tol=btol)
+        profile = cluster_roots(roots, H)
+        # the profile after a step is judged at the tolerances of the roots
+        # before it
+        radius, btol = profile.cluster_radius, profile.boundary_tol
         measure = profile.measure()
         if not checkpoints or measure < checkpoints[-1]:
             checkpoints.append(measure)
@@ -922,8 +912,7 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
                 c = phase * c
                 b = phase * b
             eps_min = 1e-11 * (1.0 + float(np.max(np.abs(zc))))
-            st = max_stable_step(movers, b, frozen, H,
-                                 boundary_tol=btol, cluster_radius=radius)
+            st = max_stable_step(movers, b, frozen, H)
             if st.event == "direction-unbounded":
                 raise stopped("the kernel direction is unbounded", measure)
             if st.epsilon <= eps_min:
@@ -985,9 +974,7 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None,
                 f"slice membership residual grew to {drifted:.3e} during descent"
             )
 
-    final_profile = cluster_roots(roots, H,
-                                  radius=opts.cluster_radius,
-                                  boundary_tol=opts.boundary_tol)
+    final_profile = cluster_roots(roots, H)
     origin = sum(1 for cl in final_profile.clusters
                  if cl.side == "boundary"
                  and abs(cl.center) <= 10.0 * final_profile.boundary_tol)

@@ -37,19 +37,11 @@ class StabilityVerdict:
         return self.stable and self.profile.boundary_distinct == 0
 
 
-def is_stable(
-    p: Poly,
-    halfplane: HalfPlane | None = None,
-    *,
-    cluster_radius: float | None = None,
-    boundary_tol: float | None = None,
-) -> StabilityVerdict:
+def is_stable(p: Poly, halfplane: HalfPlane | None = None) -> StabilityVerdict:
     """Stable iff no root cluster is classified outside the half-plane."""
     region = halfplane if halfplane is not None else HalfPlane.upper()
     roots = find_roots(p)
-    profile = cluster_roots(
-        roots, region, radius=cluster_radius, boundary_tol=boundary_tol
-    )
+    profile = cluster_roots(roots, region)
     return StabilityVerdict(profile.outside_total == 0, profile, roots)
 
 
@@ -86,16 +78,6 @@ def hurwitz_unembed(p: Poly) -> Poly:
     return Poly(tuple(complex(v.real) for v in candidate))
 
 
-def is_weakly_hurwitz(
-    p: Poly,
-    *,
-    cluster_radius: float | None = None,
-    boundary_tol: float | None = None,
-) -> StabilityVerdict:
+def is_weakly_hurwitz(p: Poly) -> StabilityVerdict:
     """All roots in the closed left half-plane (imaginary axis allowed)."""
-    return is_stable(
-        Poly(tuple(_require_real(p))),
-        HalfPlane.left(),
-        cluster_radius=cluster_radius,
-        boundary_tol=boundary_tol,
-    )
+    return is_stable(Poly(tuple(_require_real(p))), HalfPlane.left())

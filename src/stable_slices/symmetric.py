@@ -26,7 +26,7 @@ from .polynomials import (
     vieta_rows,
 )
 from .regions import HalfPlane
-from .slices import CompressOptions, Slice, compactness_bounds, compress
+from .slices import Slice, compactness_bounds, compress
 
 GWS_RESIDUAL_SCALE = 1e-8
 _SEARCH_STREAM = 11
@@ -257,11 +257,9 @@ def eval_symmetric(f, x) -> complex:
     return f.eval_at_e(elementary_symmetrics(xs))
 
 
-def coordinate_profile(x, halfplane: HalfPlane | None = None, *,
-                       radius: float | None = None,
-                       boundary_tol: float | None = None) -> CoordinateProfile:
+def coordinate_profile(x, halfplane: HalfPlane | None = None) -> CoordinateProfile:
     H = halfplane if halfplane is not None else HalfPlane.upper()
-    profile = cluster_roots(tuple(x), H, radius=radius, boundary_tol=boundary_tol)
+    profile = cluster_roots(tuple(x), H)
     return CoordinateProfile(boundary_distinct=profile.boundary_distinct,
                              interior_count=profile.interior_total,
                              outside_count=profile.outside_total)
@@ -313,16 +311,17 @@ def gws_solve(f: SymmetricPoly, x, halfplane: HalfPlane | None = None) -> comple
     return _gws_core(coeffs, xs, H)
 
 
-def coincide(form: SufficientForm, x, halfplane: HalfPlane | None = None,
-             options: CompressOptions | None = None):
+def coincide(form: SufficientForm, x, halfplane: HalfPlane | None = None, *,
+             seed: int = 0):
     """Value-preserving reduction to a point with few distinct coordinates.
 
     Compresses e(x) inside the slice {l_j(z) = l_j(e(x))}; since the form
     only reads the l_j, the value survives, while the compressed root
     multiset has few interior and few distinct boundary coordinates.
-    Returns (x_tilde, CompressionReport); x_tilde is read from the report's
-    final profile, sorted by (Re, Im), so it is the multiset the descent
-    ended at and not a re-found one.
+    seed draws the descent's functional as in ``compress``.  Returns
+    (x_tilde, CompressionReport); x_tilde is read from the report's final
+    profile, sorted by (Re, Im), so it is the multiset the descent ended at
+    and not a re-found one.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     xs = tuple(x)
@@ -331,7 +330,7 @@ def coincide(form: SufficientForm, x, halfplane: HalfPlane | None = None,
     e = np.asarray(elementary_symmetrics(xs), dtype=complex)
     A = np.asarray(form.matrix, dtype=complex)
     S = Slice.from_arrays(A, A @ e)
-    report = compress(Poly(tuple(e)), S, H, options)
+    report = compress(Poly(tuple(e)), S, H, seed=seed)
     members = (x for cl in report.final_profile.clusters for x in cl.members)
     return tuple(sorted(members, key=lambda v: (v.real, v.imag))), report
 

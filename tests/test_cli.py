@@ -78,8 +78,7 @@ class TestRoots:
             "payload": {"poly": {"z": [[0, 0], [1, 0]],
                                  "convention": "vieta-alternating"}},
         })
-        assert doc["roots"] == [[0.0, -1.0], [0.0, 1.0]]
-        assert "tolerances" in doc
+        assert doc == {"roots": [[0.0, -1.0], [0.0, 1.0]]}
 
     def test_result_shape_validates(self, tmp_path):
         doc = run_json(tmp_path, {
@@ -93,9 +92,8 @@ class TestRoots:
                           "items": {"type": "array",
                                     "items": {"type": "number"},
                                     "minItems": 2, "maxItems": 2}},
-                "tolerances": {"type": "object"},
             },
-            "required": ["roots", "tolerances"],
+            "required": ["roots"],
             "additionalProperties": False,
         }
         jsonschema.validate(doc, schema)
@@ -169,7 +167,7 @@ class TestBounds:
             "command": "bounds",
             "payload": {"a1": [0, 2], "a2": [10, 0], "n": 2},
         })
-        assert doc == {"empty": True, "tolerances": doc["tolerances"]}
+        assert doc == {"empty": True}
 
 
 class TestCompress:
@@ -262,6 +260,27 @@ class TestCoincide:
         assert doc["profile"]["boundary_distinct"] <= 6
         assert doc["profile"]["interior_count"] <= 3
         assert doc["report"]["final_profile"]["outside_total"] == 0
+
+    def test_profile_is_the_final_profile(self, tmp_path):
+        # e1 on five points, three of them on the real line; a job-set
+        # cluster radius of 0.05 once ended this at 0 steps with the report
+        # at (2, 2) and the profile at three distinct boundary values
+        doc = run_json(tmp_path, {
+            "command": "coincide",
+            "payload": {
+                "form": {"matrix": [[1, 0, 0, 0, 0]],
+                         "gk": [{"exponents": [1], "coefficient": 1}]},
+                "x": [[0, 0], [0.04, 0], [1, 0], [2, 1], [3, 1]],
+            },
+        })
+        final = doc["report"]["final_profile"]
+        assert doc["profile"] == {"boundary_distinct": final["boundary_distinct"],
+                                  "interior_count": final["interior_total"]}
+        assert doc["profile"] == {"boundary_distinct": 2, "interior_count": 2}
+        assert len(doc["report"]["steps"]) == 1
+        real = sorted({v[0] for v in doc["x_tilde"] if v[1] == 0.0})
+        assert len(real) == 2
+        assert real[0] == pytest.approx(0.0198, abs=1e-4)
 
 
 class TestYoungGws:
@@ -389,8 +408,7 @@ class TestValidation:
     # Python's json reads the literals NaN, Infinity and -Infinity, which
     # JSON does not have, reads 1e400 as inf and keeps a 401-digit integer
     # that no float can hold; each of these jobs got past the schema into a
-    # crash, a NaN result or a wrong verdict (the stable-check merged the
-    # roots 2i and -0.1i into one interior root)
+    # crash, a NaN result or a wrong verdict
     _E1_MINUS_1 = ('{"n": 2, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1},'
                    ' {"exponents": [0], "coefficient": -1}]}')
     NON_FINITE_JOBS = [
@@ -401,15 +419,14 @@ class TestValidation:
         ' "poly": {"z": [[0, 1]]}}}',
         '{"command": "halfdeg-opt", "payload": {"f": %s, "lambda": -Infinity, "mu": 0}}'
         % _E1_MINUS_1,
-        '{"command": "stable-check", "payload": {"poly": {"z": [[0, 1.9], [0.2, 0]]}},'
-        ' "tolerances": {"cluster": Infinity}}',
+        '{"command": "stable-check", "payload": {"poly": {"z": [[0, 1.9], [Infinity, 0]]}}}',
         '{"command": "bounds", "payload": {"a1": 1e400, "a2": 1, "n": 3}}',
         '{"command": "bounds", "payload": {"a1": 1%s, "a2": 1, "n": 3}}' % ("0" * 400),
     ]
 
     @pytest.mark.parametrize("text", NON_FINITE_JOBS, ids=[
         "search-box-nan", "bounds-nan", "moebius-nan", "halfdeg-minus-infinity",
-        "cluster-infinity", "bounds-1e400", "bounds-huge-integer"])
+        "stable-check-z-infinity", "bounds-1e400", "bounds-huge-integer"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, text):
         jf = tmp_path / "job.json"
         jf.write_text(text)
@@ -417,6 +434,18 @@ class TestValidation:
         out, err = capsys.readouterr()
         assert out == ""
         assert "cannot read job" in err
+
+    def test_tolerances_key_exits_2(self, tmp_path, capsys):
+        # every cluster and boundary tolerance is the scale-relative
+        # default; a job that tries to set one is refused
+        jf = tmp_path / "job.json"
+        jf.write_text(json.dumps({"command": "stable-check",
+                                  "payload": EXAMPLE_PAYLOADS["stable-check"],
+                                  "tolerances": {"cluster": 0.05}}))
+        assert main(["--job", str(jf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid job" in err and "'tolerances' was unexpected" in err
 
     def test_schemas_pass_the_meta_schema(self):
         for schema in [_JOB_SCHEMA, *(entry.schema for entry in _COMMANDS.values())]:
@@ -657,10 +686,25 @@ class TestDeterminism:
             },
             "seed": 5,
         }
-        doc_a = run_json(tmp_path, job, args=("--seed", "5"))
-        doc_b = run_json(tmp_path, job)
+        doc_a = run_json(tmp_path, job, args=("--seed", "9"))
+        doc_b = run_json(tmp_path, {**job, "seed": 9})
         assert doc_a == doc_b
+        assert doc_a != run_json(tmp_path, job)
         assert doc_a["inf_full"] == pytest.approx(0.0, abs=1e-6)
+
+    def test_seed_reaches_the_compress_descent(self, tmp_path):
+        # the seed draws the descent's reference functional, which fixes
+        # the phase of every interior step's kernel direction
+        job = {"command": "compress", "payload": EXAMPLE_PAYLOADS["compress"], "seed": 5}
+        doc_5 = run_json(tmp_path, job)
+        doc_9 = run_json(tmp_path, {**job, "seed": 9})
+        assert run_json(tmp_path, job, args=("--seed", "9")) == doc_9
+
+        def directions(doc):
+            return [step["direction"] for step in doc["steps"]]
+
+        assert len(doc_5["steps"]) == len(doc_9["steps"]) == 2
+        assert directions(doc_5) != directions(doc_9)
 
 
 class TestModuleEntry:
