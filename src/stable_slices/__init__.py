@@ -23,7 +23,6 @@ from .regions import (
     MoebiusImage,
     halfplane_contains,
     moebius_transform_poly,
-    to_upper_halfplane,
     upper_chart,
 )
 from .slices import (

@@ -526,14 +526,21 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use like ``_validator``;
+    parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="stable-slices",
         description="batch operations on stable polynomial slices (JSON in, JSON/CSV out)")
     parser.add_argument("--job", help="job file (default: stdin)")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.job:

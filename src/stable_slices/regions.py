@@ -12,9 +12,7 @@ from .errors import DegenerateMap
 from .polynomials import (
     BOUNDARY_SCALE,
     Poly,
-    find_roots,
     raw_to_z,
-    vieta_from_roots,
     z_to_raw,
 )
 
@@ -87,24 +85,12 @@ def halfplane_contains(
     return halfplane.side(point, tol)
 
 
-def to_upper_halfplane(halfplane: HalfPlane, p: Poly) -> Poly:
-    """Conjugate p by the rigid map sending the half-plane to Im >= 0.
-
-    Roots transform as x -> e^{-i theta} (x - base), so stability against
-    the given half-plane becomes stability against the upper half-plane.
-    """
-    roots = find_roots(p)
-    moved = [halfplane.to_upper(x) for x in roots]
-    return vieta_from_roots(moved)
-
-
 def upper_chart(halfplane: HalfPlane, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Affine map (A, b) with z_upper = A @ z + b on coefficient vectors.
 
-    This is the coefficient-level counterpart of to_upper_halfplane: if q
-    has roots e^{-i theta} (x_j - base) then q's coefficient vector equals
-    A z + b, linearly in z.  Built column-by-column, so it is exact up to
-    rounding and needs no root finding.
+    If f_z has roots x_j, the monic q with roots e^{-i theta} (x_j - base)
+    has the coefficient vector A z + b, linear in z.  Built column by
+    column, so it is exact up to rounding and needs no root finding.
     """
     alpha = cmath.exp(-1j * halfplane.theta)
     beta = complex(halfplane.base)

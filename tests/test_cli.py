@@ -1,5 +1,6 @@
 """End-to-end checks of the JSON batch interface."""
 
+import io
 import json
 import pathlib
 import subprocess
@@ -705,6 +706,40 @@ class TestDeterminism:
 
         assert len(doc_5["steps"]) == len(doc_9["steps"]) == 2
         assert directions(doc_5) != directions(doc_9)
+
+
+class TestParser:
+    """main builds its argument parser once per process."""
+
+    # the seed moves the point this search finds
+    JOB = {"command": "variety-search",
+           "payload": {"polys": [{"n": 2, "degree": 2, "terms": [
+               {"exponents": [0, 1], "coefficient": 1},
+               {"exponents": [0, 0], "coefficient": -1}]}], "budget": 5}}
+
+    def call(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(self.JOB)))
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def test_cached_parser_keeps_no_state_between_jobs(self, monkeypatch, capsys):
+        fresh = []
+        for argv in (["--seed", "3"], []):
+            cli._parser.cache_clear()
+            fresh.append(self.call(monkeypatch, capsys, argv))
+        cli._parser.cache_clear()
+        cached = [self.call(monkeypatch, capsys, argv) for argv in (["--seed", "3"], [])]
+        assert cli._parser.cache_info().hits == 1
+        assert cached == fresh
+        assert fresh[0][0] == 0 and fresh[0] != fresh[1]
+
+    def test_bad_flag_exits_2_on_every_call(self, monkeypatch, capsys):
+        for _ in range(3):
+            with pytest.raises(SystemExit) as exc:
+                main(["--no-such-flag"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert self.call(monkeypatch, capsys, [])[0] == 0
 
 
 class TestModuleEntry:

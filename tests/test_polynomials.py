@@ -12,11 +12,16 @@ from stable_slices import (
     find_roots,
     vieta_from_roots,
 )
-from stable_slices import polynomials
+from stable_slices import NonConvergence, polynomials
 from stable_slices.polynomials import (
+    CLUSTER_SCALE,
     _aberth,
     _aberth_rows,
     _circle_start,
+    _collapse_refine,
+    _gaps,
+    _polyval,
+    _single_linkage,
     find_roots_rows,
     vieta_rows,
     z_to_raw,
@@ -27,6 +32,58 @@ def brute_elementary(roots, i):
     return sum(
         np.prod(combo) for combo in itertools.combinations([complex(r) for r in roots], i)
     )
+
+
+def bits(values) -> list[int]:
+    """The bit patterns of complex values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+def reference_linkage(points, radius):
+    """Single linkage as a loop over every pair, with abs on each difference."""
+    n = points.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(points[i] - points[j]) <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[k] for k in sorted(groups)]
+
+
+def reference_clusters(roots, radius):
+    """cluster_roots' centers and members, from reference_linkage, np.mean
+    centers and a pairwise merge loop that recomputes every center."""
+    xs = np.asarray(roots, dtype=complex)
+    groups = reference_linkage(xs, radius)
+    centers = [complex(np.mean(xs[g])) for g in groups]
+    changed = True
+    while changed and len(groups) > 1:
+        changed = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if abs(centers[i] - centers[j]) <= radius:
+                    groups[i] = groups[i] + groups[j]
+                    del groups[j]
+                    centers = [complex(np.mean(xs[g])) for g in groups]
+                    changed = True
+                    break
+            if changed:
+                break
+    clusters = [(complex(np.mean(xs[g])), tuple(complex(xs[k]) for k in sorted(g)))
+                for g in groups]
+    return sorted(clusters, key=lambda c: (c[0].real, c[0].imag))
 
 
 def match_roots(found, expected):
@@ -172,6 +229,131 @@ class TestFindRoots:
         assert match_roots(found, roots) < 1e-9
 
 
+class TestPolyval:
+    def test_matches_np_polyval_bit_for_bit(self):
+        overflowed = 0
+        for degree in range(1, 41):
+            rng = np.random.default_rng(degree)
+            c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            # magnitudes up to 1e40 overflow the high degrees to inf and nan
+            x = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 10.0 ** rng.uniform(-3, 40, 64)
+            with np.errstate(all="ignore"):
+                pairs = [(np.polyval(c, x), _polyval(c.tolist(), x)),
+                         (np.polyval(np.abs(c), np.abs(x)),
+                          _polyval(np.abs(c).tolist(), np.abs(x)))]
+            for expected, got in pairs:
+                assert got.dtype == expected.dtype, degree
+                assert got.tobytes() == expected.tobytes(), degree
+            overflowed += not np.isfinite(pairs[0][0]).all()
+        assert overflowed > 20
+
+
+class TestSingleLinkage:
+    """_single_linkage gives the groups of the pairwise loop it replaced."""
+
+    def test_chained_clusters(self):
+        r = 1e-3
+        chain = 0.9 * r * np.arange(6)
+        zigzag = 5.0 + 0.7 * r * (np.arange(5) + 1j * (np.arange(5) % 2))
+        points = np.concatenate([chain, zigzag, [2.0, 2.0 + 1.1 * r]])
+        groups = _single_linkage(points, r)
+        assert groups == reference_linkage(points, r)
+        assert [len(g) for g in groups] == [6, 5, 1, 1]
+
+    def test_pairs_exactly_at_the_radius(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            points = rng.normal(size=8) + 1j * rng.normal(size=8)
+            gaps = _gaps(points)
+            for i in range(8):
+                for j in range(i + 1, 8):
+                    radius = abs(points[i] - points[j])
+                    assert gaps[i, j] == gaps[j, i] == radius
+                    groups = _single_linkage(points, radius)
+                    assert groups == reference_linkage(points, radius)
+                    assert any(i in g and j in g for g in groups)
+
+    def test_seeded_clouds(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 25):
+            points = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-8, 3)
+            for radius in (0.0, 1e-3, 0.1, 0.5, 2.0):
+                assert _single_linkage(points, radius) == reference_linkage(points, radius)
+
+
+class TestCollapseRefine:
+    """Skipping a rung that repeats a lower rung's grouping changes nothing."""
+
+    @staticmethod
+    def every_rung(w, z, x):
+        """_collapse_refine's ladder with a trial on every rung that links a pair."""
+        scale = 1.0 + float(np.max(np.abs(x)))
+        best = None
+        for factor in (1.0, 1e1, 1e2, 1e3, 1e4):
+            groups = reference_linkage(x, CLUSTER_SCALE * scale * factor)
+            if all(len(g) == 1 for g in groups):
+                continue
+            arr, err = polynomials._snapped(w, z, x, groups)
+            if best is None or err < best[1]:
+                best = (arr, err)
+        return best
+
+    def check(self, monkeypatch, polys):
+        """Compare each _collapse_refine call that find_roots makes on polys
+        with every_rung; returns the trials each of the two made in all."""
+        calls = []
+
+        def recording(w, z, x):
+            calls.append((w, z, x))
+            return _collapse_refine(w, z, x)
+
+        monkeypatch.setattr(polynomials, "_collapse_refine", recording)
+        for p in polys:
+            try:
+                find_roots(p)
+            except NonConvergence:
+                pass
+        monkeypatch.undo()
+
+        trials = []
+        snapped = polynomials._snapped
+
+        def counting(*args):
+            trials[-1] += 1
+            return snapped(*args)
+
+        monkeypatch.setattr(polynomials, "_snapped", counting)
+        for w, z, x in calls:
+            trials.append(0)
+            got = _collapse_refine(w, z, x)
+            trials.append(0)
+            expected = self.every_rung(w, z, x)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert bits(got[0]) == bits(expected[0])
+                assert got[1] == expected[1]
+        return sum(trials[0::2]), sum(trials[1::2])
+
+    def test_triple_plus_double_family(self, monkeypatch):
+        # a triple root, a double root 1/8 to 1/2 away and a simple root
+        rng = np.random.default_rng(6)
+        polys = []
+        for _ in range(30):
+            a = complex(*rng.integers(-8, 9, 2)) / 2
+            b = a + rng.choice([0.125, 0.25, 0.375, 0.5]) * 1j ** rng.integers(4)
+            c = a + complex(*rng.integers(-8, 9, 2)) / 2 + 2.0
+            polys.append(vieta_from_roots([a] * 3 + [b] * 2 + [c]))
+        with_skip, without = self.check(monkeypatch, polys)
+        assert with_skip < without
+
+    def test_stiff_cluster(self, monkeypatch):
+        a = -3.25 + 0.25j
+        b = -3.365429610673588 + 0.18657019497890862j
+        with_skip, without = self.check(
+            monkeypatch, [vieta_from_roots([a] * 3 + [b] * 2 + [-0.75 + 1j])])
+        assert with_skip < without
+
+
 class TestAberthFloorStop:
     """Multiple roots stall Aberth's steps above the step-size test; the
     backward-error floor has to end the iteration instead of the cap."""
@@ -265,6 +447,45 @@ class TestClusterRoots:
     def test_multiplicity_conserved(self, roots):
         profile = cluster_roots(roots, HalfPlane.upper())
         assert profile.total_multiplicity == len(roots)
+
+    def test_merge_loop_matches_the_pairwise_loop(self):
+        # linkage leaves {-0.5, 0.5} and {0.88i, 0.92i} apart, but their
+        # centers lie 0.9 apart; the singleton's -0.0 real part is a +0.0 in
+        # np.mean's center
+        roots = [-0.5, 0.88j, 5.0, 0.5, complex(-0.0, 3.0), 0.92j, 5.0 + 0.6j]
+        assert len(reference_linkage(np.asarray(roots), 1.0)) == 4
+        expected = reference_clusters(roots, 1.0)
+        got = cluster_roots(roots, HalfPlane.upper(), radius=1.0).clusters
+        assert [len(members) for _, members in expected] == [4, 1, 2]
+        assert bits([c.center for c in got]) == bits([center for center, _ in expected])
+        assert [c.members for c in got] == [members for _, members in expected]
+        assert bits([got[1].center]) == bits([3j])
+
+    def test_merges_the_first_close_pair_first(self):
+        # rings of 48 and 24 roots about 0 and 0.9 and one root at 1.8: the
+        # centers 0, 0.9 and 1.8 are 0.9 apart, and merging the first two
+        # leaves the third 1.5 away, while merging the last two first would
+        # draw in all three
+        def ring(center, radius, m):
+            return center + radius * np.exp(2j * np.pi * np.arange(m) / m)
+
+        roots = np.concatenate([ring(0.0, 6.0, 48), ring(0.9, 3.0, 24), [1.8]])
+        expected = reference_clusters(roots, 1.0)
+        got = cluster_roots(roots, HalfPlane.upper(), radius=1.0).clusters
+        assert [len(members) for _, members in expected] == [72, 1]
+        assert bits([c.center for c in got]) == bits([center for center, _ in expected])
+        assert [c.members for c in got] == [members for _, members in expected]
+
+    def test_seeded_chains_match_the_pairwise_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            roots = rng.normal(size=n) + 1j * rng.normal(size=n)
+            r = float(rng.uniform(0.2, 1.0))
+            expected = reference_clusters(roots, r)
+            got = cluster_roots(roots, HalfPlane.upper(), radius=r).clusters
+            assert bits([c.center for c in got]) == bits([center for center, _ in expected])
+            assert [c.members for c in got] == [members for _, members in expected]
 
     def test_center_is_weighted_mean(self):
         profile = cluster_roots([0.0, 3e-7], HalfPlane.upper(), radius=1e-6)

@@ -12,7 +12,6 @@ from stable_slices import (
     halfplane_contains,
     is_stable,
     moebius_transform_poly,
-    to_upper_halfplane,
     upper_chart,
     vieta_from_roots,
 )
@@ -58,22 +57,35 @@ def test_signed_distances_match_signed_distance_bit_for_bit(H):
     assert H.signed_distances(points).tolist() == expected
 
 
+def chart_image(H: HalfPlane, p: Poly) -> np.ndarray:
+    A, b = upper_chart(H, p.degree)
+    return A @ np.asarray(p.z) + b
+
+
+def moved(H: HalfPlane, roots) -> np.ndarray:
+    """The oracle: the coefficients of the roots moved into the upper chart."""
+    return np.asarray(vieta_from_roots([H.to_upper(x) for x in roots]).z)
+
+
 class TestToUpper:
+    """upper_chart maps the coefficients of roots x_j to those of
+    e^{-i theta} (x_j - base), the roots in the upper half-plane's chart."""
+
     def test_upper_is_identity(self):
         p = Poly((1 + 2j, -0.5, 3j))
-        q = to_upper_halfplane(HalfPlane.upper(), p)
-        assert np.allclose(q.z, p.z, atol=1e-9)
+        assert np.allclose(chart_image(HalfPlane.upper(), p), p.z, rtol=0, atol=1e-12)
 
     def test_left_halfplane_cubic(self):
         # roots {-2, -1 +/- i} rotate by -i onto {2i, 1+i, -1+i}
-        p = Poly((-4.0, 6.0, -4.0))
-        q = to_upper_halfplane(HalfPlane.left(), p)
-        assert match_roots(find_roots(q), [2j, 1 + 1j, -1 + 1j]) < 1e-8
+        roots = (-2.0, -1 + 1j, -1 - 1j)
+        q = chart_image(HalfPlane.left(), vieta_from_roots(roots))
+        assert np.allclose(q, moved(HalfPlane.left(), roots), rtol=0, atol=1e-12)
+        assert match_roots(find_roots(Poly(tuple(q))), [2j, 1 + 1j, -1 + 1j]) < 1e-8
 
     def test_shift(self):
         H = HalfPlane(theta=0.0, base=5.0)
-        q = to_upper_halfplane(H, Poly((6.0,)))  # T - 6
-        assert np.allclose(q.z, (1.0,), atol=1e-12)
+        q = chart_image(H, Poly((6.0,)))  # T - 6
+        assert np.allclose(q, (1.0,), rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -84,17 +96,16 @@ class TestToUpper:
     def test_preserves_stability_verdict(self, theta, base, roots):
         H = HalfPlane(theta=theta, base=base)
         p = vieta_from_roots(roots)
-        q = to_upper_halfplane(H, p)
-        assert is_stable(p, H).stable == is_stable(q).stable
+        oracle = moved(H, roots)
+        assert np.allclose(chart_image(H, p), oracle,
+                           rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(oracle))))
+        assert is_stable(p, H).stable == is_stable(Poly(tuple(oracle))).stable
 
     def test_chart_matches_root_transform(self):
         H = HalfPlane(theta=1.1, base=0.4 - 0.2j)
         roots = (0.5 + 1j, -0.3 + 2j, 1.4 - 0.7j)
-        p = vieta_from_roots(roots)
-        A, b = upper_chart(H, 3)
-        via_chart = A @ np.asarray(p.z) + b
-        direct = to_upper_halfplane(H, p)
-        assert np.allclose(via_chart, direct.z, atol=1e-8)
+        assert np.allclose(chart_image(H, vieta_from_roots(roots)), moved(H, roots),
+                           rtol=0, atol=1e-12)
 
 
 class TestMoebius:
