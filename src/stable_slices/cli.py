@@ -128,11 +128,17 @@ def _parse_poly(doc) -> Poly:
 
 
 def _parse_halfplane(payload) -> HalfPlane:
-    """The payload's half-plane; the upper one when it names none."""
+    """The payload's half-plane; the upper one when it names none.
+
+    A named half-plane takes no ``theta`` or ``base``: the name would
+    override them, and a key is refused rather than ignored.
+    """
     doc = payload.get("halfplane")
     if doc is None:
         return HalfPlane.upper()
     if "name" in doc:
+        if "theta" in doc or "base" in doc:
+            raise ValueError("a half-plane takes either 'name' or 'theta' and 'base'")
         return HalfPlane.left() if doc["name"] == "left" else HalfPlane.upper()
     theta = float(doc.get("theta", 0.0))
     base = _c(doc.get("base", [0.0, 0.0]))
@@ -485,21 +491,115 @@ _JOB_SCHEMA = _closed({
 }, "command", "payload")
 
 
+def _schema(command: str | None) -> dict:
+    """One command's payload schema, or the job schema for None."""
+    return _JOB_SCHEMA if command is None else _COMMANDS[command].schema
+
+
 @functools.cache
 def _validator(command: str | None):
-    """Validator of one command's payload schema, or of the job schema for None.
+    """jsonschema's validator of ``_schema(command)``, which words a rejection.
 
     Built on first use, so the schema is checked against its meta-schema
     once per process rather than once per job, and import stays cheap.
     """
-    schema = _JOB_SCHEMA if command is None else _COMMANDS[command].schema
+    schema = _schema(command)
     cls = validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
 
 
+# the Python types of the values json.loads returns, by the JSON type each
+# stands for under draft 2020-12: a bool is no number, and a float with
+# an integral value is an integer
+_PY_TYPES = {None: (dict, list, str, int, float, bool, type(None)),
+             "object": (dict,), "array": (list,),
+             "number": (int, float), "integer": (int, float)}
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
+             "minItems", "maxItems", "minimum", "enum", "const", "oneOf"}
+
+
+def _all(checks: list) -> Callable[[object], bool]:
+    if len(checks) == 1:
+        return checks[0]
+    return lambda v: all(check(v) for check in checks)
+
+
+def _compile(schema: dict) -> Callable[[object], bool]:
+    """Predicate that is true exactly when schema accepts a document of
+    ``json.loads``, by the rules of draft 2020-12 (``validator_for``'s pick
+    for these schemas, which name no ``$schema``).
+
+    It knows only the keywords the schemas above use and raises on any
+    other, and on an ``enum`` or ``const`` value that is not a string, so a
+    schema edit cannot slip past it.  Each keyword ignores values of the
+    types it does not constrain; a value of a type JSON does not have is
+    refused.
+    """
+    kind = schema.get("type")
+    if (schema.keys() - _KEYWORDS or kind not in _PY_TYPES
+            or schema.get("additionalProperties", False) is not False):
+        raise ValueError(f"no compiled check for {schema}")
+    word_lists = [schema["enum"]] if "enum" in schema else []
+    if "const" in schema:
+        word_lists.append([schema["const"]])
+    if not all(isinstance(w, str) for words in word_lists for w in words):
+        raise ValueError(f"no compiled check for a word that is not a string in {schema}")
+    # the checks of each Python type a valid value can have
+    table = {t: [] for t in _PY_TYPES[kind] if t is str or not word_lists}
+    if float in table and kind == "integer":
+        table[float].append(float.is_integer)
+    if dict in table and schema.keys() & {"properties", "required", "additionalProperties"}:
+        properties = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+        required = frozenset(schema.get("required", ()))
+        closed = "additionalProperties" in schema
+
+        def check_object(v) -> bool:
+            if not v.keys() >= required or closed and not v.keys() <= properties.keys():
+                return False
+            return all(properties[key](x) for key, x in v.items() if key in properties)
+
+        table[dict].append(check_object)
+    if list in table and schema.keys() & {"items", "minItems", "maxItems"}:
+        item = _compile(schema["items"]) if "items" in schema else None
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        table[list].append(lambda v: lo <= len(v) <= hi and (item is None or all(map(item, v))))
+    if "minimum" in schema:
+        minimum = schema["minimum"]
+        for t in table.keys() & {int, float}:
+            table[t].append(lambda v: not v < minimum)
+    if str in table and word_lists:
+        words = frozenset.intersection(*map(frozenset, word_lists))
+        table[str].append(words.__contains__)
+    if "oneOf" in schema:
+        branches = [_compile(sub) for sub in schema["oneOf"]]
+        for checks in table.values():
+            checks.append(lambda v: sum(branch(v) for branch in branches) == 1)
+    # True: every value of the type is valid; False (absent): none is
+    lookup = {t: _all(checks) if checks else True for t, checks in table.items()}.get
+
+    def check(v) -> bool:
+        found = lookup(type(v), False)
+        return found is True or found is not False and found(v)
+
+    return check
+
+
+@functools.cache
+def _accepts(command: str | None) -> Callable[[object], bool]:
+    """The compiled check of ``_schema(command)``, built on first use."""
+    return _compile(_schema(command))
+
+
 def _validate(doc, command: str | None) -> None:
-    """Raise the error ``jsonschema.validate`` would raise for doc."""
+    """Raise the error ``jsonschema.validate`` would raise for doc.
+
+    A valid job passes the compiled check and never reaches jsonschema;
+    only a document that check refuses is walked by ``_validator``, so
+    every rejection keeps jsonschema's wording.
+    """
+    if _accepts(command)(doc):
+        return
     error = best_match(_validator(command).iter_errors(doc))
     if error is not None:
         raise error
@@ -528,8 +628,8 @@ def _no_constant(name: str):
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use like ``_validator``;
-    parsing leaves no state in it."""
+    """The command line parser, built on first use like ``_accepts`` and
+    ``_validator``; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="stable-slices",
         description="batch operations on stable polynomial slices (JSON in, JSON/CSV out)")

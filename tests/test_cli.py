@@ -1,14 +1,18 @@
 """End-to-end checks of the JSON batch interface."""
 
+import copy
 import io
 import json
 import pathlib
 import subprocess
 import sys
+import types
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from stable_slices import HalfPlane, cli, vieta_from_roots
@@ -55,6 +59,71 @@ EXAMPLE_PAYLOADS = {
                      "window": [-1, 1, 0, 1], "resolution": [3, 2]},
     "moebius": {"map": {"a": 1, "b": 1, "c": 0, "d": 1}, "poly": {"z": [[0, 0], [1, 0]]}},
 }
+
+
+# edge cases of draft 2020-12 and of oneOf for the schema checks, valid or not
+PINNED_JOBS = {
+    "bool-for-number": {"command": "halfdeg-opt",
+                        "payload": {**EXAMPLE_PAYLOADS["halfdeg-opt"], "lambda": True}},
+    "float-n": {"command": "variety-search", "payload": {"polys": [{**E1_MINUS_1, "n": 2.0}]}},
+    "negative-budget": {"command": "variety-search",
+                        "payload": {"polys": [E1_MINUS_1], "budget": -1}},
+    "pair-pattern": {"command": "variety-search",
+                     "payload": {"polys": [E1_MINUS_1], "pattern": [1, 2]}},
+    "integer-pattern": {"command": "variety-search",
+                        "payload": {"polys": [E1_MINUS_1], "pattern": 3}},
+    "unknown-halfplane-key": {"command": "stable-check", "payload": {
+        "poly": {"z": FLAGSHIP_Z}, "halfplane": {"theta": 0.3, "frobnicate": 1}}},
+    "wrong-convention": {"command": "roots",
+                         "payload": {"poly": {"z": FLAGSHIP_Z, "convention": "raw"}}},
+}
+# the documents schema mutations start from: every command's example and
+# the benchmark's search and compress jobs stored under tests/data
+VALID_JOBS = [
+    *({"command": command, "payload": payload} for command, payload in EXAMPLE_PAYLOADS.items()),
+    *(entry["job"] for entry in SEARCH_VERDICTS),
+    *SWEEP_JOBS.values(),
+]
+# replacement values: each JSON type, an integral float, a negative
+# integer, the empty containers and a pair with a third number
+REPLACEMENTS = [True, None, "x", "left", 2.0, -1, 1.5, [], {}, [1.0, 2.0, 3.0]]
+NEW_KEYS = ["frobnicate", "seed", "name", "theta", "base", "halfplane", "convention",
+            "budget", "pattern", "box", "format"]
+
+
+def _places(holder: list) -> list:
+    """(container, key) of every value in the document holder[0], itself included."""
+    places, stack = [], [holder]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node)) \
+            if isinstance(node, list) else ()
+        places.extend((node, key) for key in keys)
+        stack.extend(node[key] for key in keys)
+    return places
+
+
+@st.composite
+def mutated_jobs(draw):
+    """A valid job with up to three mutations: a key dropped or added, an
+    array item appended, or a value replaced."""
+    holder = [copy.deepcopy(draw(st.sampled_from(VALID_JOBS)))]
+    for _ in range(draw(st.integers(0, 3))):
+        node, key = draw(st.sampled_from(_places(holder)))
+        value = node[key]
+        ops = ["replace"] + (["drop", "add"] if isinstance(value, dict) else []) \
+            + (["append"] if isinstance(value, list) else [])
+        op = draw(st.sampled_from(ops))
+        new = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        if op == "replace":
+            node[key] = new
+        elif op == "drop" and value:
+            del value[draw(st.sampled_from(sorted(value)))]
+        elif op == "add":
+            value[draw(st.sampled_from(NEW_KEYS))] = new
+        elif op == "append":
+            value.append(copy.deepcopy(value[0]) if value and draw(st.booleans()) else new)
+    return holder[0]
 
 
 def run_job(tmp_path, job, args=()):
@@ -129,6 +198,24 @@ class TestStableCheck:
         })
         assert doc["stable"] is False
         assert doc["profile"]["outside_total"] == 1
+
+    def test_named_halfplane(self, tmp_path):
+        # the root 1 lies on the real axis, outside the closed left half-plane
+        payload = {"poly": {"z": [[1, 0]]}, "halfplane": {"name": "left"}}
+        doc = run_json(tmp_path, {"command": "stable-check", "payload": payload})
+        assert doc["stable"] is False
+
+    @pytest.mark.parametrize("extra", [{"theta": 3.0, "base": [0, 5]}, {"theta": 0.0},
+                                       {"base": [0, 0]}])
+    def test_name_with_theta_or_base_exits_2(self, tmp_path, capsys, extra):
+        # the name would override the numbers; a key is refused, not ignored
+        code, text = run_job(tmp_path, {
+            "command": "stable-check",
+            "payload": {"poly": {"z": FLAGSHIP_Z}, "halfplane": {"name": "upper", **extra}},
+        })
+        assert code == 2
+        assert text == ""
+        assert "invalid input" in capsys.readouterr().err
 
 
 class TestHurwitzCommands:
@@ -460,15 +547,69 @@ class TestValidation:
             {"command": "bounds", "payload": {"a1": 1, "a2": [1, 2, 3], "n": 1}},
             {"command": "variety-search",
              "payload": {"polys": [{"n": 2, "degree": 1, "terms": []}], "budget": 0}},
+            *({"command": command, "payload": {**payload, "frobnicate": 1}}
+              for command, payload in EXAMPLE_PAYLOADS.items()),
+            *PINNED_JOBS.values(),
         ]
+        rejected = 0
         for job in jobs:
-            with pytest.raises(jsonschema.ValidationError) as expected:
+            expected = got = None
+            try:
                 jsonschema.validate(job, _JOB_SCHEMA)
                 jsonschema.validate(job["payload"], _COMMANDS[job["command"]].schema)
-            with pytest.raises(jsonschema.ValidationError) as got:
+            except jsonschema.ValidationError as exc:
+                expected = exc.message
+            try:
                 _validate(job, None)
                 _validate(job["payload"], job["command"])
-            assert got.value.message == expected.value.message
+            except jsonschema.ValidationError as exc:
+                got = exc.message
+            assert got == expected, job
+            rejected += expected is not None
+        assert rejected == len(jobs) - 3  # 2.0 for n and both valid patterns pass
+
+    @given(mutated_jobs())
+    @example(PINNED_JOBS["bool-for-number"])
+    @example(PINNED_JOBS["float-n"])
+    @example(PINNED_JOBS["negative-budget"])
+    @example(PINNED_JOBS["pair-pattern"])
+    @example(PINNED_JOBS["integer-pattern"])
+    @example(PINNED_JOBS["unknown-halfplane-key"])
+    @example(PINNED_JOBS["wrong-convention"])
+    def test_compiled_check_agrees_with_jsonschema(self, job):
+        def agree(doc, command):
+            schema = _JOB_SCHEMA if command is None else _COMMANDS[command].schema
+            valid = validator_for(schema)(schema).is_valid(doc)
+            assert cli._accepts(command)(doc) == valid, (command, doc)
+
+        agree(job, None)
+        command = job.get("command") if isinstance(job, dict) else None
+        if isinstance(command, str) and command in _COMMANDS and "payload" in job:
+            agree(job["payload"], command)
+
+    def test_compiler_refuses_what_it_does_not_know(self):
+        for schema in [{"type": "string", "pattern": "^a"}, {"anyOf": [{"type": "number"}]},
+                       {"type": "string"}, {"enum": ["a", 1]}, {"const": 0},
+                       {"type": "object", "additionalProperties": {"type": "number"}},
+                       {"type": "array", "items": {"type": "number", "maximum": 1}}]:
+            with pytest.raises(ValueError):
+                cli._compile(schema)
+        for schema in [_JOB_SCHEMA, *(entry.schema for entry in _COMMANDS.values())]:
+            assert callable(cli._compile(schema))
+
+    def test_invalid_job_exits_2_with_jsonschema_patched(self, tmp_path, monkeypatch, capsys):
+        # bench/tracing.py swaps the module global for a namespace of these two
+        monkeypatch.setattr(cli, "jsonschema", types.SimpleNamespace(
+            validate=jsonschema.validate, ValidationError=jsonschema.ValidationError))
+        jf = tmp_path / "job.json"
+        jf.write_text(json.dumps({"command": "roots", "payload": EXAMPLE_PAYLOADS["roots"]}))
+        assert main(["--job", str(jf)]) == 0
+        capsys.readouterr()
+        jf.write_text(json.dumps(PINNED_JOBS["wrong-convention"]))
+        assert main(["--job", str(jf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid job" in err and "'vieta-alternating' was expected" in err
 
 
 class TestCommandTable:
