@@ -121,7 +121,7 @@ def vieta_from_roots(roots: Sequence[complex]) -> Poly:
 
 def _polyval(c: list, x: np.ndarray) -> np.ndarray:
     """np.polyval(c, x) bit for bit, for a list c of two or more Python
-    scalars, or of arrays that broadcast against x, and finite points x.
+    scalars and finite points x.
 
     Horner in place.  np.polyval starts from y = 0 * x + c[0], which is
     c[0] at a finite x unless a part of c[0] is -0.0, and each step forms
@@ -192,101 +192,15 @@ def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> tuple[np.ndarr
     return x, False
 
 
-def _horner(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.polyval row by row: w holds (rows, m) coefficients, x (rows, k) points."""
-    return _polyval(list(w.T[:, :, None]), x)
-
-
-def _floor_reached_rows(aw: np.ndarray, x: np.ndarray, pv: np.ndarray,
-                        floor: float) -> np.ndarray:
-    """_floor_reached on every row of a stack, as a (rows,) mask."""
-    # _floor_reached screens the first iterate with Python's abs, which is
-    # hypot and can differ from np.abs in the last bit
-    first = _horner(aw, np.hypot(x[:, :1].real, x[:, :1].imag))[:, 0]
-    screen = (np.hypot(pv[:, 0].real, pv[:, 0].imag) <= floor * first) & (floor * first < np.inf)
-    return screen & np.all(np.abs(pv) <= floor * _horner(aw, np.abs(x)), axis=1)
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _aberth_rows(W: np.ndarray, X: np.ndarray, max_iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """_aberth on every row of a stack at once: W holds (rows, n + 1)
-    coefficients, X (rows, n) starts.
-
-    Each row gets the iterates, the stop and the result that _aberth gives
-    it, bit for bit; a row leaves the batch as soon as it stops.  Returns
-    the iterates and a (rows,) mask of the rows stopped at the floor.
-    find_roots keeps _aberth: on a single row this is about 3x slower
-    (medians 2.3-3.3x over random stable polynomials of degree 6-24).
-    """
-    rows, n = X.shape
-    w, x = np.asarray(W, dtype=complex), np.array(X, dtype=complex)
-    out = np.empty_like(x)
-    floored = np.zeros(rows, dtype=bool)
-    floor = _FLOOR_FACTOR * n * np.finfo(float).eps
-    diagonal = np.arange(n)
-    live = np.arange(rows)
-    dw = _derivative(w)
-    aw = np.abs(w)
-    previous = np.full(rows, np.inf)
-    stalled = np.zeros(rows, dtype=bool)
-    for _ in range(max_iterations):
-        pv = _horner(w, x)
-        if stalled.any():
-            stop = np.zeros(live.size, dtype=bool)
-            stop[stalled] = _floor_reached_rows(aw[stalled], x[stalled], pv[stalled], floor)
-            out[live[stop]] = x[stop]
-            floored[live[stop]] = True
-            keep = ~stop
-            live, w, dw, aw, x, pv, previous = (
-                a[keep] for a in (live, w, dw, aw, x, pv, previous))
-            if not live.size:
-                break
-        dpv = _horner(dw, x)
-        dpv = np.where(np.abs(dpv) < 1e-300, 1e-300, dpv)
-        newton = pv / dpv
-        diff = x[:, :, None] - x[:, None, :]
-        diff[:, diagonal, diagonal] = np.inf
-        tiny = (1e-14 * (1.0 + np.max(np.abs(x), axis=1)))[:, None, None]
-        diff = np.where(np.abs(diff) < tiny, tiny, diff)
-        repulsion = np.sum(1.0 / diff, axis=2)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        step = newton / denom
-        x = x - step
-        size = np.max(np.abs(step), axis=1)
-        broken = ~np.isfinite(size)
-        done = broken | (size <= 1e-14 * (1.0 + np.max(np.abs(x), axis=1)))
-        out[live[done]] = np.where(broken[done, None], np.nan, x[done])
-        stalled = size > 0.5 * previous
-        keep = ~done
-        live, w, dw, aw, x, previous, stalled = (
-            a[keep] for a in (live, w, dw, aw, x, size, stalled))
-        if not live.size:
-            break
-    out[live] = x
-    return out, floored
-
-
 def _circle_start(w: np.ndarray) -> np.ndarray:
-    """find_roots' cold start, for one coefficient vector or a stack of rows:
-    n points on a circle of radius 1 + max |a_i|, radii spread slightly."""
-    n = w.shape[-1] - 1
-    radius = 1.0 + np.max(np.abs(w), axis=-1, keepdims=True)
+    """find_roots' cold start: n points on a circle of radius 1 + max |a_i|,
+    radii spread slightly."""
+    n = w.size - 1
+    radius = 1.0 + np.max(np.abs(w))
     k = np.arange(n)
     angles = 2.0 * np.pi * k / n + 0.4
     radii = radius * (1.0 + 1e-3 * (k + 1) / n)
     return radii * np.exp(1j * angles)
-
-
-def _newton_polish_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """find_roots' closing Newton steps on every row of a stack."""
-    dw = _derivative(w)
-    for _ in range(_POLISH_STEPS):
-        pv = _horner(w, x)
-        dpv = _horner(dw, x)
-        safe = np.abs(dpv) > 1e-200
-        x = np.where(safe, x - pv / np.where(safe, dpv, 1.0), x)
-    return x
 
 
 def _derivative(w: np.ndarray, order: int = 1) -> np.ndarray:
@@ -478,45 +392,6 @@ def find_roots(
         )
     order = np.lexsort((x.imag, x.real))
     return tuple(complex(v) for v in x[order])
-
-
-# entries of the (rows, n, n) pair arrays that one lockstep block may hold
-_BLOCK_ENTRIES = 1 << 18
-
-
-def find_roots_rows(Z) -> tuple[np.ndarray, np.ndarray]:
-    """Cold roots of every row of a (rows, n) stack of z vectors at once.
-
-    Returns the roots, one row per polynomial, and a (rows,) mask of the
-    clean rows: their roots pass find_roots' residual gate and no two lie
-    within _collapse_refine's widest radius, so find_roots(Poly(z))
-    returns exactly these roots, sorted, and cluster_roots finds each of
-    them simple.  The other rows decide nothing: find their roots one
-    polynomial at a time.
-    """
-    Z = np.asarray(Z, dtype=complex)
-    rows, n = Z.shape
-    if n == 1:
-        return Z.copy(), np.ones(rows, dtype=bool)
-    roots = np.empty_like(Z)
-    clean = np.empty(rows, dtype=bool)
-    diagonal = np.arange(n)
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    for lo in range(0, rows, block):
-        z = Z[lo:lo + block]
-        w = z_to_raw(z)
-        x, floored = _aberth_rows(w, _circle_start(w), _ABERTH_MAX_ITERATIONS)
-        x[~floored] = _newton_polish_rows(w[~floored], x[~floored])
-        # Poly.scale takes Python's abs, which is hypot
-        tol = RESIDUAL_SCALE * (1.0 + np.max(np.hypot(z.real, z.imag), axis=1))
-        err = np.max(np.abs(vieta_rows(x) - z), axis=1)
-        gap = np.abs(x[:, :, None] - x[:, None, :])
-        gap[:, diagonal, diagonal] = np.inf
-        # the top rung of _collapse_refine's radius ladder, rounded as there
-        widest = CLUSTER_SCALE * (1.0 + np.max(np.abs(x), axis=1)) * 1e4
-        roots[lo:lo + block] = x
-        clean[lo:lo + block] = (err <= tol) & np.all(gap > widest[:, None, None], axis=(1, 2))
-    return roots, clean
 
 
 @dataclasses.dataclass(frozen=True)

@@ -76,13 +76,10 @@ class HalfPlane:
         return cmath.exp(-1j * self.theta) * (complex(point) - self.base)
 
 
-def halfplane_contains(
-    halfplane: HalfPlane, point: complex, tol: float | None = None
-) -> str:
-    """Classify a point as "interior", "boundary" or "outside"."""
-    if tol is None:
-        tol = BOUNDARY_SCALE * (1.0 + abs(complex(point)))
-    return halfplane.side(point, tol)
+def halfplane_contains(halfplane: HalfPlane, point: complex) -> str:
+    """Classify a point as "interior", "boundary" or "outside", with the
+    boundary band BOUNDARY_SCALE (1 + |point|)."""
+    return halfplane.side(point, BOUNDARY_SCALE * (1.0 + abs(complex(point))))
 
 
 def upper_chart(halfplane: HalfPlane, n: int) -> tuple[np.ndarray, np.ndarray]:

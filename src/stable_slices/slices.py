@@ -33,14 +33,11 @@ from .polynomials import (
     _deflate,
     cluster_roots,
     find_roots,
-    find_roots_rows,
     raw_to_z,
     vieta_from_roots,
     z_to_raw,
 )
-# upper_chart is imported only so that bench/tracing.py, which patches it by
-# name, finds it; compress no longer uses a coefficient chart
-from .regions import HalfPlane, upper_chart  # noqa: F401
+from .regions import HalfPlane, upper_chart
 from .stability import is_stable
 
 NULLSPACE_SCALE = 1e-10
@@ -73,6 +70,18 @@ _EVENT_RADIUS_FACTOR = 1e3
 _PHI_STREAM = 7
 # micro-step allowance for the boundary position walk across all merges
 _WALK_BUDGET = 20000
+# Hermite test of a section pixel (_hermite_verdicts): the member test
+# raises every root by _HERMITE_LIFT, the non-member test by _HERMITE_DROP
+# times a root bound.  An eigenvalue within _HERMITE_NOISE n^2 eps S_w S_q
+# of zero decides nothing, where S_w sums the chart of |f_z| and S_q the
+# chart's coefficients: by Weyl's inequality, rounding in the chart and in
+# the matrix moves no eigenvalue further.  On planted near-line roots a
+# factor of 0.1 still agrees with cluster_roots and 1e-3 does not.
+_HERMITE_LIFT = BOUNDARY_SCALE
+_HERMITE_DROP = CLUSTER_SCALE
+_HERMITE_NOISE = 8.0
+# entries of the (rows, n, n) matrices that one block of pixels may hold
+_HERMITE_BLOCK = 1 << 18
 
 
 def membership_tolerance(target: np.ndarray) -> float:
@@ -151,14 +160,12 @@ def _coeff_vector(z, n: int | None = None) -> np.ndarray:
     return v
 
 
-def slice_contains(S: Slice, p: Poly, halfplane: HalfPlane | None = None,
-                   tol: float | None = None) -> bool:
-    """Membership test: linear residual within tol and all roots in H."""
+def slice_contains(S: Slice, p: Poly, halfplane: HalfPlane | None = None) -> bool:
+    """Membership test: linear residual within membership_tolerance and all
+    roots in H."""
     if S.k and p.degree != S.n:
         raise DimensionMismatch("polynomial degree does not match slice dimension")
-    if tol is None:
-        tol = membership_tolerance(S.target_vector)
-    if S.residual(p) > tol:
+    if S.residual(p) > membership_tolerance(S.target_vector):
         return False
     return is_stable(p, halfplane).stable
 
@@ -999,6 +1006,69 @@ class SectionGrid:
     members: tuple[tuple[bool, ...], ...]
 
 
+def _hermite_forms(Q: np.ndarray) -> np.ndarray:
+    """-i Bez(q, conj q) of the monic q of every row of a (rows, n) stack of
+    z vectors, a real symmetric (rows, n, n) stack.
+
+    Over q's ascending coefficients u, entry (i, j) is the sum over
+    b <= min(i, j) of 2 Im(u_{i+j+1-b} conj(u_b)).
+    """
+    rows, n = Q.shape
+    u = np.zeros((rows, 2 * n + 1), dtype=complex)
+    u[:, :n + 1] = z_to_raw(Q)[:, ::-1]
+    m = 2.0 * (u[:, :, None] * u[:, None, :n].conj()).imag
+    hankel = np.add.outer(np.arange(n), np.arange(n)) + 1
+    forms = np.zeros((rows, n, n))
+    for b in range(n):
+        forms[:, b:, b:] += m[:, hankel[:n - b, :n - b] + b, b]
+    return forms
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _hermite_verdicts(Z: np.ndarray, H: HalfPlane) -> np.ndarray:
+    """Root-free verdicts on the monic polynomials of a (rows, n) stack of
+    z vectors: 1 where every root has signed distance above -_HERMITE_LIFT,
+    0 where some root lies below -t_hi, -1 where the test cannot tell.
+
+    A monic q has every root in Im > 0 exactly when -i Bez(q, conj q) is
+    positive definite, and a root in Im < 0 when it has a negative
+    eigenvalue (Hermite 1856; Krein & Naimark 1981).  Each test reads the
+    smallest eigenvalue on the chart of H with every root raised by t.
+    t_hi is _HERMITE_DROP (1 + 2 max_i |z_i|^(1/i)) over the whole stack:
+    the root bound 2 max_i |z_i|^(1/i) (Fujiwara 1916) puts it above
+    cluster_roots' boundary tolerance of every row.  A row that is not
+    finite decides nothing.
+    """
+    rows, n = Z.shape
+    fujiwara = 2.0 * np.max(np.abs(Z) ** (1.0 / np.arange(1, n + 1)),
+                            initial=0.0, where=np.isfinite(Z))
+    verdict = np.full(rows, -1, dtype=np.int8)
+    block = max(1, _HERMITE_BLOCK // (n * n))
+    eps = np.finfo(float).eps
+    for t, value in ((_HERMITE_LIFT, 1), (_HERMITE_DROP * (1.0 + fujiwara), 0)):
+        if t == math.inf:
+            # coefficients near the float limit: no chart of them is finite
+            continue
+        A, b = upper_chart(HalfPlane(H.theta, H.from_upper(-1j * t)), n)
+        absA, absb = np.abs(A), np.abs(b)
+        for lo in range(0, rows, block):
+            z = Z[lo:lo + block]
+            Q = z @ A.T + b
+            # |A| |z| + |b| is the Taylor shift of |f_z| by |base|, the sum
+            # of the moduli of the terms behind Q, so it bounds Q's rounding
+            noise = _HERMITE_NOISE * n * n * eps \
+                * (1.0 + np.sum(np.abs(z) @ absA.T + absb, axis=1)) \
+                * (1.0 + np.sum(np.abs(Q), axis=1))
+            forms = _hermite_forms(Q)
+            broken = ~(np.isfinite(noise) & np.all(np.isfinite(forms), axis=(1, 2)))
+            forms[broken], noise[broken] = 0.0, np.inf
+            smallest = np.linalg.eigvalsh(forms)[:, 0]
+            decided = smallest > noise if value else smallest < -noise
+            part = verdict[lo:lo + block]
+            part[decided & (part < 0)] = value
+    return verdict
+
+
 def sample_slice_section(S: Slice, halfplane: HalfPlane | None, free_axes: tuple[int, int],
                          window: tuple[float, float, float, float],
                          resolution: tuple[int, int]) -> SectionGrid:
@@ -1006,12 +1076,12 @@ def sample_slice_section(S: Slice, halfplane: HalfPlane | None, free_axes: tuple
 
     Axis 2k is Re(z_{k+1}), axis 2k+1 is Im(z_{k+1}); both free axes must
     be annihilated by L so the sampled plane stays inside the affine
-    constraint set.  Rows of the grid follow the y coordinate.  Every
-    pixel starts from find_roots' cold start, and all pixels iterate
-    together (find_roots_rows); a pixel that this pass cannot settle, by a
-    missed residual gate or a near-multiple root, gets find_roots and
-    cluster_roots of its own.  A pixel whose roots a cold start cannot find
-    raises NonConvergence rather than being reported as a non-member.
+    constraint set.  Rows of the grid follow the y coordinate.  The
+    Hermite test (_hermite_verdicts) decides every pixel it can without
+    roots; a pixel in its band, such as a root near the line, gets
+    find_roots and cluster_roots of its own.  A pixel whose roots
+    find_roots cannot find raises NonConvergence rather than being
+    reported as a non-member.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     n = S.n if S.k else (max(free_axes) // 2 + 1)
@@ -1048,11 +1118,9 @@ def sample_slice_section(S: Slice, halfplane: HalfPlane | None, free_axes: tuple
     members = np.zeros(h * w, dtype=bool)
     if linear_ok:
         Z = (base + xs[None, :, None] * vi + ys[:, None, None] * vj).reshape(h * w, n)
-        roots, clean = find_roots_rows(Z)
-        # cluster_roots' verdict when every root is its own cluster
-        btol = BOUNDARY_SCALE * (1.0 + np.max(np.abs(roots), axis=1))
-        members = ~np.any(H.signed_distances(roots) < -btol[:, None], axis=1)
-        for i in np.flatnonzero(~clean):
+        verdict = _hermite_verdicts(Z, H)
+        members = verdict == 1
+        for i in np.flatnonzero(verdict < 0):
             members[i] = cluster_roots(find_roots(Poly(tuple(Z[i]))), H).outside_total == 0
     return SectionGrid(xs=tuple(float(v) for v in xs),
                        ys=tuple(float(v) for v in ys),

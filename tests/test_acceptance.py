@@ -39,7 +39,7 @@ from stable_slices import (
     young_gws,
 )
 from stable_slices.errors import NonConvergence, NoRootInRegion
-from stable_slices.slices import membership_tolerance
+from stable_slices.slices import _hermite_verdicts, membership_tolerance
 
 EXAMPLE_ROOTS = (-20 + 1j, 1j, 20 + 1j, 20j)
 EXAMPLE_E = (23j, -463 + 0j, -8461j, 8020 + 0j)
@@ -172,6 +172,8 @@ def test_criterion_03_compression_bounds():
                             f"the last checkpoint {report.checkpoints[-1]}")
         if report.final_profile.outside_total:
             failures.append(f"instance {idx}: final profile has roots outside")
+        if _hermite_verdicts(np.array([report.final_z.z]), HalfPlane.upper())[0] == 0:
+            failures.append(f"instance {idx}: the Hermite test puts a final root outside")
         step_measures = [st.measure_after for st in report.steps]
         if any(b > a for a, b in zip(step_measures, step_measures[1:])):
             failures.append(f"instance {idx}: step measures increased")
@@ -200,6 +202,8 @@ def test_criterion_04_degree_ten_compression():
         failures.append(f"pinned coordinates moved by {drift:.2e}")
     if report.final_profile.outside_total:
         failures.append("final point left the half-plane")
+    if _hermite_verdicts(np.array([zf]), HalfPlane.upper())[0] == 0:
+        failures.append("the Hermite test puts a final root outside")
     _finish(4, "degree-10 compression instance", t0, 5.0, failures)
 
 

@@ -16,15 +16,12 @@ from stable_slices import NonConvergence, polynomials
 from stable_slices.polynomials import (
     CLUSTER_SCALE,
     _aberth,
-    _aberth_rows,
     _circle_start,
     _collapse_refine,
     _gaps,
     _polyval,
     _single_linkage,
-    find_roots_rows,
     vieta_rows,
-    z_to_raw,
 )
 
 
@@ -372,55 +369,6 @@ class TestAberthFloorStop:
     def test_find_roots_passes_the_residual_gate(self, roots):
         found = find_roots(vieta_from_roots(roots))
         assert match_roots(found, roots) < 1e-6
-
-
-def aberth_fixture(n):
-    """z vectors of degree n whose cold _aberth runs end in each of its ways:
-    the step-size stop, the floor stop (a triple root), a NaN row (a
-    constant term near 1e290 overflows Horner at the start) and, at a low
-    iteration cap, the cap."""
-    rng = np.random.default_rng(n)
-    rows = [rng.normal(0, 2, n) + 1j * rng.normal(0, 1, n) for _ in range(5)]
-    triple = rng.normal(0, 1, n) + 1j * rng.normal(0, 1, n)
-    triple[1:3] = triple[0]
-    close = rng.normal(0, 1, n) + 1j * rng.normal(0, 1, n)
-    close[1] = close[0] + 1e-7
-    rows += [triple, close, 10.0 ** (290 // n) * (1.0 + np.arange(n)) * 1j]
-    return np.array([vieta_from_roots(r).z for r in rows])
-
-
-class TestAberthRows:
-    @pytest.mark.parametrize("n", [3, 4, 9])
-    @pytest.mark.parametrize("max_iterations", [4, 400])
-    def test_matches_aberth_bit_for_bit(self, n, max_iterations):
-        # degree 9 sums the repulsion pairwise in NumPy, degree 3 and 4 in order
-        W = z_to_raw(aberth_fixture(n))
-        with np.errstate(all="ignore"):
-            X, floored = _aberth_rows(W, _circle_start(W), max_iterations)
-            single = [_aberth(w, _circle_start(w), max_iterations) for w in W]
-        for b, (x, stop) in enumerate(single):
-            assert np.array_equal(X[b], x, equal_nan=True), b
-            assert floored[b] == stop, b
-        if max_iterations == 400:
-            assert floored.any() and not floored.all()
-            assert np.isnan(X[-1]).all()
-
-
-class TestFindRootsRows:
-    @pytest.mark.parametrize("n", [3, 4, 9])
-    def test_clean_rows_are_find_roots_results(self, n):
-        Z = aberth_fixture(n)
-        with np.errstate(all="ignore"):
-            roots, clean = find_roots_rows(Z)
-        # the triple root, the 1e-7 pair and the overflow need find_roots
-        assert clean.tolist() == [True] * 5 + [False] * 3
-        for z, x in zip(Z[clean], roots[clean]):
-            assert tuple(x[np.lexsort((x.imag, x.real))]) == find_roots(Poly(tuple(z)))
-
-    def test_degree_one_rows_are_their_roots(self):
-        Z = np.array([[2.0 + 1j], [-3.0]])
-        roots, clean = find_roots_rows(Z)
-        assert clean.all() and np.array_equal(roots, Z)
 
 
 class TestClusterRoots:

@@ -43,9 +43,10 @@ class TestContains:
     def test_outside(self):
         assert halfplane_contains(HalfPlane.upper(), -2j) == "outside"
 
-    def test_explicit_tolerance(self):
-        assert halfplane_contains(HalfPlane.upper(), 1e-3j, tol=1e-2) == "boundary"
-        assert halfplane_contains(HalfPlane.upper(), 1e-3j, tol=1e-6) == "interior"
+    def test_default_tolerance(self):
+        # the boundary band is BOUNDARY_SCALE (1 + |point|)
+        assert halfplane_contains(HalfPlane.upper(), 5e-9j) == "boundary"
+        assert halfplane_contains(HalfPlane.upper(), 1e-3j) == "interior"
 
 
 @pytest.mark.parametrize("H", [HalfPlane.upper(), HalfPlane.left(), HalfPlane(4.4, 0.3 - 0.7j)])
