@@ -334,17 +334,12 @@ def find_roots(
         x = np.asarray(list(initial), dtype=complex)
         if x.size != n:
             raise DimensionMismatch("warm start must supply one value per root")
-        # split coincident warm values so pairwise repulsion stays finite
-        groups = _single_linkage(x, 1e-12 * (1.0 + float(np.max(np.abs(x)))))
-        for g in groups:
-            if len(g) > 1:
-                spread = 1e-7 * (1.0 + abs(x[g[0]]))
-                for t, idx in enumerate(g):
-                    x[idx] += spread * np.exp(2j * np.pi * (t + 0.3) / len(g))
         # An all-real or conjugate-symmetric iterate set is invariant under
         # the iteration when the coefficients are real, which strands warm
         # starts on the wrong side of a root collision; a fixed asymmetric
-        # nudge keeps every configuration reachable.
+        # nudge keeps every configuration reachable.  It also splits
+        # coincident warm values: for n <= 100 no two of its phases are
+        # closer than 0.013, and _aberth clamps the pair differences left.
         k = np.arange(x.size)
         x = x + 1e-9 * (1.0 + np.abs(x)) * np.exp(1j * (0.6 + 1.7 * k))
     else:

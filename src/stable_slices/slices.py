@@ -31,6 +31,7 @@ from .polynomials import (
     Poly,
     RootProfile,
     _deflate,
+    _gaps,
     cluster_roots,
     find_roots,
     raw_to_z,
@@ -49,16 +50,17 @@ STEP_MARGIN = 0.5
 # distance d leaves the colliding pair split by about sqrt(d * curvature),
 # so the landing has to be resolved far below the clustering radius squared
 STEP_REL_WIDTH = 1e-15
-# relative distance of the two probes that verify a predicted step, one on
+# relative distance of the two probes that try a predicted crossing, one on
 # each side of it.  Raw-root noise can move a landing this far from its
-# prediction (1e-9 relative on a degree-9 mover factor); the probe then
-# disagrees, and the doubling fallback brackets the step instead
+# prediction (1e-9 relative on a degree-9 mover factor); an inner probe that
+# already reads inadmissible then closes the bracket at the last admissible
+# point instead
 STEP_VERIFY_DELTA = 1e-9
 # largest step any search tries; a direction still stable there is
 # reported unbounded
 STEP_CAP = 1e9
 # |Im t| / (1 + |t|) up to which a root t of the crossing polynomial counts
-# as real: a spurious candidate only fails verification, a missed one could
+# as real: a spurious candidate only costs its two probes, a missed one could
 # step over a crossing
 _CROSSING_REAL_TOL = 1e-6
 # ITP constants of the bracketing phase: kappa1 (scaled by the initial
@@ -330,26 +332,20 @@ def _min_distance(roots, halfplane: HalfPlane) -> float:
 
 
 def _min_gap(roots) -> float:
-    arr = np.asarray(roots, dtype=complex)
-    if arr.size < 2:
-        return float("inf")
-    diff = np.abs(arr[:, None] - arr[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
+    return float(_gaps(np.asarray(roots, dtype=complex)).min())
 
 
-def _first_crossing(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
-                    cut: float) -> float | None:
-    """Predicted first epsilon at which a root of f_{move_z + eps move_b}
-    reaches the line {signed distance = -cut}.
+def _crossings(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
+               cut: float) -> list[float] | None:
+    """Every positive epsilon, ascending, at which a root of
+    f_{move_z + eps move_b} reaches the line {signed distance = -cut}.
 
     On that line x = a + w t with t real.  With P and C the two members of
     the pencil composed with it, a root sits at t exactly when
     eps = -P(t)/C(t) is real, so t is a real root of the real polynomial
     F = Im(P conj C), of degree at most 2m - 1 for m roots (Fisk, arXiv
     math/0612833).
-    Returns the smallest positive such eps, math.inf when there is none,
-    and None when F vanishes to rounding.
+    Returns None when F vanishes to rounding.
     """
     w = cmath.exp(1j * H.theta)
     a = H.from_upper(-1j * cut)
@@ -374,14 +370,14 @@ def _first_crossing(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
     t = t.real[np.abs(t.imag) <= _CROSSING_REAL_TOL * (1.0 + np.abs(t))]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eps = (-np.polyval(P, t) / np.polyval(C, t)).real
-    eps = eps[np.isfinite(eps) & (eps > 0.0)]
-    return float(eps.min()) if eps.size else math.inf
+    return np.sort(eps[np.isfinite(eps) & (eps > 0.0)]).tolist()
 
 
 def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) -> StepResult:
     """Largest epsilon in [0, STEP_CAP] at which the moving factor, with
     coefficient vector vieta(movers) + epsilon*b, times the frozen factor
-    prod (T - x) stays stable: predict, verify, then ITP.
+    prod (T - x) stays stable: bracket the first inadmissible step, then
+    narrow the bracket by ITP.
 
     This is how ``compress`` steps: a kernel direction c = chi(b) only
     stirs the moving factor, so the search tracks the movers alone.  The
@@ -392,19 +388,21 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) ->
 
     The acceptance predicate allows roots a hair past the boundary
     (STEP_MARGIN of boundary_tol) so that the landed configuration stays
-    stable under the full tolerance.  The first inadmissible step is
-    predicted exactly from the crossing polynomial (``_first_crossing``)
-    and verified by two raw probes, STEP_VERIFY_DELTA inside it and
-    outside it; with no crossing predicted up to STEP_CAP, one probe there
-    confirms the direction unbounded.  The ITP method then narrows the
-    verified bracket on the margin (min signed distance + allowance).  It
-    converges superlinearly where the margin is smooth and at worst spends
-    _ITP_N0 probes more than bisection to the same width.  Only when there
-    is no prediction or a probe disagrees with it does doubling from a
-    tiny eps0 bracket the first inadmissible step instead; doubling can
-    step over a window in which a root leaves and comes back.  The event
-    reports what limited the step: an interior root reaching the boundary,
-    two boundary roots merging, or no event up to STEP_CAP.
+    stable under the full tolerance.  Every step at which a root can reach
+    the line of that predicate is predicted exactly from the crossing
+    polynomial (``_crossings``).  Raw probes walk them in order, two per
+    crossing up to STEP_CAP, STEP_VERIFY_DELTA inside and outside it, and
+    STEP_CAP last; each is warm-started from the last admissible roots and
+    skipped when it does not lie past the last admissible point.  A
+    spurious crossing, such as a tangency, costs its two probes and the
+    walk goes on.  The first probe that reads inadmissible closes the
+    bracket at the last admissible point; when none does, the direction is
+    unbounded.  The ITP method then narrows the bracket on the margin (min
+    signed distance + allowance).  It converges superlinearly where the
+    margin is smooth and at worst spends _ITP_N0 probes more than
+    bisection to the same width.  The event reports what limited the step:
+    an interior root reaching the boundary, two boundary roots merging, or
+    no event up to STEP_CAP.
     """
     base_move = tuple(complex(x) for x in movers)
     frozen = tuple(complex(x) for x in frozen)
@@ -429,60 +427,31 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) ->
         return find_roots(Poly(tuple(move_z + eps * move_b)), initial=warm, raw=True)
 
     def settle_at(eps: float, warm):
-        q = Poly(tuple(move_z + eps * move_b))
-        try:
-            settled = find_roots(q, initial=warm)
-        except NonConvergence:
-            settled = find_roots(q)
-        return tuple(settled) + frozen
+        return find_roots(Poly(tuple(move_z + eps * move_b)), initial=warm) + frozen
 
     def margin(roots) -> float:
         # continuous form of the acceptance predicate: admissible iff >= 0
         return _min_distance(roots, H) + cut
 
+    trials = []
+    for eps in _crossings(move_z, move_b, H, cut) or ():
+        if eps > STEP_CAP:
+            break
+        trials += (eps * (1.0 - STEP_VERIFY_DELTA), min(STEP_CAP, eps * (1.0 + STEP_VERIFY_DELTA)))
+    trials.append(STEP_CAP)
     lo, roots_lo, g_lo = 0.0, base_move, margin(base_move)
-    hi = None
-    predicted = _first_crossing(move_z, move_b, H, cut)
-    if predicted is not None and predicted > STEP_CAP:
-        probe = probe_at(STEP_CAP, base_move)
-        if margin(probe) >= 0.0:
-            final = settle_at(STEP_CAP, probe)
-            return StepResult(epsilon=STEP_CAP, event="direction-unbounded", roots=tuple(final))
-    elif predicted is not None:
-        inner = predicted * (1.0 - STEP_VERIFY_DELTA)
-        rt_in = probe_at(inner, base_move)
-        g_in = margin(rt_in)
-        if g_in >= 0.0:
-            outer = min(STEP_CAP, predicted * (1.0 + STEP_VERIFY_DELTA))
-            rt_out = probe_at(outer, rt_in)
-            g_out = margin(rt_out)
-            if g_out < 0.0:
-                lo, roots_lo, g_lo, hi, g_hi = inner, rt_in, g_in, outer, g_out
-
-    if hi is None:
-        # fallback: no prediction, or a probe disagreed with it
-        eps0 = min(STEP_CAP, 1e-8 * (1.0 + float(np.max(np.abs(move_z))))
-                   / (1.0 + float(np.max(np.abs(move_b)))))
-        probe = probe_at(eps0, base_move)
-        g = margin(probe)
-        if g >= 0.0:
-            lo, roots_lo, g_lo = eps0, probe, g
-            while lo < STEP_CAP:
-                trial = min(STEP_CAP, lo * 2.0)
-                rt = probe_at(trial, roots_lo)
-                g = margin(rt)
-                if g >= 0.0:
-                    lo, roots_lo, g_lo = trial, rt, g
-                    if trial >= STEP_CAP:
-                        break
-                else:
-                    hi, g_hi = trial, g
-                    break
-            if hi is None:
-                final = settle_at(STEP_CAP, roots_lo)
-                return StepResult(epsilon=STEP_CAP, event="direction-unbounded", roots=tuple(final))
-        else:
-            hi, g_hi = eps0, g
+    for trial in trials:
+        if trial <= lo:
+            continue
+        rt = probe_at(trial, roots_lo)
+        g = margin(rt)
+        if g < 0.0:
+            hi, g_hi = trial, g
+            break
+        lo, roots_lo, g_lo = trial, rt, g
+    else:
+        return StepResult(epsilon=STEP_CAP, event="direction-unbounded",
+                          roots=settle_at(STEP_CAP, roots_lo))
 
     # ITP (Oliveira & Takahashi, ACM TOMS 47, 2020): a regula falsi point
     # truncated towards the midpoint and projected into the ball that keeps
@@ -855,7 +824,11 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
     initial_roots = find_roots(p0)
     initial_profile = cluster_roots(initial_roots, H)
     if initial_profile.outside_total:
-        raise ValueError("starting point is not stable in the given half-plane")
+        # only a start the Hermite test certifies unstable is the input's fault
+        if _hermite_verdicts(np.asarray([p0.z], dtype=complex), H)[0] == 0:
+            raise ValueError("starting point is not stable in the given half-plane")
+        raise NonConvergence("find_roots put a root of the starting point outside "
+                             "the half-plane, and the Hermite test does not confirm it")
     if S.residual(p0) > membership_tolerance(S.target_vector) * 1e3:
         raise ValueError("starting point does not satisfy the slice constraints")
 

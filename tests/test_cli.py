@@ -22,8 +22,8 @@ from stable_slices.slices import membership_tolerance
 
 FLAGSHIP_Z = [[0.0, 23.0], [-463.0, 0.0], [0.0, -8461.0], [8020.0, 0.0]]
 
-# compress jobs of degree 20 and 24 as the benchmark's job generator draws
-# them from default_rng([77, n]), stored verbatim
+# compress jobs of degree 20, 24 and 32 as the benchmark's job generator
+# draws them from default_rng([77, n]), stored verbatim
 SWEEP_JOBS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "compress_sweep_jobs.json").read_text())
 # the variety-search jobs of the benchmark's search workload at seed 1,
@@ -315,6 +315,31 @@ class TestCompress:
         assert text == ""
         err = capsys.readouterr().err
         assert "measure (4, 20) above targets (4, 8)" in err
+
+    def test_root_finder_fault_on_a_stable_start_exits_3(self, tmp_path, capsys):
+        # every exact root of this degree-32 start lies within boundary_tol
+        # of the line, but find_roots puts one outside; the Hermite test
+        # cannot tell either, so the start is not refused as unstable
+        code, text = run_job(tmp_path, SWEEP_JOBS["compress-47-n32-k3-dense"])
+        assert code == 3
+        assert text == ""
+        assert "Hermite test does not confirm it" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("roots, halfplane", [
+        ((1j, 2j, -1j), None),
+        ((1 + 1j, -0.5j, 2), None),
+        ((-1, -2 + 1j, 0.5), {"name": "left"}),
+    ])
+    def test_unstable_start_exits_2(self, tmp_path, capsys, roots, halfplane):
+        z = vieta_from_roots(roots).z
+        payload = {"poly": {"z": [[v.real, v.imag] for v in z]},
+                   "slice": {"matrix": [[1, 0, 0]], "target": [[z[0].real, z[0].imag]]}}
+        if halfplane is not None:
+            payload["halfplane"] = halfplane
+        code, text = run_job(tmp_path, {"command": "compress", "payload": payload})
+        assert code == 2
+        assert text == ""
+        assert "starting point is not stable" in capsys.readouterr().err
 
 
 class TestGws:

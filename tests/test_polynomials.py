@@ -208,6 +208,14 @@ class TestFindRoots:
         found = find_roots(p)
         assert match_roots(found, roots) < 1e-6
 
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_coincident_warm_values(self, raw):
+        # the warm start's asymmetric nudge splits four equal values far
+        # enough for the pairwise repulsion to separate them
+        planted = [-1.5 + 0.5j, 0.25 + 2j, 1.0 + 0.75j, 2.5 - 1j]
+        found = find_roots(vieta_from_roots(planted), initial=[1j] * 4, raw=raw)
+        assert match_roots(found, planted) < 1e-10
+
     def test_rotated_retry_rescues_a_stiff_cluster(self, monkeypatch):
         # a triple root next to a double one: the circle start's iterates
         # miss the residual gate, the rotated start's pass meets it

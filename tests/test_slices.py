@@ -29,7 +29,6 @@ from stable_slices.slices import (
     _hermite_verdicts,
     STEP_CAP,
     STEP_MARGIN,
-    STEP_REL_WIDTH,
     membership_tolerance,
 )
 
@@ -256,6 +255,24 @@ class TestMaxStableStep:
         assert res.epsilon == pytest.approx(2.0, abs=1e-5)
         assert res.roots[-2:] == (1.0, 1.0)
 
+    def test_failed_settle_raises(self, monkeypatch):
+        # a landing whose warm settle fails is a numerical failure; no cold
+        # start is tried in its place
+        real = slices.find_roots
+        cold = []
+
+        def failing(p, **kwargs):
+            if kwargs.get("initial") is None:
+                cold.append(p)
+            elif not kwargs.get("raw"):
+                raise NonConvergence("warm settle failed")
+            return real(p, **kwargs)
+
+        monkeypatch.setattr(slices, "find_roots", failing)
+        with pytest.raises(NonConvergence):
+            max_stable_step(_movers((3j, -2.0)), (0.0, 1.0))
+        assert cold == []
+
     def test_mover_direction_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             max_stable_step((1j, 2j), (0.0, 1.0, 0.0))
@@ -282,8 +299,7 @@ class TestMaxStableStep:
     # (z, c, event, most raw probes) on the predicted path: two probes
     # verify the predicted step from either side and ITP narrows their
     # bracket (6, 2 and 23 probes here); a direction with no predicted
-    # crossing costs one probe at STEP_CAP.  The doubling fallback alone
-    # spends 26 or more probes on each of these.
+    # crossing costs one probe at STEP_CAP.
     PREDICTED_CASES = [
         ((3j, -2.0), (0.0, 1.0), "root-hit-boundary", 8),
         ((0j,), (-1j,), "root-hit-boundary", 2),
@@ -312,38 +328,42 @@ def _factor_step_input(rng, n, H):
 
 
 class TestStepPrediction:
-    """The predicted step against the doubling search it replaces, which
-    still runs when the prediction is missing or fails verification."""
+    """The step search walks every crossing that the crossing polynomial
+    predicts, in order, and lands where numpy.roots sees the first one."""
 
     HALFPLANES = [HalfPlane.upper(), HalfPlane(0.7, 0.4 - 1.2j), HalfPlane(2.5, 1.5 + 0.5j)]
 
-    def _fallback(self, monkeypatch, *args, **kwargs):
-        with monkeypatch.context() as patch:
-            patch.setattr(slices, "_first_crossing", lambda *a: None)
-            return max_stable_step(*args, **kwargs)
-
-    def test_prediction_matches_fallback(self, monkeypatch):
-        # both searches end at a bracket of width STEP_REL_WIDTH (1 + eps)
-        # around a crossing of a margin read from raw root iterates; over
-        # 2730 seeded draws like these the landings differed by at most
-        # 1e-11 relative, which is rounding in those iterates
+    def test_landing_agrees_with_numpy_roots(self):
+        # just inside the landing every root of the moving factor is
+        # admissible, and just outside a boundary hit one is not; an
+        # unbounded direction stays admissible all the way to STEP_CAP
         rng = np.random.default_rng(6061)
         events = set()
         for n in range(4, 11):
             for H in self.HALFPLANES:
                 movers, b, frozen = _factor_step_input(rng, n, H)
-                predicted = max_stable_step(movers, b, frozen, H)
-                fallback = self._fallback(monkeypatch, movers, b, frozen, H)
-                assert predicted.event == fallback.event
-                assert predicted.epsilon == pytest.approx(
-                    fallback.epsilon, rel=1e-10, abs=2 * STEP_REL_WIDTH)
-                events.add(predicted.event)
+                res = max_stable_step(movers, b, frozen, H)
+                move_z = np.asarray(vieta_from_roots(movers).z)
+                cut = STEP_MARGIN * BOUNDARY_SCALE * (1.0 + max(abs(x) for x in movers + frozen))
+
+                def lowest(eps):
+                    moved = np.roots(z_to_raw(move_z + eps * b))
+                    return min(H.signed_distance(x) for x in moved)
+
+                assert lowest(0.999 * res.epsilon) >= -cut
+                if res.event == "root-hit-boundary":
+                    assert lowest(1.001 * res.epsilon) < -cut
+                if res.event == "direction-unbounded":
+                    assert res.epsilon == STEP_CAP
+                    for eps in np.logspace(-6, math.log10(STEP_CAP), 100):
+                        assert lowest(eps) >= -cut
+                events.add(res.event)
         assert events == {"root-hit-boundary", "direction-unbounded"}
 
     def test_prediction_finds_a_window_doubling_steps_over(self, monkeypatch):
         # a mover leaves the half-plane at eps = 1.43372 and comes back
-        # near eps = 1.95; the doubling fallback probes 1.129 and 2.258,
-        # finds both admissible and goes on to the cap
+        # near eps = 1.95; a doubling search from a tiny first step probes
+        # 1.129 and 2.258, finds both admissible and goes on to the cap
         rng = np.random.default_rng(17)
         draws = [(_factor_step_input(rng, n, H), H)
                  for n in range(4, 9) for H in self.HALFPLANES]
@@ -356,13 +376,14 @@ class TestStepPrediction:
             moved = np.roots(z_to_raw(move_z + eps * b))
             assert (min(H.signed_distance(x) for x in moved) < 0.0) == outside
 
-    def test_verify_probes_below_noise_fall_back_to_doubling(self):
+    def test_verify_probes_below_noise_bracket_at_the_next_crossing(self):
         # a real root starts on the boundary line and leaves it at once.  The
         # crossing is predicted at eps = 2.0827e-7, but STEP_VERIFY_DELTA
-        # moves the margin there by less than raw-root noise, so both verify
-        # probes read admissible and only the doubling search brackets the
-        # step; taking the outer probe for a tangency and stepping on past
-        # it ends at the cap as direction-unbounded
+        # moves the margin there by less than raw-root noise, so both its
+        # probes read admissible; the inner probe of the next crossing,
+        # 1.24e7, reads inadmissible, and ITP finds the first one in that
+        # bracket.  Taking the outer probe's margin for a tangency and
+        # reporting the direction unbounded would be wrong
         z = np.asarray(vieta_from_roots([-0.5587840908301573,
                                          0.9162470079135698 + 0.4152410595284843j,
                                          -1.6032901259175492 + 1.2133954349468397j]).z)
@@ -391,36 +412,52 @@ class TestStepPrediction:
         -0.07989085705559164 - 0.08620390108309196j, -0.41855913845517667 + 0.043825085168528254j,
         -0.07765697086045899 - 0.39392549838297636j)
 
-    def test_missed_prediction_falls_back_to_doubling(self, monkeypatch):
+    def test_missed_prediction_brackets_below_the_inner_probe(self, monkeypatch):
         # the crossing is predicted at 6.623684550e-6, about 1e-9 relative
         # past the landing: as far as STEP_VERIFY_DELTA reaches, so the
-        # inner verify probe reads inadmissible, and only the doubling
-        # search brackets the step.  This step is why the fallback stays.
+        # inner probe already reads inadmissible and closes the bracket
+        # [0, inner probe], which ITP narrows in 6 more probes
         H = HalfPlane(2.5, 1.5 + 0.5j)
         movers, b = self.MISSED_PREDICTION_MOVERS, np.asarray(self.MISSED_PREDICTION_B)
         frozen = (1.480129990817609 + 0.514843339905583j,)
         move_z = np.asarray(vieta_from_roots(movers).z)
         cut = STEP_MARGIN * BOUNDARY_SCALE * (1.0 + max(abs(x) for x in movers + frozen))
-        predicted = slices._first_crossing(move_z, b, H, cut)
+        predicted = slices._crossings(move_z, b, H, cut)[0]
         assert predicted == pytest.approx(6.623684550e-6, rel=1e-9)
         probes = _record_raw_probes(monkeypatch)
         res = max_stable_step(movers, b, frozen, H)
         assert res.event == "root-hit-boundary"
         assert res.epsilon == pytest.approx(6.623684542e-6, rel=1e-9)
         assert min(H.signed_distance(x) for x in probes[0]) < -cut
-        assert len(probes) == 11
+        assert len(probes) == 7
         for scale, outside in ((0.999, False), (1.001, True)):
             moved = np.roots(z_to_raw(move_z + scale * res.epsilon * b))
             assert (min(H.signed_distance(x) for x in moved) < 0.0) == outside
 
-    def test_vanishing_crossing_polynomial_falls_back(self):
-        # b = 0 leaves F identically zero: no prediction, and the doubling
-        # search walks to the cap
-        assert slices._first_crossing(np.array([3j, -2.0]), np.zeros(2, dtype=complex),
-                                      HalfPlane.upper(), 1e-8) is None
+    def test_spurious_crossing_costs_two_probes(self, monkeypatch):
+        # a predicted crossing that is not one, such as a tangency, is
+        # probed from both sides and the walk goes on to the real one
+        plain = _record_raw_probes(monkeypatch)
+        expected = max_stable_step(_movers((3j, -2.0)), (0.0, 1.0))
+        monkeypatch.undo()
+        crossings = slices._crossings
+        monkeypatch.setattr(slices, "_crossings", lambda *a: [1.0] + crossings(*a))
+        spurious = _record_raw_probes(monkeypatch)
+        res = max_stable_step(_movers((3j, -2.0)), (0.0, 1.0))
+        assert res.event == expected.event == "root-hit-boundary"
+        assert res.epsilon == expected.epsilon == pytest.approx(2.000000045, rel=1e-12)
+        assert len(spurious) == len(plain) + 2
+
+    def test_vanishing_crossing_polynomial_probes_the_cap(self, monkeypatch):
+        # b = 0 leaves F identically zero: no prediction, and the one
+        # probe at STEP_CAP finds the direction unbounded
+        assert slices._crossings(np.array([3j, -2.0]), np.zeros(2, dtype=complex),
+                                 HalfPlane.upper(), 1e-8) is None
+        probes = _record_raw_probes(monkeypatch)
         res = max_stable_step(_movers((3j, -2.0)), (0.0, 0.0))
         assert res.event == "direction-unbounded"
         assert res.epsilon == STEP_CAP
+        assert len(probes) == 1
 
 
 class TestCompress:
