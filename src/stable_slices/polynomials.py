@@ -57,9 +57,24 @@ def z_to_raw(z) -> np.ndarray:
 
 
 def raw_to_z(w: np.ndarray) -> np.ndarray:
-    """Signed coefficient vector z of a monic descending raw vector w."""
-    signs = (-1.0) ** np.arange(1, w.size)
-    return signs * w[1:]
+    """Signed coefficient vector z of a monic descending raw vector w, or
+    one z row per row of a stack of them."""
+    signs = (-1.0) ** np.arange(1, w.shape[-1])
+    return signs * w[..., 1:]
+
+
+def _compose_affine(rows: np.ndarray, w: complex, a: complex) -> np.ndarray:
+    """Descending coefficients in t of p(w t + a), for the descending raw
+    coefficients p of every row of a stack, by Horner's rule in t."""
+    line = rows[..., :1]
+    for j in range(1, rows.shape[-1]):
+        # Horner in t: line * (w t + a) + next coefficient
+        nxt = np.zeros(rows.shape[:-1] + (j + 1,), dtype=complex)
+        nxt[..., :-1] = w * line
+        nxt[..., 1:] += a * line
+        nxt[..., -1] += rows[..., j]
+        line = nxt
+    return line
 
 
 @dataclasses.dataclass(frozen=True)

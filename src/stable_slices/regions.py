@@ -12,6 +12,7 @@ from .errors import DegenerateMap
 from .polynomials import (
     BOUNDARY_SCALE,
     Poly,
+    _compose_affine,
     raw_to_z,
     z_to_raw,
 )
@@ -86,42 +87,16 @@ def upper_chart(halfplane: HalfPlane, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Affine map (A, b) with z_upper = A @ z + b on coefficient vectors.
 
     If f_z has roots x_j, the monic q with roots e^{-i theta} (x_j - base)
-    has the coefficient vector A z + b, linear in z.  Built column by
-    column, so it is exact up to rounding and needs no root finding.
+    has the coefficient vector A z + b, linear in z.  The polynomials f_0
+    and f_{e_j} are composed with T + base in one stack, so the map is
+    exact up to rounding and needs no root finding.
     """
+    rows = z_to_raw(np.vstack([np.zeros(n), np.eye(n)]))
+    shifted = _compose_affine(rows, 1.0, complex(halfplane.base))
+    # the coefficient of T^(n - t) gains alpha^t: the roots turn by alpha
     alpha = cmath.exp(-1j * halfplane.theta)
-    beta = complex(halfplane.base)
-
-    def transform_raw(w: np.ndarray) -> np.ndarray:
-        # w: descending raw coefficients of f. Output: descending raw
-        # coefficients of alpha^deg f(T/alpha + beta), whose roots are
-        # alpha (x_j - beta).
-        deg = w.size - 1
-        # Taylor shift: repeated synthetic division by (T - beta) yields
-        # f(T) = sum c_k (T - beta)^k, so f(T + beta) = sum c_k T^k.
-        work = list(w)
-        ascending = []
-        while work:
-            acc = work[0]
-            quotient = [acc]
-            for i in range(1, len(work)):
-                acc = acc * beta + work[i]
-                quotient.append(acc)
-            ascending.append(quotient[-1])
-            work = quotient[:-1]
-        shifted_desc = np.array(ascending[::-1], dtype=complex)
-        powers = alpha ** np.arange(0, deg + 1)
-        return shifted_desc * powers  # coefficient of T^{deg-t} gains alpha^t
-
-    zero = np.zeros(n, dtype=complex)
-    b = raw_to_z(transform_raw(z_to_raw(zero)))
-    cols = []
-    for j in range(n):
-        ej = np.zeros(n, dtype=complex)
-        ej[j] = 1.0
-        cols.append(raw_to_z(transform_raw(z_to_raw(ej))) - b)
-    A = np.column_stack(cols)
-    return A, b
+    Z = raw_to_z(shifted * alpha ** np.arange(n + 1))
+    return (Z[1:] - Z[0]).T, Z[0]
 
 
 @dataclasses.dataclass(frozen=True)

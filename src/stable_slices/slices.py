@@ -30,6 +30,7 @@ from .polynomials import (
     CLUSTER_SCALE,
     Poly,
     RootProfile,
+    _compose_affine,
     _deflate,
     _gaps,
     cluster_roots,
@@ -351,15 +352,7 @@ def _crossings(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
     a = H.from_upper(-1j * cut)
     rows = np.stack((z_to_raw(move_z), z_to_raw(move_b)))
     rows[1, 0] = 0.0  # the direction leaves the monic leading term alone
-    line = rows[:, :1]
-    for j in range(1, rows.shape[1]):
-        # Horner in t: line * (w t + a) + next coefficient
-        nxt = np.zeros((2, j + 1), dtype=complex)
-        nxt[:, :-1] = w * line
-        nxt[:, 1:] += a * line
-        nxt[:, -1] += rows[:, j]
-        line = nxt
-    P, C = line
+    P, C = _compose_affine(rows, w, a)
     F = np.convolve(P, np.conj(C)).imag
     noise = 8.0 * F.size * np.finfo(float).eps * float(np.max(np.abs(P)) * np.max(np.abs(C)))
     above = np.flatnonzero(np.abs(F) > noise)
@@ -518,12 +511,15 @@ class CompressionReport:
     final_profile: RootProfile
     final_z: Poly
     steps: tuple[CompressionStep, ...]
-    iterations: int
     rank: int
     sharpened: bool
     targets: tuple[int, int]
     checkpoints: tuple[tuple[int, int], ...]
     origin_boundary_clusters: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
 
     @property
     def measure(self) -> tuple[int, int]:
@@ -634,23 +630,22 @@ def _fiber_correct_mixed(xr: np.ndarray, mur: np.ndarray,
     return best[0], best[1], best_err
 
 
-def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count, *,
-                   micro_budget: int):
+def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count):
     """Merge boundary root positions until at most t_bd remain.
 
     The state is the exact root multiset: line coordinates x, each
     standing for the boundary root H.from_upper(x), with multiplicities
     mu, plus interior roots that move only as much as the constraint
-    projection demands.  Every micro step moves the positions
-    along the steepest-descent direction of the fixed linear functional
-    Re<u, z> inside the tangent kernel of the slice constraints, then
-    Newton-projects back onto the constraint fiber.
-    Stacks travel as units, so the distinct-value count only ever changes
-    at collisions, where two positions merge and their multiplicities
-    add.  The functional decreases throughout, which rules out cycles; a
-    vanishing projected gradient under every descent mode means the walk
-    sits at a critical point.  The last return value names why the walk
-    stopped above t_bd, or is None when it reached it.
+    projection demands.  Every micro step moves the positions along the
+    descent direction of the active mode inside the tangent kernel of the
+    slice constraints, then Newton-projects once back onto the constraint
+    fiber.  Stacks travel as units, so the distinct-value count only ever
+    changes at collisions, where two positions merge and their
+    multiplicities add.  The functional decreases throughout, which rules
+    out cycles.  A mode whose micro step fails to project ends like one
+    at a critical point, and the walk stalls once every mode has ended.
+    The last return value names why the walk stopped above t_bd, or is
+    None when it reached it.
     """
     x = np.asarray(x, dtype=float).copy()
     mu = np.asarray(mu, dtype=int).copy()
@@ -659,6 +654,7 @@ def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count, *,
     ctol = 1e-12 * (1.0 + float(np.max(np.abs(S2.target_vector))))
     seg_dir: np.ndarray | None = None
     seg_len = 0.0
+    micro_steps = 0
     # per-segment search state: which descent mode is active, the step cap
     # (shrunk whenever the direction flips across a critical point), and
     # the previous direction for detecting those flips
@@ -671,7 +667,7 @@ def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count, *,
         return x, mu, frozen, records, "boundary walk could not project onto the slice"
 
     while x.size > t_bd:
-        if micro_budget <= 0:
+        if micro_steps >= _WALK_BUDGET:
             return x, mu, frozen, records, "boundary walk ran out of micro steps"
         span = float(np.max(x) - np.min(x)) if x.size > 1 else 0.0
         merge_tol = 1e-7 * (1.0 + span)
@@ -720,10 +716,9 @@ def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count, *,
         # steepest descent of the reference functionals first, then, once
         # those sit at critical points, directions that close the k-th
         # smallest adjacent gap.  Gap closing makes the chosen gap
-        # strictly monotone, so each mode either reaches a collision or
-        # pins at a tangency and hands over to the next.
+        # strictly monotone, so each mode reaches a collision or ends (at a
+        # tangency, or on a step it cannot project) and hands over to the next.
         total_modes = len(functionals) + max(x.size - 1, 0)
-        moved = False
         while mode_idx < total_modes:
             if mode_idx < len(functionals):
                 grad = np.real(functionals[mode_idx] @ cols)
@@ -736,55 +731,43 @@ def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count, *,
                 grad[int(order[j])] = -1.0
             w = V @ (V.T @ grad)
             norm = float(np.linalg.norm(w))
-            if norm <= 1e-10 * (1.0 + float(np.linalg.norm(grad))):
-                mode_idx += 1
-                h_cap = h0
-                v_prev = None
-                continue
-            v = -w / norm
-            if v_prev is not None and float(v @ v_prev) < 0.0:
+            v = -w / norm if norm > 1e-10 * (1.0 + float(np.linalg.norm(grad))) else None
+            if v is not None and v_prev is not None and float(v @ v_prev) < 0.0:
                 # stepped across a critical point of this mode; bisect into
                 # it and give up on the mode once the cap hits the floor
                 h_cap *= 0.5
                 if h_cap < h_floor:
-                    mode_idx += 1
-                    h_cap = h0
-                    v_prev = None
-                    continue
-            # step to the first collision the direction produces, if any
-            # lies within reach: landing just inside the merge tolerance
-            # turns collisions into aimed events instead of lucky ones
-            h = h_cap
-            if gaps.size:
-                closing = -(v[order][1:] - v[order][:-1])
-                ahead = closing > 0
-                if np.any(ahead):
-                    times = (gaps[ahead] - 0.5 * merge_tol) / closing[ahead]
-                    h = min(h_cap, max(float(times.min()), 0.0))
-            ok = False
-            for _ in range(8):
+                    v = None
+            if v is not None:
+                # step to the first collision the direction produces, if any
+                # lies within reach: landing just inside the merge tolerance
+                # turns collisions into aimed events instead of lucky ones
+                h = h_cap
+                if gaps.size:
+                    closing = -(v[order][1:] - v[order][:-1])
+                    ahead = closing > 0
+                    if np.any(ahead):
+                        times = (gaps[ahead] - 0.5 * merge_tol) / closing[ahead]
+                        h = min(h_cap, max(float(times.min()), 0.0))
                 trial, tfrozen, ok = _fiber_correct(x + h * v, mu, frozen, S2, H, ctol)
                 if ok:
                     break
-                h *= 0.25
-            if not ok:
-                mode_idx += 1
-                h_cap = h0
-                v_prev = None
-                continue
-            if seg_dir is None:
-                tangent = cols @ v
-                top = float(np.max(np.abs(tangent)))
-                seg_dir = tangent / top if top > 0 else tangent
-            x = trial
-            frozen = tfrozen
-            seg_len += h
-            v_prev = v
-            micro_budget -= 1
-            moved = True
-            break
-        if not moved:
+            # the mode has ended: its gradient vanished, its cap fell below
+            # the floor, or its micro step could not be projected
+            mode_idx += 1
+            h_cap = h0
+            v_prev = None
+        if mode_idx >= total_modes:
             return x, mu, frozen, records, "boundary walk stalled at a critical point"
+        if seg_dir is None:
+            tangent = cols @ v
+            top = float(np.max(np.abs(tangent)))
+            seg_dir = tangent / top if top > 0 else tangent
+        x = trial
+        frozen = tfrozen
+        seg_len += h
+        v_prev = v
+        micro_steps += 1
 
     return x, mu, frozen, records, None
 
@@ -854,7 +837,6 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
     resid0 = S2.residual(zc)
     steps: list[CompressionStep] = []
     checkpoints: list[tuple[int, int]] = []
-    iterations = 0
 
     while True:
         profile = cluster_roots(roots, H)
@@ -866,8 +848,8 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
             checkpoints.append(measure)
         if profile.interior_total <= t_int and profile.boundary_distinct <= t_bd:
             break
-        if iterations >= max(4 * n, 64):
-            raise stopped(f"{iterations} steps reached the iteration cap", measure)
+        if len(steps) >= max(4 * n, 64):
+            raise stopped(f"{len(steps)} steps reached the iteration cap", measure)
 
         interior = [cl for cl in profile.clusters if cl.side == "interior"]
         boundary = [cl for cl in profile.clusters if cl.side == "boundary"]
@@ -919,7 +901,6 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
                                         np.repeat(nxc, muc)])
                 after = cluster_roots(roots, H, radius=radius, boundary_tol=btol)
             zc = np.asarray(vieta_from_roots(roots).z, dtype=complex)
-            iterations += 1
             steps.append(CompressionStep(
                 mode="interior",
                 direction=tuple(c),
@@ -935,19 +916,17 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
             mub = np.array([cl.multiplicity for cl in boundary], dtype=int)
             fr = np.array([x for cl in interior for x in cl.members], dtype=complex)
             xb, mub, fr, walk_steps, cause = _boundary_walk(
-                xb, mub, fr, S2, H, (u, u2), t_bd, profile.interior_total,
-                micro_budget=_WALK_BUDGET)
+                xb, mub, fr, S2, H, (u, u2), t_bd, profile.interior_total)
             if cause is not None:
                 raise stopped(cause, (profile.interior_total, int(xb.size)))
             roots = tuple(_state_roots(H.from_upper(xb), mub, fr))
             zc = np.asarray(vieta_from_roots(roots).z, dtype=complex)
+            steps.extend(walk_steps)
             for rec in walk_steps:
-                steps.append(rec)
-                iterations += 1
                 if not checkpoints or rec.measure_after < checkpoints[-1]:
                     checkpoints.append(rec.measure_after)
 
-    if iterations:
+    if steps:
         drifted = S2.residual(zc)
         if drifted > resid0 + mem_tol:
             raise NonConvergence(
@@ -963,7 +942,6 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
         final_profile=final_profile,
         final_z=Poly(tuple(zc)),
         steps=tuple(steps),
-        iterations=iterations,
         rank=r,
         sharpened=sharpened,
         targets=(t_int, t_bd),

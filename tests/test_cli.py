@@ -279,13 +279,19 @@ class TestCompress:
 
     # Rotated half-planes: the first four exited 0 with final_z off the
     # slice by up to 8.8e-6 while the descent ran in an upper-half-plane
-    # coefficient chart; the last stopped at (4, 20) against (4, 8)
+    # coefficient chart; the fifth stopped at (4, 20) against (4, 8).  The
+    # boundary walk of the degree-32 job 30 ends its first two descent
+    # modes at the step-cap floor and finishes in a gap-closing mode; job
+    # 55 stopped at (4, 22) with "could not project a merge" while a failed
+    # projection was retried along the same direction at quarter steps
     @pytest.mark.parametrize("name", [
         "compress-15-n20-k1-prefix",
         "compress-25-n20-k2-coords",
         "compress-30-n20-k1-prefix",
         "compress-30-n24-k1-prefix",
         "compress-10-n24-k2-coords",
+        "compress-30-n32-k1-prefix",
+        "compress-55-n32-k2-coords",
     ])
     def test_sweep_job_stays_on_the_slice(self, tmp_path, name):
         job = SWEEP_JOBS[name]

@@ -475,6 +475,25 @@ class TestCompress:
         assert st.checkpoints == ((0, 3), (0, 2))
         assert st.targets == (2, 2)
 
+    def test_failed_projection_ends_the_mode(self, monkeypatch):
+        # the walk's first micro step fails to project; the next descent
+        # mode takes over instead of retrying the direction at h / 4
+        real = slices._fiber_correct
+        trials, states = [], []
+
+        def fail_second(x, mu, frozen, S2, H, tol):
+            trials.append(np.array(x))
+            nx, nfr, ok = real(x, mu, frozen, S2, H, tol)
+            states.append(nx)
+            return nx, nfr, ok and len(trials) != 2
+
+        monkeypatch.setattr(slices, "_fiber_correct", fail_second)
+        st = compress(vieta_from_roots([1.0, 2.0, 3.0]), proj_slice(3, [0], [6.0]))
+        failed, following = trials[1] - states[0], trials[2] - states[0]
+        assert np.linalg.norm(failed) > 0.0
+        assert not np.allclose(following, 0.25 * failed, rtol=1e-6, atol=0.0)
+        assert st.measure == (0, 2)
+
     def test_interior_start_lands_one_root(self):
         st = compress(vieta_from_roots([1j, 2j, 3j]),
                       proj_slice(3, [0], [6j]))
