@@ -168,8 +168,15 @@ def _parse_real(coefficients) -> Poly:
     return Poly.from_raw(tuple([1.0] + [complex(v) for v in coefficients]))
 
 
+def _int_options(payload, *keys: str) -> dict[str, int]:
+    """The options among keys that the payload gives, as ints; an omitted one
+    keeps the library's default.  Every integer field a handler reads goes
+    through int, since a job may write 2 as 2.0."""
+    return {key: int(payload[key]) for key in keys if key in payload}
+
+
 def _parse_sympoly(doc) -> SymmetricPoly:
-    return SymmetricPoly.from_terms(doc["n"], _parse_terms(doc["terms"]), doc["degree"])
+    return SymmetricPoly.from_terms(int(doc["n"]), _parse_terms(doc["terms"]), int(doc["degree"]))
 
 
 def _profile_doc(profile) -> dict:
@@ -396,12 +403,11 @@ def _young_gws(payload: dict, ctx: _Context) -> dict:
 def _variety_search(payload: dict, ctx: _Context) -> dict:
     polys = [_parse_sympoly(d) for d in payload["polys"]]
     pat = payload.get("pattern")
-    if isinstance(pat, list):
-        pat = (pat[0], pat[1])
+    if pat is not None:
+        pat = tuple(map(int, pat)) if isinstance(pat, list) else int(pat)
     box = tuple(payload["box"]) if "box" in payload else None
     outcome = variety_search(polys, _parse_halfplane(payload), pattern=pat,
-                             budget=payload.get("budget", 200),
-                             seed=ctx.seed, box=box)
+                             seed=ctx.seed, box=box, **_int_options(payload, "budget"))
     if isinstance(outcome, FoundPoint):
         return {
             "found": True,
@@ -433,8 +439,8 @@ def _variety_search(payload: dict, ctx: _Context) -> dict:
 def _halfdeg_opt(payload: dict, ctx: _Context) -> dict:
     f = _parse_sympoly(payload["f"])
     box = tuple(payload["box"]) if "box" in payload else None
-    result = halfdeg_optimize(f, payload["lambda"], payload["mu"],
-                              budget=payload.get("budget", 20), seed=ctx.seed, box=box)
+    result = halfdeg_optimize(f, payload["lambda"], payload["mu"], seed=ctx.seed, box=box,
+                              **_int_options(payload, "budget"))
     return {
         "k": result.k,
         "inf_full": None if result.full_unbounded else result.inf_full,
@@ -456,9 +462,9 @@ def _halfdeg_opt(payload: dict, ctx: _Context) -> dict:
 }, "slice", "free_axes", "window", "resolution"))
 def _slice_sample(payload: dict, ctx: _Context) -> dict | None:
     S = _parse_slice(payload["slice"])
-    grid = sample_slice_section(S, _parse_halfplane(payload), tuple(payload["free_axes"]),
-                                tuple(payload["window"]),
-                                tuple(payload["resolution"]))
+    grid = sample_slice_section(S, _parse_halfplane(payload),
+                                tuple(map(int, payload["free_axes"])), tuple(payload["window"]),
+                                tuple(map(int, payload["resolution"])))
     if payload.get("format", "csv") == "csv":
         emit_section_csv(grid, ctx.out)
         return None
@@ -661,7 +667,7 @@ def main(argv=None) -> int:
         print(f"error: invalid job: {exc.message}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else job.get("seed", 0)
+    seed = args.seed if args.seed is not None else int(job.get("seed", 0))
 
     out_stream = None
     try:

@@ -98,7 +98,8 @@ class Poly:
 
     @classmethod
     def from_raw(cls, coefficients: Sequence[complex]) -> "Poly":
-        """Build from descending raw coefficients; the leading one must be 1."""
+        """Build from descending raw coefficients, divided by the leading
+        one, which must be nonzero."""
         w = np.asarray(list(coefficients), dtype=complex)
         if w.size < 2:
             raise ValueError("need at least degree 1")
@@ -166,7 +167,7 @@ def _floor_reached(aw: list[float], x: np.ndarray, pv: np.ndarray, floor: float)
 # iterations catch a non-finite step and report it, so NumPy's warnings
 # would only print to stderr, once per source line and process.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> tuple[np.ndarray, bool]:
+def _aberth(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
     """Aberth iterates, and whether they stopped at the rounding floor."""
     n = x.size
     wl, dwl = w.tolist(), _derivative(w).tolist()
@@ -175,7 +176,7 @@ def _aberth(w: np.ndarray, x: np.ndarray, max_iterations: int) -> tuple[np.ndarr
     previous = np.inf
     stalled = False
     xmax = np.abs(x).max()
-    for _ in range(max_iterations):
+    for _ in range(_ABERTH_MAX_ITERATIONS):
         pv = _polyval(wl, x)
         # Once the steps stop shrinking fast, rounding may keep them above
         # the step-size test forever (multiple roots); stop as soon as every
@@ -218,6 +219,14 @@ def _circle_start(w: np.ndarray) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
+def _rotated_start(w: np.ndarray) -> np.ndarray:
+    """find_roots' second cold start: n points on a circle 1.3 times as wide
+    as _circle_start's, turned by 0.7 against it."""
+    n = w.size - 1
+    angles = 2.0 * np.pi * np.arange(n) / n + 1.1
+    return (1.0 + float(np.max(np.abs(w)))) * 1.3 * np.exp(1j * angles)
+
+
 def _derivative(w: np.ndarray, order: int = 1) -> np.ndarray:
     """Descending coefficients of the order-th derivative of each
     descending coefficient vector along the last axis of w."""
@@ -237,6 +246,16 @@ def _deflate(w: np.ndarray, r: complex) -> np.ndarray:
     return q
 
 
+def _scalar_newton(f: np.ndarray, df: np.ndarray, mu: complex) -> complex:
+    """mu after up to three Newton steps on f, stopped where f' vanishes."""
+    for _ in range(3):
+        dv = np.polyval(df, mu)
+        if abs(dv) < 1e-200:
+            break
+        mu = mu - np.polyval(f, mu) / dv
+    return mu
+
+
 def _snapped(w: np.ndarray, z: np.ndarray, x: np.ndarray,
              groups: list[list[int]]) -> tuple[np.ndarray, float]:
     """The roots x with each group of several snapped to one polished
@@ -249,13 +268,7 @@ def _snapped(w: np.ndarray, z: np.ndarray, x: np.ndarray,
         m = len(g)
         if m > 1:
             dw = _derivative(w, m - 1)
-            ddw = _derivative(dw)
-            for _ in range(3):
-                dpv = np.polyval(ddw, mu)
-                if abs(dpv) < 1e-200:
-                    break
-                mu = mu - np.polyval(dw, mu) / dpv
-            stacks.append((mu, m))
+            stacks.append((_scalar_newton(dw, _derivative(dw), mu), m))
         else:
             singles.append(mu)
     # The surviving simple roots set the re-expansion floor once the
@@ -268,18 +281,8 @@ def _snapped(w: np.ndarray, z: np.ndarray, x: np.ndarray,
             for _ in range(m):
                 q = _deflate(q, mu)
         dq = _derivative(q)
-        for i, mu in enumerate(singles):
-            for _ in range(3):
-                dv = np.polyval(dq, mu)
-                if abs(dv) < 1e-200:
-                    break
-                mu = mu - np.polyval(q, mu) / dv
-            singles[i] = mu
-    trial: list[complex] = []
-    for mu, m in stacks:
-        trial.extend([mu] * m)
-    trial.extend(singles)
-    arr = np.asarray(trial, dtype=complex)
+        singles = [_scalar_newton(q, dq, mu) for mu in singles]
+    arr = np.asarray([mu for mu, m in stacks for _ in range(m)] + singles, dtype=complex)
     return arr, float(np.max(np.abs(np.asarray(vieta_from_roots(arr).z) - z)))
 
 
@@ -312,11 +315,6 @@ def _collapse_refine(w: np.ndarray, z: np.ndarray, x: np.ndarray):
     return best
 
 
-def _require_finite(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
-        raise NonConvergence("root iteration overflowed to a non-finite iterate")
-
-
 def find_roots(
     p: Poly,
     *,
@@ -325,19 +323,21 @@ def find_roots(
 ) -> tuple[complex, ...]:
     """All roots with multiplicity via simultaneous (Aberth) iteration.
 
-    Deterministic: fixed initial configuration on a circle of radius
-    1 + max |coefficient| unless warm-start values are supplied.  The
-    iteration stops when the largest step falls to 1e-14 (1 + max |x|),
-    or, once the steps no longer halve from one iteration to the next,
-    when every residual is at the rounding floor
-    |p(x_j)| <= 4 n eps sum_i |a_i| |x_j|^i (Bini 1996), and then skips
-    the closing Newton polish.  The result is accepted only if
-    re-expanding the computed roots reproduces the coefficient vector
-    within the residual tolerance.
+    Deterministic.  One pass runs from each start until one is accepted:
+    a warm call's start is the supplied values, a cold call's the circle
+    of _circle_start and, once that pass misses, _rotated_start's.  A pass
+    iterates until the largest step falls to 1e-14 (1 + max |x|), or, once
+    the steps no longer halve, until every residual is at the rounding
+    floor |p(x_j)| <= 4 n eps sum_i |a_i| |x_j|^i (Bini 1996), and only in
+    the first case polishes by Newton.  A non-finite iterate raises
+    NonConvergence.  A pass is accepted when re-expanding its roots, with
+    near-coincident ones snapped to multiple roots where that fits better,
+    reproduces the coefficient vector within the residual tolerance; after
+    the last start the residual raises NonConvergence.
 
-    With raw=True the single-pass iterates are returned as-is: no
-    multiple-root snapping, no retry, no residual check.  Near a root
-    collision the snapped representation can hide which side of the
+    With raw=True the first pass's iterates are returned as-is: no
+    multiple-root snapping, no second start, no residual check.  Near a
+    root collision the snapped representation can hide which side of the
     collision the polynomial is on, so step-size searches probe in raw
     mode and only the landed point gets the full treatment.
     """
@@ -355,51 +355,37 @@ def find_roots(
         # nudge keeps every configuration reachable.  It also splits
         # coincident warm values: for n <= 100 no two of its phases are
         # closer than 0.013, and _aberth clamps the pair differences left.
-        k = np.arange(x.size)
-        x = x + 1e-9 * (1.0 + np.abs(x)) * np.exp(1j * (0.6 + 1.7 * k))
+        warm = x + 1e-9 * (1.0 + np.abs(x)) * np.exp(1j * (0.6 + 1.7 * np.arange(n)))
+        starts = (lambda w: warm,)
     else:
-        x = _circle_start(w)
-    x, floored = _aberth(w, x, _ABERTH_MAX_ITERATIONS)
-
-    # Newton cannot improve residuals already at the floor; inside a tight
-    # cluster it would only blow the rounding noise up by 1/p'
-    if not floored:
-        wl, dwl = w.tolist(), _derivative(w).tolist()
-        for _ in range(_POLISH_STEPS):
-            pv = _polyval(wl, x)
-            dpv = _polyval(dwl, x)
-            safe = np.abs(dpv) > 1e-200
-            x = np.where(safe, x - pv / np.where(safe, dpv, 1.0), x)
-
-    if raw:
-        order = np.lexsort((x.imag, x.real))
-        return tuple(complex(v) for v in x[order])
-
-    _require_finite(x)
-    tol = RESIDUAL_SCALE * p.scale()
-    target = np.asarray(p.z)
-    err = float(np.max(np.abs(np.asarray(vieta_from_roots(x).z) - target)))
-    # Collapsing near-coincident iterates onto an exact multiple root wins
-    # whenever the polynomial really has one; re-expansion error arbitrates.
-    fixed = _collapse_refine(w, target, x)
-    if fixed is not None and fixed[1] < err:
-        x, err = fixed
-    if err > tol and initial is None:
-        # One retry with a rotated start often rescues stiff clusters.
-        radius = 1.0 + float(np.max(np.abs(w)))
-        k = np.arange(n)
-        alt = radius * 1.3 * np.exp(1j * (2.0 * np.pi * k / n + 1.1))
-        x, _ = _aberth(w, alt, 2 * _ABERTH_MAX_ITERATIONS)
-        _require_finite(x)
+        starts = (_circle_start, _rotated_start)
+    for start in starts:
+        x, floored = _aberth(w, start(w))
+        # Newton cannot improve residuals already at the floor; inside a
+        # tight cluster it would only blow the rounding noise up by 1/p'
+        if not floored:
+            wl, dwl = w.tolist(), _derivative(w).tolist()
+            for _ in range(_POLISH_STEPS):
+                pv = _polyval(wl, x)
+                dpv = _polyval(dwl, x)
+                safe = np.abs(dpv) > 1e-200
+                x = np.where(safe, x - pv / np.where(safe, dpv, 1.0), x)
+        if raw:
+            break
+        if not np.all(np.isfinite(x)):
+            raise NonConvergence("root iteration overflowed to a non-finite iterate")
+        tol = RESIDUAL_SCALE * p.scale()
+        target = np.asarray(p.z)
         err = float(np.max(np.abs(np.asarray(vieta_from_roots(x).z) - target)))
-        if err > tol:
-            fixed = _collapse_refine(w, target, x)
-            if fixed is not None and fixed[1] < err:
-                x, err = fixed
-    if err > tol:
-        raise NonConvergence(
-            f"root iteration residual {err:.3e} above tolerance {tol:.3e}"
-        )
+        # Collapsing near-coincident iterates onto an exact multiple root wins
+        # whenever the polynomial really has one; re-expansion error arbitrates.
+        fixed = _collapse_refine(w, target, x)
+        if fixed is not None and fixed[1] < err:
+            x, err = fixed
+        if err <= tol:
+            break
+    else:
+        raise NonConvergence(f"root iteration residual {err:.3e} above tolerance {tol:.3e}")
     order = np.lexsort((x.imag, x.real))
     return tuple(complex(v) for v in x[order])
 

@@ -216,18 +216,11 @@ class SufficientForm:
         return cls(matrix=rows, gk=_canonical_terms(gk_terms, len(rows)))
 
     @property
-    def k(self) -> int:
-        return len(self.matrix)
-
-    @property
     def n(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
     def eval_at_e(self, e) -> complex:
         return complex(_eval_terms(self.gk, self._forms(e)))
-
-    def abs_eval_at_e(self, e) -> float:
-        return float(_eval_terms(self.gk, self._forms(e), absolute=True))
 
     def _forms(self, e) -> np.ndarray:
         return np.asarray(self.matrix, dtype=complex) @ np.asarray(e, dtype=complex)

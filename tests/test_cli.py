@@ -684,6 +684,106 @@ class TestCommandTable:
         assert all(count > 0 for count in calls.values()), calls
 
 
+class TestIntegralFloats:
+    """Draft 2020-12 counts 2.0 as an integer, so a job may write any
+    integer field that way; it must compute what its integer twin does."""
+
+    SEARCH = {"command": "variety-search",
+              "payload": {"polys": [E1_MINUS_1], "pattern": 1, "budget": 5}, "seed": 3}
+    CASES = {
+        "gws-n": ("gws", ["f", "n"]),
+        "gws-degree": ("gws", ["f", "degree"]),
+        "young-gws-n": ("young-gws", ["f", "n"]),
+        "young-gws-degree": ("young-gws", ["f", "degree"]),
+        "halfdeg-opt-degree": ("halfdeg-opt", ["f", "degree"]),
+        "halfdeg-opt-budget": ("halfdeg-opt", ["budget"]),
+        "variety-search-n": ("variety-search", ["polys", 0, "n"]),
+        "variety-search-budget": ("variety-search", ["budget"]),
+        "variety-search-pattern": (SEARCH, ["pattern"]),
+        "variety-search-pattern-pair": ("variety-search", ["pattern", 0]),
+        "slice-sample-free-axes": ("slice-sample", ["free_axes", 1]),
+        "slice-sample-resolution": ("slice-sample", ["resolution", 0]),
+        "compress-seed": ({"command": "compress", "payload": EXAMPLE_PAYLOADS["compress"],
+                           "seed": 5}, ["seed"]),
+        "coincide-seed": ({"command": "coincide", "payload": EXAMPLE_PAYLOADS["coincide"],
+                           "seed": 5}, ["seed"]),
+        "variety-search-seed": (SEARCH, ["seed"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_integer_literal(self, tmp_path, case):
+        base, path = self.CASES[case]
+        job = copy.deepcopy(base if isinstance(base, dict)
+                            else {"command": base, "payload": EXAMPLE_PAYLOADS[base]})
+        holder = job if path[0] == "seed" else job["payload"]
+        for key in path[:-1]:
+            holder = holder[key]
+        assert isinstance(holder[path[-1]], int)
+        code, expected = run_job(tmp_path, job)
+        assert code == 0 and expected
+        holder[path[-1]] = float(holder[path[-1]])
+        assert run_job(tmp_path, job) == (0, expected)
+
+
+E1_N2 = {"n": 2, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1}]}
+SECTION = EXAMPLE_PAYLOADS["slice-sample"]
+# jobs the schemas accept that a check of the library refuses: the exit
+# code and the words of the refusal
+REFUSED_JOBS = {
+    "compress-degree": ("compress", {
+        "poly": {"z": FLAGSHIP_Z}, "slice": {"matrix": [[1, 0, 0]], "target": [[0, 23]]}},
+        2, "slice dimension does not match polynomial degree"),
+    "compress-off-slice": ("compress", {
+        "poly": {"z": FLAGSHIP_Z}, "slice": {"matrix": [[1, 0, 0, 0]], "target": [[0, 24]]}},
+        2, "starting point does not satisfy the slice constraints"),
+    "slice-sample-equal-axes": ("slice-sample", {**SECTION, "free_axes": [0, 0]},
+                                2, "free axes must be two distinct chart coordinates"),
+    "slice-sample-axis-out-of-range": ("slice-sample", {**SECTION, "free_axes": [0, 4]},
+                                       2, "free axes must be two distinct chart coordinates"),
+    "sympoly-degree-above-n": ("gws", {"f": {"n": 2, "degree": 3, "terms": []},
+                                       "x": [[0, 1], [0, 2]]},
+                               2, "declared degree must lie in [0, n]"),
+    "sympoly-weighted-degree": ("gws", {
+        "f": {"n": 2, "degree": 1, "terms": [{"exponents": [0, 1], "coefficient": 1}]},
+        "x": [[0, 1], [0, 2]]}, 2, "has weighted degree 2 > declared 1"),
+    "sympoly-exponents-too-long": ("gws", {
+        "f": {"n": 2, "degree": 2, "terms": [{"exponents": [0, 1, 1], "coefficient": 1}]},
+        "x": [[0, 1], [0, 2]]}, 2, "exponent tuple longer than variable count"),
+    "gws-coordinates": ("gws", {"f": E1_N2, "x": [[0, 1], [0, 2], [0, 3]]},
+                        2, "expected 2 coordinates, got 3"),
+    "gws-no-root-in-region": ("gws", {"f": E1_N2, "x": [[0, -1], [0, -1]]},
+                              3, "no admissible root for the diagonal equation"),
+    "coincide-coordinates": ("coincide", {**EXAMPLE_PAYLOADS["coincide"],
+                                          "x": [[0, 1], [0, 2], [1, 1]]},
+                             2, "expected 4 coordinates, got 3"),
+    "young-gws-coordinates": ("young-gws", {**EXAMPLE_PAYLOADS["young-gws"],
+                                            "x": [[0, 1], [1, 1], [2, 1]]},
+                              2, "expected 2 coordinates, got 3"),
+    "young-gws-key-length": ("young-gws", {
+        "blocks": [1, 1], "x": [[0, 1], [1, 1]],
+        "block_terms": [{"weights": [1, 0, 0], "coefficient": 1}]},
+        2, "block coefficient keys must have one entry per block"),
+    "young-gws-weight-above-block": ("young-gws", {
+        "blocks": [1, 1], "x": [[0, 1], [1, 1]],
+        "block_terms": [{"weights": [2, 0], "coefficient": 1}]},
+        2, "block weight (2, 0) exceeds block sizes"),
+    "variety-search-mixed-n": ("variety-search", {"polys": [E1_N2, {**E1_N2, "n": 3}]},
+                               2, "all polynomials must share the variable count"),
+}
+
+
+class TestRefusedJobs:
+    @pytest.mark.parametrize("name", sorted(REFUSED_JOBS))
+    def test_exits_with_the_check_and_writes_nothing(self, tmp_path, capsys, name):
+        command, payload, expected, words = REFUSED_JOBS[name]
+        job = {"command": command, "payload": payload}
+        _validate(job["payload"], command)
+        assert run_job(tmp_path, job) == (expected, "")
+        err = capsys.readouterr().err
+        kind = "invalid input" if expected == 2 else "numerical failure"
+        assert err.startswith(f"error: {kind}: ") and words in err
+
+
 def root_overflow_job():
     """roots of a stable degree-40 polynomial on which the Aberth iteration
     overflows."""

@@ -13,6 +13,7 @@ from stable_slices import (
     vieta_from_roots,
 )
 from stable_slices import NonConvergence, polynomials
+from stable_slices.errors import DimensionMismatch
 from stable_slices.polynomials import (
     CLUSTER_SCALE,
     _aberth,
@@ -216,22 +217,46 @@ class TestFindRoots:
         found = find_roots(vieta_from_roots(planted), initial=[1j] * 4, raw=raw)
         assert match_roots(found, planted) < 1e-10
 
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
+        passes = []
+
+        def counting(w, x):
+            passes.append(x)
+            return _aberth(w, x)
+
+        monkeypatch.setattr(polynomials, "_aberth", counting)
+        return passes
+
     def test_rotated_retry_rescues_a_stiff_cluster(self, monkeypatch):
         # a triple root next to a double one: the circle start's iterates
         # miss the residual gate, the rotated start's pass meets it
         a = -3.25 + 0.25j
         b = -3.365429610673588 + 0.18657019497890862j
         roots = [a] * 3 + [b] * 2 + [-0.75 + 1j]
-        passes = []
-
-        def counting(w, x, max_iterations):
-            passes.append(max_iterations)
-            return _aberth(w, x, max_iterations)
-
-        monkeypatch.setattr(polynomials, "_aberth", counting)
+        passes = self.count_passes(monkeypatch)
         found = find_roots(vieta_from_roots(roots))
         assert len(passes) == 2
         assert match_roots(found, roots) < 1e-9
+
+    @pytest.mark.parametrize("roots", [
+        [1.066493650154447 + 0.18513282640399917j] * 4
+        + [1.074186890122642 + 0.1893173946433556j],
+        [0.323910601450384 + 0.7983092905977468j] * 4
+        + [0.3176968921431506 + 0.8028557950451586j,
+           0.2713499427379583 + 0.0231796154480359j],
+    ], ids=["near-simple", "near-simple-and-far"])
+    def test_rotated_retry_rescues_a_fourfold_root(self, monkeypatch, roots):
+        # a 4-fold root with a simple one about 1e-2 away
+        passes = self.count_passes(monkeypatch)
+        found = find_roots(vieta_from_roots(roots))
+        assert len(passes) == 2
+        assert match_roots(found, roots) < 1e-9
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_warm_start_needs_one_value_per_root(self, raw):
+        with pytest.raises(DimensionMismatch, match="one value per root"):
+            find_roots(Poly((0.0, 1.0)), initial=[1j], raw=raw)
 
 
 class TestPolyval:
@@ -366,12 +391,14 @@ class TestAberthFloorStop:
     CASES = ([1j, 1j, 1j, 2j], [0.5, 0.5, 0.5, 0.5, 3j])
 
     @pytest.mark.parametrize("roots", CASES)
-    def test_stops_well_before_the_cap(self, roots):
+    def test_stops_well_before_the_cap(self, roots, monkeypatch):
         w = vieta_from_roots(roots).raw_coefficients()
         x0 = _circle_start(w)
-        short, floored = _aberth(w, x0, 60)
+        monkeypatch.setattr(polynomials, "_ABERTH_MAX_ITERATIONS", 60)
+        short, floored = _aberth(w, x0)
         assert floored
-        assert np.array_equal(short, _aberth(w, x0, 400)[0])
+        monkeypatch.setattr(polynomials, "_ABERTH_MAX_ITERATIONS", 400)
+        assert np.array_equal(short, _aberth(w, x0)[0])
 
     @pytest.mark.parametrize("roots", CASES)
     def test_find_roots_passes_the_residual_gate(self, roots):

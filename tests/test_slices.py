@@ -44,6 +44,31 @@ def proj_slice(n, rows, targets):
     return Slice.from_arrays(L, targets)
 
 
+class TestSliceChecks:
+    """Checks a CLI job cannot reach: its parser builds the rows as one
+    array, and JSON has no infinities."""
+
+    def test_row_count_must_match_the_target(self):
+        with pytest.raises(DimensionMismatch, match="row count"):
+            Slice(rows=((1.0, 0.0),), target=(1.0, 2.0))
+
+    def test_rows_must_have_one_width(self):
+        with pytest.raises(DimensionMismatch, match="ragged"):
+            Slice(rows=((1.0, 0.0), (1.0,)), target=(1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [complex("inf"), complex(0, float("nan"))])
+    def test_entries_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Slice(rows=((1.0, bad),), target=(1.0,))
+        with pytest.raises(ValueError, match="finite"):
+            Slice(rows=((1.0, 0.0),), target=(bad,))
+
+    def test_section_resolution_must_be_positive(self):
+        S = Slice(rows=((0.0, 1.0),), target=(-1.0,))
+        with pytest.raises(ValueError, match="resolution"):
+            sample_slice_section(S, HalfPlane.upper(), (0, 1), (-1, 1, 0, 1), (0, 2))
+
+
 class TestSliceContains:
     def test_three_pin_member(self):
         S = proj_slice(4, [0, 1, 2], FLAGSHIP_PINS)

@@ -70,6 +70,27 @@ def affine_symmetric(n, coeffs):
     return SymmetricPoly.from_terms(n, terms, d)
 
 
+class TestInputChecks:
+    """Checks whose inputs the CLI's schemas refuse first."""
+
+    def test_sympoly_needs_a_variable(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            SymmetricPoly.from_terms(0, {}, 0)
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            SymmetricPoly.from_terms(2, {(1, -1): 1.0}, 2)
+
+    def test_young_gws_block_sizes_must_be_positive(self):
+        f = SymmetricPoly.from_terms(2, {(1,): 1.0}, 1)
+        with pytest.raises(ValueError, match="block sizes"):
+            young_gws((0, 2), f, (1j, 2j))
+
+    def test_variety_search_needs_a_polynomial(self):
+        with pytest.raises(ValueError, match="at least one polynomial"):
+            variety_search([])
+
+
 class TestElementarySymmetrics:
     def test_all_ones_gives_binomials(self):
         assert np.allclose(elementary_symmetrics((1.0,) * 5),
