@@ -328,10 +328,6 @@ class StepResult:
     roots: tuple[complex, ...] = ()
 
 
-def _min_distance(roots, halfplane: HalfPlane) -> float:
-    return min(halfplane.signed_distance(x) for x in roots)
-
-
 def _min_gap(roots) -> float:
     return float(_gaps(np.asarray(roots, dtype=complex)).min())
 
@@ -406,7 +402,7 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) ->
     scale = 1.0 + max(abs(x) for x in roots0)
     btol = BOUNDARY_SCALE * scale
     radius = CLUSTER_SCALE * scale
-    min0 = _min_distance(roots0, H)
+    min0 = float(H.signed_distances(roots0).min())
     if min0 < -btol:
         raise ValueError("base point is not stable")
     cut = STEP_MARGIN * btol
@@ -424,7 +420,7 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) ->
 
     def margin(roots) -> float:
         # continuous form of the acceptance predicate: admissible iff >= 0
-        return _min_distance(roots, H) + cut
+        return float(H.signed_distances(roots).min()) + cut
 
     trials = []
     for eps in _crossings(move_z, move_b, H, cut) or ():

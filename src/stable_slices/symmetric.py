@@ -513,6 +513,13 @@ class _PatternMap:
         out[..., self.clamped] = np.maximum(out[..., self.clamped], 0.0)
         return out
 
+    def derivatives(self, table: _TermTable, theta: np.ndarray):
+        """Values (B, P) of the table's polynomials at the parameters theta
+        (B, params) and their derivatives df/dtheta = matrix @ df/dx (B,
+        params, P); a start rounds in a batch as it does alone."""
+        values, dfdx = table.with_derivatives(self.points(theta[:, None])[:, 0])
+        return values, self.matrix @ dfdx
+
 
 def _partitions(total: int, parts: int):
     if parts == 0:
@@ -648,14 +655,10 @@ def _min_norm_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _newton_system(table: _TermTable, pmap: _PatternMap, theta: np.ndarray):
     """Residuals F (B, 2P) of the real and imaginary parts of the table's
     polynomials at the parameters theta (B, params), their norms, and their
-    exact Jacobians J (B, 2P, params): df/dtheta = matrix @ df/dx.
-
-    Each point is formed as a one-row stack of its start, so a start rounds
-    in a batch as it does alone.
-    """
-    values, dfdx = table.with_derivatives(pmap.points(theta[:, None])[:, 0])
+    exact Jacobians J (B, 2P, params) from ``_PatternMap.derivatives``."""
+    values, dfdtheta = pmap.derivatives(table, theta)
     F = _real_parts(values)
-    return F, _row_norms(F), _real_parts(pmap.matrix @ dfdx).transpose(0, 2, 1)
+    return F, _row_norms(F), _real_parts(dfdtheta).transpose(0, 2, 1)
 
 
 def _gauss_newton(table: _TermTable, pmap: _PatternMap, theta: np.ndarray, finish) -> None:
@@ -835,41 +838,58 @@ class HalfDegreeResult:
     k: int
 
 
-def _descend(objective, pmap: _PatternMap, theta0: np.ndarray, finish) -> None:
-    """Projected gradient descent with backtracking from every row of theta0
+@dataclasses.dataclass(frozen=True)
+class _Objective:
+    """lam Re f + mu Im f on a pattern's parameters, f the one polynomial of
+    ``table``: values (...) at theta (..., params), and exact gradients (B,
+    params) at theta (B, params)."""
+
+    table: _TermTable
+    pmap: _PatternMap
+    lam: float
+    mu: float
+
+    def _weigh(self, values: np.ndarray) -> np.ndarray:
+        return self.lam * values[..., 0].real + self.mu * values[..., 0].imag
+
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        return self._weigh(self.table.at_points(self.pmap.points(theta)))
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        return self._weigh(self.pmap.derivatives(self.table, theta)[1])
+
+
+def _descend(objective: _Objective, theta0: np.ndarray, finish) -> None:
+    """Projected steepest descent with backtracking from every row of theta0
     (starts x params), in lockstep.
 
-    ``objective`` maps (..., params) to (...).  Each iteration evaluates,
-    for every live start, one (starts, params, params) stack of
-    forward-difference points and one (starts, 40, params) stack of halved
-    steps; a start takes the first that lowers its value by more than a
-    relative 1e-14.  A start ends when its value is below _UNBOUNDED_FLOOR,
-    its gradient vanishes, no halved step lowers it, or after
-    _DESCENT_ITERATIONS iterations; ``finish(start, theta, value)`` is then
-    called as ``_Lockstep`` describes.  A start also ends when a value it
-    reads is not finite: its start value, a value of its gradient batch
-    (it then finishes with value NaN) or an accepted step's value.
+    Each iteration reads, for every live start, the exact gradient of the
+    objective (``_Objective.gradient``) and evaluates one (starts, 40,
+    params) stack of the projected step and its halvings; a start takes the
+    first that lowers its value by more than a relative 1e-14.  A start
+    ends when its value is below _UNBOUNDED_FLOOR, its gradient vanishes,
+    no halved step lowers it, or after _DESCENT_ITERATIONS iterations;
+    ``finish(start, theta, value)`` is then called as ``_Lockstep``
+    describes.  A start also ends when what it reads is not finite: its
+    start value, its gradient (it then finishes with value NaN) or an
+    accepted step's value.
     """
-    theta = pmap.project(theta0)
+    theta = objective.pmap.project(theta0)
     batch = _Lockstep(theta, objective(theta[:, None])[:, 0], finish)
-    offsets = np.eye(theta.shape[1])
     halvings = 0.5 ** np.arange(40)
     for _ in range(_DESCENT_ITERATIONS):
         batch.keep(np.isfinite(batch.score) & (batch.score >= _UNBOUNDED_FLOOR))
         if not batch.start.size:
             return
-        theta, value = batch.theta, batch.score
-        h = 1e-6 * (1.0 + np.abs(theta))
-        shifted = objective(theta[:, None] + h[:, :, None] * offsets)
-        grad = (shifted - value[:, None]) / h
+        grad = objective.gradient(batch.theta)
         gnorm = _row_norms(grad)
-        finite = np.isfinite(shifted).all(axis=1)
-        batch.score = np.where(finite, value, np.nan)
-        grad, gnorm = batch.keep(finite & ~(gnorm <= 1e-12 * (1.0 + np.abs(value))),
+        finite = np.isfinite(grad).all(axis=1)
+        batch.score = np.where(finite, batch.score, np.nan)
+        grad, gnorm = batch.keep(finite & ~(gnorm <= 1e-12 * (1.0 + np.abs(batch.score))),
                                  grad, gnorm)
         theta, value = batch.theta, batch.score
         step = np.maximum(1.0, np.abs(value) / (gnorm * gnorm + 1e-300))
-        cands = pmap.project(
+        cands = objective.pmap.project(
             theta[:, None] - (step[:, None] * halvings)[:, :, None] * grad[:, None])
         values = objective(cands)
         lower = values < (value - 1e-14 * (1.0 + np.abs(value)))[:, None]
@@ -888,10 +908,11 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
 
     The restricted space uses k = max(floor(d/2), 2): at most k distinct
     real coordinates (with multiplicities) plus at most k interior ones.
-    All starts of a pattern descend as one lockstep batch (``_descend``).
-    Unboundedness is reported when a start dives under the floor and the
-    doubled witness drops at least 1.5 times as far below the objective at
-    the half-plane's base point (all parameters zero) as the witness does;
+    All starts of a pattern run projected steepest descent on the exact
+    gradient as one lockstep batch (``_descend``).  Unboundedness is
+    reported when a start dives under the floor and the doubled witness
+    drops at least 1.5 times as far below the objective at the half-plane's
+    base point (all parameters zero) as the witness does;
     that test runs as a start ends, unless a start of lower index has
     already passed it, and a pass ends the starts above it.  A start whose
     objective overflows on its descent's path ends the starts above it too.
@@ -900,25 +921,18 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
     that overflows comes before the first that passes the doubling test.
     """
     H = HalfPlane.upper()
-    n = f.n
     k = max(f.degree // 2, 2)
     if box is None:
         box = (-3.0, 3.0, 3.0)
 
     table = _TermTable.compile([f])
 
-    def objective_for(pmap: _PatternMap):
-        def objective(theta: np.ndarray) -> np.ndarray:
-            val = table.at_points(pmap.points(theta))[..., 0]
-            return lam * val.real + mu * val.imag
-        return objective
-
     def optimize(patterns, tag: int):
         best = float("inf")
-        witness = None
+        witness = ()
         for p_idx, pattern_obj in enumerate(patterns):
-            pmap = pattern_obj.affine_map(H)
-            objective = objective_for(pmap)
+            objective = _Objective(table, pattern_obj.affine_map(H), lam, mu)
+            pmap = objective.pmap
             runs = {}
 
             def finish(s_idx: int, theta: np.ndarray, value: float) -> bool:
@@ -934,29 +948,18 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
                 return dives
 
             theta0 = _start_thetas(pmap, box, (_SEARCH_STREAM, seed, tag, p_idx), range(budget))
-            _descend(objective, pmap, theta0, finish)
+            _descend(objective, theta0, finish)
             for s_idx in range(budget):
                 if runs[s_idx] is None:
                     raise NonConvergence(
                         "half-degree objective is not finite at a descent point")
                 value, theta, dives = runs[s_idx]
-                if value < best:
-                    best = value
-                    witness = pmap.points(theta)
+                if value < best or dives:
+                    best, witness = value, tuple(complex(v) for v in pmap.points(theta))
                 if dives:
-                    return float("-inf"), True, pmap.points(theta)
+                    return float("-inf"), True, witness
         return best, False, witness
 
-    full_patterns = [_Pattern(multiplicities=(), interior=n, boundary_real=True)]
-    restricted_patterns = _km_patterns(n, k, k)
-    inf_full, unb_full, wit_full = optimize(full_patterns, 0)
-    inf_res, unb_res, wit_res = optimize(restricted_patterns, 1)
-    return HalfDegreeResult(
-        inf_full=inf_full,
-        full_unbounded=unb_full,
-        witness_full=tuple(complex(v) for v in (wit_full if wit_full is not None else ())),
-        inf_restricted=inf_res,
-        restricted_unbounded=unb_res,
-        witness_restricted=tuple(complex(v) for v in (wit_res if wit_res is not None else ())),
-        k=k,
-    )
+    full_patterns = [_Pattern(multiplicities=(), interior=f.n, boundary_real=True)]
+    restricted_patterns = _km_patterns(f.n, k, k)
+    return HalfDegreeResult(*optimize(full_patterns, 0), *optimize(restricted_patterns, 1), k=k)

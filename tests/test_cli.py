@@ -32,6 +32,11 @@ SWEEP_JOBS = json.loads(
 # nothing was found, patterns_tried and starts
 SEARCH_VERDICTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "search_verdicts.json").read_text())
+# the halfdeg-opt jobs of the benchmark's search workload at seed 1, stored
+# verbatim with the infima and unbounded flags each gave while the descent
+# took its gradient by forward differences
+HALFDEG_VERDICTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "halfdeg_verdicts.json").read_text())
 
 E1_MINUS_1 = {"n": 2, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1},
                                              {"exponents": [0], "coefficient": -1}]}
@@ -926,6 +931,16 @@ class TestSearchVerdicts:
             if verdict != entry["verdict"]:
                 changed.append((entry["name"], entry["verdict"], verdict))
         assert len(SEARCH_VERDICTS) == 98
+        assert changed == []
+
+    def test_halfdeg_results_are_pinned(self, tmp_path):
+        changed = []
+        for entry in HALFDEG_VERDICTS:
+            doc = run_json(tmp_path, entry["job"])
+            result = {key: doc[key] for key in entry["result"]}
+            if result != entry["result"]:
+                changed.append((entry["name"], entry["result"], result))
+        assert len(HALFDEG_VERDICTS) == 80
         assert changed == []
 
 

@@ -42,6 +42,7 @@ from stable_slices.symmetric import (
     _Lockstep,
     _min_norm_steps,
     _newton_system,
+    _Objective,
     _Pattern,
     _row_norms,
     _sorted_point,
@@ -202,27 +203,34 @@ class TestExactJacobian:
     @pytest.mark.parametrize("H", [HalfPlane.upper(), HalfPlane(theta=2.3, base=0.4 - 1.1j)],
                              ids=["upper", "rotated"])
     def test_matches_central_differences(self, H):
-        # value patterns (two parameters per value) and boundary-real
-        # patterns with interior values; h = 1e-5 (1 + |theta_q|) leaves a
-        # difference error near 1e-9 of the Jacobian's scale
+        # the Gauss-Newton residuals, and the half-degree objective of the
+        # first polynomial, on value patterns (two parameters per value) and
+        # boundary-real patterns with interior values; h = 1e-5 (1 + |theta_q|)
+        # leaves a difference error near 1e-9 of the Jacobian's scale
         rng = np.random.default_rng(31)
+        weights = np.random.default_rng(34)
         for _ in range(40):
             n = int(rng.integers(2, 6))
-            table = _TermTable.compile(random_symmetric_polys(rng, n))
+            polys = random_symmetric_polys(rng, n)
+            table = _TermTable.compile(polys)
             patterns = list(_budget_patterns(n, n)) + _km_patterns(n, 2, 2)
             for k in rng.choice(len(patterns), size=3, replace=False):
                 pmap = patterns[k].affine_map(H)
                 theta = rng.normal(size=(4, pmap.matrix.shape[0]))
                 F, norm, J = _newton_system(table, pmap, theta)
                 assert np.allclose(norm, np.linalg.norm(F, axis=1), rtol=1e-15, atol=0)
-                scale = 1.0 + np.max(np.abs(J), axis=(1, 2))
-                for q in range(theta.shape[1]):
-                    shift = np.zeros_like(theta)
-                    shift[:, q] = 1e-5 * (1.0 + np.abs(theta[:, q]))
-                    central = (_newton_system(table, pmap, theta + shift)[0]
-                               - _newton_system(table, pmap, theta - shift)[0]) \
-                        / (2.0 * shift[:, q:q + 1])
-                    assert np.all(np.abs(central - J[:, :, q]) <= 1e-7 * scale[:, None])
+                objective = _Objective(_TermTable.compile(polys[:1]), pmap,
+                                       *weights.normal(size=2))
+                for values, exact in ((lambda t: _newton_system(table, pmap, t)[0], J),
+                                      (lambda t: objective(t[:, None]),
+                                       objective.gradient(theta)[:, None])):
+                    scale = 1.0 + np.max(np.abs(exact), axis=(1, 2))
+                    for q in range(theta.shape[1]):
+                        shift = np.zeros_like(theta)
+                        shift[:, q] = 1e-5 * (1.0 + np.abs(theta[:, q]))
+                        central = (values(theta + shift) - values(theta - shift)) \
+                            / (2.0 * shift[:, q:q + 1])
+                        assert np.all(np.abs(central - exact[:, :, q]) <= 1e-7 * scale[:, None])
 
     def test_values_match_at_points_and_round_alike_in_any_batch(self):
         rng = np.random.default_rng(32)
@@ -708,23 +716,23 @@ def reference_variety_search(polys, H, *, pattern, budget, seed):
                      best_x=best_x)
 
 
-def reference_descend(objective, pmap, theta0):
+def reference_descend(objective, theta0):
     """_descend as it was before the starts ran in lockstep, for one start,
     with its rule for overflow: a non-finite value read at the start point,
-    in a gradient batch or at an accepted step raises NonConvergence."""
+    in the gradient or at an accepted step raises NonConvergence."""
     def finite(values):
         if not np.all(np.isfinite(values)):
             raise NonConvergence("half-degree objective is not finite at a descent point")
         return values
 
+    pmap = objective.pmap
     halvings = 0.5 ** np.arange(40)
     theta = pmap.project(theta0)
     value = float(finite(objective(theta[None, :])[0]))
     for _ in range(_DESCENT_ITERATIONS):
         if value < _UNBOUNDED_FLOOR:
             break
-        h = 1e-6 * (1.0 + np.abs(theta))
-        grad = (finite(objective(theta + np.diag(h))) - value) / h
+        grad = finite(objective.gradient(theta[None, :]))[0]
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-12 * (1.0 + abs(value)):
             break
@@ -739,12 +747,7 @@ def reference_descend(objective, pmap, theta0):
 
 
 def halfdeg_objective(f, lam, mu, pmap):
-    table = _TermTable.compile([f])
-
-    def objective(theta):
-        val = table.at_points(pmap.points(theta))[..., 0]
-        return lam * val.real + mu * val.imag
-    return objective
+    return _Objective(_TermTable.compile([f]), pmap, lam, mu)
 
 
 def reference_halfdeg(f, lam, mu, *, budget, seed):
@@ -761,7 +764,7 @@ def reference_halfdeg(f, lam, mu, *, budget, seed):
             for s_idx in range(budget):
                 theta0 = _start_thetas(pmap, (-3.0, 3.0, 3.0),
                                        (_SEARCH_STREAM, seed, tag, p_idx), [s_idx])[0]
-                value, theta = reference_descend(objective, pmap, theta0)
+                value, theta = reference_descend(objective, theta0)
                 if value < best:
                     best, witness = value, pmap.points(theta)
                 if value < _UNBOUNDED_FLOOR:
@@ -972,9 +975,9 @@ class TestLockstepMatchesSequential:
                 objective = halfdeg_objective(f, -1.0, 0.0, pmap)
                 theta0 = _start_thetas(pmap, (-3.0, 3.0, 3.0), (_SEARCH_STREAM, 29, tag, 0),
                                        [0, overflows])
-                assert reference_descend(objective, pmap, theta0[0])[0] < _UNBOUNDED_FLOOR
+                assert reference_descend(objective, theta0[0])[0] < _UNBOUNDED_FLOOR
                 with pytest.raises(NonConvergence):
-                    reference_descend(objective, pmap, theta0[1])
+                    reference_descend(objective, theta0[1])
             full, restricted = self.assert_same_halfdeg(f, -1.0, 0.0, budget=4, seed=29)
         assert (full[3], restricted[3]) == ((0, 0), (0, 0))
 
