@@ -20,10 +20,7 @@ import math
 import sys
 from typing import Callable, NamedTuple, TextIO
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .errors import (
     DegenerateMap,
@@ -33,7 +30,7 @@ from .errors import (
     NonRealInput,
     NotInImage,
 )
-from .polynomials import Poly, find_roots, vieta_from_roots
+from .polynomials import Poly, find_roots, vieta_rows
 from .regions import HalfPlane, Moebius, moebius_transform_poly
 from .slices import (
     Slice,
@@ -119,8 +116,8 @@ def _points(docs) -> tuple[complex, ...]:
     return tuple(_c(v) for v in docs)
 
 
-def _poly_doc(p: Poly) -> dict:
-    return {"convention": "vieta-alternating", "z": [_pair(v) for v in p.z]}
+def _poly_doc(z) -> dict:
+    return {"convention": "vieta-alternating", "z": [_pair(v) for v in z]}
 
 
 def _parse_poly(doc) -> Poly:
@@ -209,7 +206,7 @@ def _report_doc(report) -> dict:
     return {
         "initial_profile": _profile_doc(report.initial_profile),
         "final_profile": _profile_doc(report.final_profile),
-        "final_z": _poly_doc(report.final_z),
+        "final_z": _poly_doc(report.final_z.z),
         "iterations": report.iterations,
         "rank": report.rank,
         "sharpened": report.sharpened,
@@ -287,7 +284,11 @@ def _roots(payload: dict, ctx: _Context) -> dict:
 
 @_command("vieta", _closed({"roots": _POINTS}, "roots"))
 def _vieta(payload: dict, ctx: _Context) -> dict:
-    return {"poly": _poly_doc(vieta_from_roots(_points(payload["roots"])))}
+    # finite roots can expand past the float range, and a Poly refuses a
+    # non-finite coefficient as bad input; the expansion is returned as it
+    # is, so such a result fails as JSON and exits 4 without NumPy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {"poly": _poly_doc(vieta_rows([_points(payload["roots"])])[0])}
 
 
 @_command("stable-check", _closed({"poly": _POLY, "halfplane": _HALFPLANE}, "poly"))
@@ -305,7 +306,7 @@ def _hurwitz_check(payload: dict, ctx: _Context) -> dict:
 
 @_command("embed", _COEFFICIENTS_PAYLOAD)
 def _embed(payload: dict, ctx: _Context) -> dict:
-    return {"poly": _poly_doc(hurwitz_embed(_parse_real(payload["coefficients"])))}
+    return {"poly": _poly_doc(hurwitz_embed(_parse_real(payload["coefficients"])).z)}
 
 
 @_command("unembed", _POLY_PAYLOAD)
@@ -506,9 +507,13 @@ def _schema(command: str | None) -> dict:
 def _validator(command: str | None):
     """jsonschema's validator of ``_schema(command)``, which words a rejection.
 
-    Built on first use, so the schema is checked against its meta-schema
-    once per process rather than once per job, and import stays cheap.
+    Built on the first rejection, so the schema is checked against its
+    meta-schema once per process rather than once per job.  jsonschema is
+    imported here, not with this module: a process that runs only valid
+    jobs never loads it.
     """
+    from jsonschema.validators import validator_for
+
     schema = _schema(command)
     cls = validator_for(schema)
     cls.check_schema(schema)
@@ -600,15 +605,37 @@ def _accepts(command: str | None) -> Callable[[object], bool]:
 def _validate(doc, command: str | None) -> None:
     """Raise the error ``jsonschema.validate`` would raise for doc.
 
-    A valid job passes the compiled check and never reaches jsonschema;
+    A valid job passes the compiled check and never imports jsonschema;
     only a document that check refuses is walked by ``_validator``, so
     every rejection keeps jsonschema's wording.
     """
     if _accepts(command)(doc):
         return
+    from jsonschema.exceptions import best_match
+
     error = best_match(_validator(command).iter_errors(doc))
     if error is not None:
         raise error
+
+
+def _validation_error() -> type[Exception]:
+    """The class ``_validate`` raises.  ``main`` calls this in an ``except``
+    clause, which is evaluated only once something is raised, so a valid
+    job does not import jsonschema."""
+    from jsonschema import ValidationError
+
+    return ValidationError
+
+
+def __getattr__(name: str):
+    # ``cli.jsonschema``, imported on first access: bench/tracing.py reads
+    # and patches it.  It goes with the benchmark change that drops the
+    # ``cli.validate`` span, which nothing feeds (ROADMAP item 1).
+    if name == "jsonschema":
+        import jsonschema
+
+        return jsonschema
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _finite_float(text: str) -> float:
@@ -632,6 +659,14 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer in plain digits,
+    as the job's ``seed`` field must be."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command line parser, built on first use like ``_accepts`` and
@@ -641,7 +676,7 @@ def _parser() -> argparse.ArgumentParser:
         description="batch operations on stable polynomial slices (JSON in, JSON/CSV out)")
     parser.add_argument("--job", help="job file (default: stdin)")
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_seed, default=None)
     return parser
 
 
@@ -663,7 +698,7 @@ def main(argv=None) -> int:
     try:
         _validate(job, None)
         _validate(job["payload"], job["command"])
-    except jsonschema.ValidationError as exc:
+    except _validation_error() as exc:
         print(f"error: invalid job: {exc.message}", file=sys.stderr)
         return 2
 

@@ -381,6 +381,8 @@ def young_gws(blocks, f, x, halfplane: HalfPlane | None = None) -> tuple[complex
     kappa = len(sizes)
 
     if isinstance(f, SymmetricPoly):
+        if f.n != n:
+            raise DimensionMismatch(f"the blocks hold {n} coordinates, f has n = {f.n}")
         # e_m of the full variable set splits as a convolution over blocks,
         # so an affine f = sum c_m e_m has block coefficient c_{d_1+...+d_k}.
         c = f.affine_coefficients()

@@ -6,6 +6,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 import types
 
 import jsonschema
@@ -764,6 +765,18 @@ REFUSED_JOBS = {
     "young-gws-coordinates": ("young-gws", {**EXAMPLE_PAYLOADS["young-gws"],
                                             "x": [[0, 1], [1, 1], [2, 1]]},
                               2, "expected 2 coordinates, got 3"),
+    # f's variable count must be the blocks' total: on fewer variables it
+    # once crashed with an IndexError, on more it silently lost its e3 term
+    "young-gws-f-on-fewer-variables": ("young-gws", {
+        "blocks": [2], "x": [[0, 1], [0, 2]],
+        "f": {"n": 1, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1}]}},
+        2, "the blocks hold 2 coordinates, f has n = 1"),
+    "young-gws-f-on-more-variables": ("young-gws", {
+        "blocks": [1, 1], "x": [[0, 1], [0, 2]],
+        "f": {"n": 3, "degree": 3, "terms": [{"exponents": [1, 0, 0], "coefficient": 1},
+                                             {"exponents": [0, 0, 1], "coefficient": 5},
+                                             {"exponents": [0, 0, 0], "coefficient": -2}]}},
+        2, "the blocks hold 2 coordinates, f has n = 3"),
     "young-gws-key-length": ("young-gws", {
         "blocks": [1, 1], "x": [[0, 1], [1, 1]],
         "block_terms": [{"weights": [1, 0, 0], "coefficient": 1}]},
@@ -910,6 +923,21 @@ class TestStrictJson:
         assert text == ""
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_vieta_exits_4_with_one_line(self, tmp_path):
+        # finite roots whose expansion overflows: the result would need
+        # Infinity.  In a fresh process, where NumPy has printed no warning
+        # yet, stderr must hold the one error line and no overflow warning
+        jf = tmp_path / "job.json"
+        jf.write_text(json.dumps({"command": "vieta",
+                                  "payload": {"roots": [[1e200, 0], [1e200, 0]]}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stable_slices.cli", "--job", str(jf)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: internal: ") and "not JSON" in line
+
     def test_non_finite_result_exits_4_with_nothing_written(self, tmp_path, capsys,
                                                             monkeypatch):
         monkeypatch.setitem(_COMMANDS, "roots", _COMMANDS["roots"]._replace(
@@ -1029,6 +1057,17 @@ class TestParser:
             assert self.call(monkeypatch, capsys, [])[0] == 0
 
 
+    def test_negative_seed_exits_2_naming_the_flag(self, monkeypatch, capsys):
+        # the job's seed field has minimum 0, and the flag that overrides it
+        # is refused the same way, before the job is read
+        for argv in (["--seed", "-1"], ["--seed=-3"], ["--seed", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+        assert self.call(monkeypatch, capsys, ["--seed", "0"])[0] == 0
+
+
 class TestModuleEntry:
     def test_python_dash_m_matches_in_process(self, tmp_path):
         job = {"command": "roots",
@@ -1041,3 +1080,39 @@ class TestModuleEntry:
         assert proc.returncode == 0
         _, local = run_job(tmp_path, job)
         assert proc.stdout == local
+
+    def test_valid_job_leaves_jsonschema_unloaded(self, tmp_path):
+        # a fresh interpreter, since this suite imports jsonschema itself
+        jf, of = tmp_path / "job.json", tmp_path / "out.json"
+        jf.write_text(json.dumps({"command": "roots", "payload": EXAMPLE_PAYLOADS["roots"]}))
+        script = textwrap.dedent("""
+            import json, pathlib, sys
+            from stable_slices import cli
+            code = cli.main(["--job", sys.argv[1], "--out", sys.argv[2]])
+            loaded = [m for m in ("jsonschema", "referencing", "rpds", "attrs") if m in sys.modules]
+            package = [p.stem for p in pathlib.Path(cli.__file__).parent.glob("*.py")]
+            missing = [m for m in package
+                       if m != "__init__" and f"stable_slices.{m}" not in sys.modules]
+            print(json.dumps([code, loaded, missing, cli.jsonschema is sys.modules["jsonschema"]]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script, str(jf), str(of)],
+                              capture_output=True, text=True)
+        assert proc.stderr == ""
+        # the job ran; nothing of jsonschema was loaded for it, yet every
+        # module of the package was, and cli.jsonschema still resolves
+        assert json.loads(proc.stdout) == [0, [], [], True]
+        assert of.read_text() == run_job(tmp_path, json.loads(jf.read_text()))[1]
+        assert not hasattr(cli, "frobnicate")
+
+    def test_refused_job_keeps_jsonschema_wording(self, tmp_path):
+        job = PINNED_JOBS["wrong-convention"]
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(job["payload"], _COMMANDS["roots"].schema)
+        jf = tmp_path / "job.json"
+        jf.write_text(json.dumps(job))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stable_slices.cli", "--job", str(jf)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: invalid job: {exc.value.message}\n"

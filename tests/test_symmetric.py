@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stable_slices import (
+    DimensionMismatch,
     FoundPoint,
     HalfPlane,
     NonConvergence,
@@ -487,6 +488,13 @@ class TestYoungGws:
         y = young_gws((2, 2), {(1, 1, 0, 0): 1.0}, (1j, 4j, 2j, 8j))
         assert y[0] == pytest.approx(2j)
         assert y[1] == pytest.approx(2j)
+
+    def test_polynomial_on_other_variable_count_is_refused(self):
+        # e1 + 5 e3 - 2 on three variables against two blocks of one
+        # coordinate: its e3 term was once dropped and x returned unchanged
+        f = SymmetricPoly.from_terms(3, {(1, 0, 0): 1.0, (0, 0, 1): 5.0, (0, 0, 0): -2.0}, 3)
+        with pytest.raises(DimensionMismatch, match="the blocks hold 2 coordinates, f has n = 3"):
+            young_gws((1, 1), f, (1j, 2j))
 
     def test_value_preserved_random(self):
         rng = np.random.default_rng(31)
