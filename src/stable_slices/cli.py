@@ -151,13 +151,7 @@ def _parse_terms(docs, key: str = "exponents") -> dict[tuple[int, ...], complex]
 
 
 def _parse_slice(doc) -> Slice:
-    matrix = _parse_matrix(doc["matrix"])
-    target = [_c(v) for v in doc["target"]]
-    if len(matrix) != len(target):
-        raise DimensionMismatch("matrix rows and target length differ")
-    width = len(matrix[0]) if matrix else 0
-    return Slice.from_arrays(np.asarray(matrix, dtype=complex).reshape(len(target), width),
-                             target)
+    return Slice.from_arrays(_parse_matrix(doc["matrix"]), [_c(v) for v in doc["target"]])
 
 
 def _parse_real(coefficients) -> Poly:
@@ -691,7 +685,8 @@ def main(argv=None) -> int:
             text = sys.stdin.read()
         job = json.loads(text, parse_float=_finite_float, parse_int=_float_range_int,
                          parse_constant=_no_constant)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError, and nesting too deep a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read job: {exc}", file=sys.stderr)
         return 2
 

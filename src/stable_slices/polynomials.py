@@ -128,11 +128,23 @@ def vieta_rows(x) -> np.ndarray:
 
 
 def vieta_from_roots(roots: Sequence[complex]) -> Poly:
-    """Expand prod (T - x_j) and return the Poly carrying e_i(roots)."""
+    """Expand prod (T - x_j) and return the Poly carrying e_i(roots).
+
+    Finite roots whose expansion overflows raise NonConvergence."""
     xs = _as_complex_tuple(roots, "root")
     if not xs:
         raise ValueError("need at least one root")
-    return Poly(tuple(vieta_rows([xs])[0]))
+    try:  # |e_i| <= (1 + max |x_j|)^n: only roots that large pay for the guard
+        small = len(xs) * math.log1p(max(map(abs, xs))) < 700.0
+    except OverflowError:  # a modulus past the float range
+        small = False
+    if small:
+        return Poly(tuple(vieta_rows([xs])[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = vieta_rows([xs])[0]
+    if not np.all(np.isfinite(e)):
+        raise NonConvergence("the expansion of the roots overflows the float range")
+    return Poly(tuple(e))
 
 
 def _polyval(c: list, x: np.ndarray) -> np.ndarray:

@@ -104,9 +104,11 @@ class Slice:
     target: tuple[complex, ...]
 
     def __post_init__(self) -> None:
+        widths = {len(row) for row in self.rows}
+        if 0 in widths:
+            raise DimensionMismatch("a constraint row has no entries")
         if len(self.rows) != len(self.target):
             raise DimensionMismatch("row count does not match target length")
-        widths = {len(row) for row in self.rows}
         if len(widths) > 1:
             raise DimensionMismatch("ragged constraint matrix")
         entries = [v for row in self.rows for v in row] + list(self.target)
@@ -115,10 +117,10 @@ class Slice:
 
     @classmethod
     def from_arrays(cls, matrix, target) -> "Slice":
-        m = np.atleast_2d(np.asarray(matrix, dtype=complex))
+        m = np.asarray(matrix, dtype=complex)
+        # [] is the slice without rows, any other 1-D matrix is one row
+        m = m.reshape(0, 0) if m.ndim == 1 and not m.size else np.atleast_2d(m)
         a = np.asarray(target, dtype=complex).ravel()
-        if m.size == 0:
-            m = m.reshape(0, m.shape[-1] if m.ndim == 2 and m.shape[-1] else 0)
         rows = tuple(tuple(complex(v) for v in row) for row in m)
         return cls(rows=rows, target=tuple(complex(v) for v in a))
 
@@ -132,9 +134,7 @@ class Slice:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, 0), dtype=complex)
-        return np.asarray(self.rows, dtype=complex)
+        return np.asarray(self.rows, dtype=complex).reshape(self.k, self.n)
 
     @cached_property
     def target_vector(self) -> np.ndarray:
@@ -142,7 +142,7 @@ class Slice:
 
     @cached_property
     def rank(self) -> int:
-        if self.k == 0 or self.n == 0:
+        if self.k == 0:
             return 0
         return _rank(self.matrix)
 

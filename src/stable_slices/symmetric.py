@@ -262,8 +262,7 @@ def _gws_core(coeffs, x, halfplane: HalfPlane) -> complex:
     """Solve c_0 + sum c_d e_d(y*1) = c_0 + sum c_d e_d(x) for y in the half-plane."""
     c = np.asarray(coeffs, dtype=complex)
     n = c.size - 1
-    xs = tuple(x)
-    e = vieta_from_roots(xs).z
+    e = vieta_from_roots(x).z
     target = c[0] + sum(c[d] * e[d - 1] for d in range(1, n + 1))
     # u(Y) = c_0 + sum c_d C(n, d) Y^d - target
     u = np.zeros(n + 1, dtype=complex)
@@ -275,7 +274,7 @@ def _gws_core(coeffs, x, halfplane: HalfPlane) -> complex:
         deg -= 1
     if deg == 0:
         # constant problem: any point works, x_1 is the deterministic pick
-        return complex(xs[0])
+        return complex(x[0])
     raw = (u[:deg + 1] / u[deg])[::-1]
     roots = find_roots(Poly.from_raw(tuple(raw)))
     scale = 1.0 + max(abs(r) for r in roots)
@@ -292,16 +291,11 @@ def _gws_core(coeffs, x, halfplane: HalfPlane) -> complex:
 def gws_solve(f: SymmetricPoly, x, halfplane: HalfPlane | None = None) -> complex:
     """Diagonal point y with f(y, ..., y) = f(x), y inside the half-plane.
 
-    Requires f affine-linear in the e basis (multiaffine symmetric).  The
-    admissible root of smallest modulus is returned, ties broken by
-    lexicographic (Re, Im).
+    ``young_gws`` on one block: f must be affine-linear in the e basis
+    (multiaffine symmetric), and the admissible root of smallest modulus is
+    returned, ties broken by lexicographic (Re, Im).
     """
-    H = halfplane if halfplane is not None else HalfPlane.upper()
-    xs = tuple(x)
-    if len(xs) != f.n:
-        raise DimensionMismatch(f"expected {f.n} coordinates, got {len(xs)}")
-    coeffs = f.affine_coefficients()
-    return _gws_core(coeffs, xs, H)
+    return young_gws((f.n,), f, x, halfplane)[0]
 
 
 def coincide(form: SufficientForm, x, halfplane: HalfPlane | None = None, *,
@@ -364,11 +358,14 @@ def young_blocks_from_x_expansion(blocks, monomials) -> dict:
 def young_gws(blocks, f, x, halfplane: HalfPlane | None = None) -> tuple[complex, ...]:
     """Per-block diagonal point (y_1, ..., y_kappa) preserving a block-invariant value.
 
-    ``f`` may be a multiaffine SymmetricPoly, a dict of per-block e-basis
-    coefficients keyed by (d_1, ..., d_kappa), or a multiaffine
-    X-expansion dict keyed by 0/1 tuples.  Solved block by block: later
+    ``f`` is a multiaffine SymmetricPoly on sum(blocks) variables, or per-block
+    e-basis coefficients keyed by (d_1, ..., d_kappa), one entry per block,
+    as a dict or an iterable of pairs; the all-zero key is the constant.
+    Convert an X-expansion keyed by 0/1 tuples with
+    ``young_blocks_from_x_expansion`` first.  Solved block by block: later
     blocks stay frozen at their x coordinates, earlier blocks at the
-    already-found diagonal values.
+    already-found diagonal values; each block takes the admissible root of
+    smallest modulus, ties broken by lexicographic (Re, Im).
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     sizes = tuple(int(b) for b in blocks)
@@ -378,58 +375,41 @@ def young_gws(blocks, f, x, halfplane: HalfPlane | None = None) -> tuple[complex
     xs = tuple(x)
     if len(xs) != n:
         raise DimensionMismatch(f"expected {n} coordinates, got {len(xs)}")
-    kappa = len(sizes)
-
     if isinstance(f, SymmetricPoly):
         if f.n != n:
             raise DimensionMismatch(f"the blocks hold {n} coordinates, f has n = {f.n}")
         # e_m of the full variable set splits as a convolution over blocks,
         # so an affine f = sum c_m e_m has block coefficient c_{d_1+...+d_k}.
         c = f.affine_coefficients()
-        terms = {}
-        for weight in np.ndindex(*[b + 1 for b in sizes]):
-            total = sum(weight)
-            if 0 < total <= n and c[total] != 0:
-                terms[tuple(int(w) for w in weight)] = complex(c[total])
-        const = complex(c[0])
-    else:
-        raw = f if hasattr(f, "items") else dict(f)
-        sample = next(iter(raw), None)
-        if sample is not None and len(sample) == n and kappa != n:
-            raw = young_blocks_from_x_expansion(sizes, raw)
-        terms = {}
-        const = 0.0 + 0.0j
-        for key, coeff in raw.items():
-            weight = tuple(int(v) for v in key)
-            if len(weight) != kappa:
-                raise DimensionMismatch("block coefficient keys must have one entry per block")
-            if any(not 0 <= w <= sizes[j] for j, w in enumerate(weight)):
-                raise ValueError(f"block weight {weight} exceeds block sizes")
-            if sum(weight) == 0:
-                const += complex(coeff)
-            else:
-                terms[weight] = terms.get(weight, 0.0 + 0.0j) + complex(coeff)
+        f = {w: c[sum(w)] for w in np.ndindex(*[b + 1 for b in sizes]) if c[sum(w)] != 0}
+    terms = {}
+    for key, coeff in (f.items() if hasattr(f, "items") else f):
+        weight = tuple(int(v) for v in key)
+        if len(weight) != len(sizes):
+            raise DimensionMismatch("block coefficient keys must have one entry per block")
+        if any(not 0 <= w <= sizes[j] for j, w in enumerate(weight)):
+            raise ValueError(f"block weight {weight} exceeds block sizes")
+        terms[weight] = terms.get(weight, 0.0 + 0.0j) + complex(coeff)
 
     offsets = np.cumsum((0,) + sizes)
-    coords = [list(xs[offsets[j]:offsets[j + 1]]) for j in range(kappa)]
+    blocks_x = [xs[offsets[j]:offsets[j + 1]] for j in range(len(sizes))]
     # e_d tables per block, refreshed as blocks collapse to diagonal values
-    etab = []
-    for j in range(kappa):
-        ev = vieta_from_roots(tuple(coords[j])).z
-        etab.append([1.0 + 0.0j] + list(ev))
+    etab = [[1.0 + 0.0j] + list(vieta_from_roots(bx).z) for bx in blocks_x]
 
-    def total_value() -> complex:
-        val = const
+    def value() -> tuple[complex, float]:
+        """f at the tables, and the sum of its terms' moduli."""
+        val, size = 0.0 + 0.0j, 0.0
         for weight, coeff in terms.items():
             term = coeff
             for j, w in enumerate(weight):
                 term *= etab[j][w]
             val += term
-        return complex(val)
+            size += abs(term)
+        return val, size
 
-    reference = total_value()
+    reference, size = value()
     ys = []
-    for j in range(kappa):
+    for j, bx in enumerate(blocks_x):
         coeffs = np.zeros(sizes[j] + 1, dtype=complex)
         for weight, coeff in terms.items():
             outer = coeff
@@ -437,14 +417,14 @@ def young_gws(blocks, f, x, halfplane: HalfPlane | None = None) -> tuple[complex
                 if l != j:
                     outer *= etab[l][w]
             coeffs[weight[j]] += outer
-        y = _gws_core(coeffs, tuple(coords[j]), H)
+        y = _gws_core(coeffs, bx, H)
         ys.append(y)
-        coords[j] = [y] * sizes[j]
         etab[j] = [1.0 + 0.0j] + [math.comb(sizes[j], d) * y ** d
                                   for d in range(1, sizes[j] + 1)]
-    final = total_value()
-    scale = 1.0 + abs(reference)
-    if abs(final - reference) > 1e-6 * scale:
+    final, final_size = value()
+    # terms far larger than their sum cancel, and their rounding, not the
+    # value, sets how far an exact solve can drift
+    if abs(final - reference) > 1e-6 * (1.0 + size + final_size):
         raise NoRootInRegion(
             f"block recursion drifted: |delta| = {abs(final - reference):.3e}")
     return tuple(ys)
@@ -780,7 +760,10 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
     table = _TermTable.compile(polys)
 
     def verify(x: np.ndarray):
-        e = vieta_from_roots(tuple(x)).z
+        # Poly refuses an overflowed expansion as invalid input, where
+        # vieta_from_roots would report a numerical failure: the start began
+        # in a box too wide for the float range
+        e = Poly(tuple(vieta_rows([x])[0])).z
         res = []
         for f in polys:
             scale = 1.0 + f.abs_eval_at_e(e)

@@ -36,6 +36,7 @@ from stable_slices import (
     is_weakly_hurwitz,
     variety_search,
     vieta_from_roots,
+    young_blocks_from_x_expansion,
     young_gws,
 )
 from stable_slices.errors import NonConvergence, NoRootInRegion
@@ -401,8 +402,8 @@ def test_criterion_09_half_degree_consistency():
 def test_criterion_10_young_blocks():
     t0 = time.perf_counter()
     failures = []
-    y = young_gws((2, 2), {(1, 1, 0, 0): 1.0, (0, 0, 1, 1): 1.0},
-                  (1j, 4j, 2j, 8j))
+    y = young_gws((2, 2), young_blocks_from_x_expansion(
+        (2, 2), {(1, 1, 0, 0): 1.0, (0, 0, 1, 1): 1.0}), (1j, 4j, 2j, 8j))
     if abs(y[0] - 2j) > 1e-9 or abs(y[1] - 4j) > 1e-9:
         failures.append(f"block example gave {y}")
     value = y[0] ** 2 + y[1] ** 2
@@ -432,7 +433,7 @@ def test_criterion_10_young_blocks():
             terms[(0,) * n] = 1.0
         x = tuple(complex(rng.normal(), abs(rng.normal()) + 1e-2)
                   for _ in range(n))
-        ys = young_gws(tuple(sizes), terms, x)
+        ys = young_gws(tuple(sizes), young_blocks_from_x_expansion(sizes, terms), x)
 
         def direct(pt):
             return sum(c * np.prod([pt[i] for i in range(n) if key[i]])

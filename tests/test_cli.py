@@ -560,6 +560,16 @@ class TestValidation:
         assert out == ""
         assert "cannot read job" in err
 
+    def test_deeply_nested_job_exits_2(self, tmp_path, capsys):
+        # the decoder's recursion limit once escaped main as a traceback
+        # with exit status 1
+        jf = tmp_path / "job.json"
+        jf.write_text('{"command": "roots", "payload": %s}' % ("[" * 100000 + "]" * 100000))
+        assert main(["--job", str(jf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read job: ")
+
     def test_tolerances_key_exits_2(self, tmp_path, capsys):
         # every cluster and boundary tolerance is the scale-relative
         # default; a job that tries to set one is refused
@@ -742,6 +752,11 @@ REFUSED_JOBS = {
     "compress-off-slice": ("compress", {
         "poly": {"z": FLAGSHIP_Z}, "slice": {"matrix": [[1, 0, 0, 0]], "target": [[0, 24]]}},
         2, "starting point does not satisfy the slice constraints"),
+    # [[]] was once read as the slice without rows and refused for its
+    # row count
+    "compress-row-without-entries": ("compress", {
+        "poly": {"z": FLAGSHIP_Z}, "slice": {"matrix": [[]], "target": [[0, 0]]}},
+        2, "a constraint row has no entries"),
     "slice-sample-equal-axes": ("slice-sample", {**SECTION, "free_axes": [0, 0]},
                                 2, "free axes must be two distinct chart coordinates"),
     "slice-sample-axis-out-of-range": ("slice-sample", {**SECTION, "free_axes": [0, 4]},
@@ -779,6 +794,12 @@ REFUSED_JOBS = {
         2, "the blocks hold 2 coordinates, f has n = 3"),
     "young-gws-key-length": ("young-gws", {
         "blocks": [1, 1], "x": [[0, 1], [1, 1]],
+        "block_terms": [{"weights": [1, 0, 0], "coefficient": 1}]},
+        2, "block coefficient keys must have one entry per block"),
+    # keys as long as the coordinate count were once read as an
+    # X-expansion of 0/1 keys, and the job returned a result
+    "young-gws-x-expansion-keys": ("young-gws", {
+        "blocks": [2, 1], "x": [[0, 1], [0, 2], [0, 3]],
         "block_terms": [{"weights": [1, 0, 0], "coefficient": 1}]},
         2, "block coefficient keys must have one entry per block"),
     "young-gws-weight-above-block": ("young-gws", {
@@ -937,6 +958,25 @@ class TestStrictJson:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: internal: ") and "not JSON" in line
+
+    @pytest.mark.parametrize("command, payload", [
+        ("gws", {"f": {"n": 2, "degree": 1, "terms": [{"exponents": [1], "coefficient": 1}]},
+                 "x": [[1e200, 0], [1e200, 0]]}),
+        ("coincide", {**EXAMPLE_PAYLOADS["coincide"],
+                      "x": [[0, 1e200], [0, 2e200], [1, 1e200], [-1, 2e200]]}),
+    ])
+    def test_overflowing_expansion_of_the_input_exits_3_with_one_line(self, tmp_path,
+                                                                      command, payload):
+        # finite coordinates whose e-vector overflows: a numerical failure,
+        # once printed after NumPy's overflow warning as invalid input
+        jf = tmp_path / "job.json"
+        jf.write_text(json.dumps({"command": command, "payload": payload}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stable_slices.cli", "--job", str(jf)],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.splitlines() == [
+            "error: numerical failure: the expansion of the roots overflows the float range"]
 
     def test_non_finite_result_exits_4_with_nothing_written(self, tmp_path, capsys,
                                                             monkeypatch):

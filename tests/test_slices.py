@@ -56,6 +56,21 @@ class TestSliceChecks:
         with pytest.raises(DimensionMismatch, match="ragged"):
             Slice(rows=((1.0, 0.0), (1.0,)), target=(1.0, 2.0))
 
+    @pytest.mark.parametrize("matrix, target", [([[]], [0.0]), (np.zeros((2, 0)), [0.0, 0.0]),
+                                                ([[]], [])])
+    def test_a_row_without_entries_is_refused_by_name(self, matrix, target):
+        # [[]] was once read as the slice without rows, and then refused as
+        # a row count that does not match its target
+        with pytest.raises(DimensionMismatch, match="a constraint row has no entries"):
+            Slice.from_arrays(matrix, target)
+
+    @pytest.mark.parametrize("matrix", [[], np.zeros((0, 3))])
+    def test_a_slice_without_rows_constrains_nothing(self, matrix):
+        S = Slice.from_arrays(matrix, [])
+        assert (S.k, S.n, S.rank) == (0, 0, 0)
+        assert S.residual((1.0, 2.0, 3.0)) == 0.0
+        assert slice_contains(S, vieta_from_roots([1j, 2j]))
+
     @pytest.mark.parametrize("bad", [complex("inf"), complex(0, float("nan"))])
     def test_entries_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):

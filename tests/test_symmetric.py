@@ -12,6 +12,7 @@ from stable_slices import (
     HalfPlane,
     NonConvergence,
     NoneFound,
+    NoRootInRegion,
     SufficientForm,
     SymmetricPoly,
     coincide,
@@ -469,25 +470,70 @@ class TestYoungBlocksFromXExpansion:
 
 class TestYoungGws:
     def test_two_blocks(self):
-        y = young_gws((2, 2), {(1, 1, 0, 0): 1.0, (0, 0, 1, 1): 1.0},
-                      (1j, 4j, 2j, 8j))
+        y = young_gws((2, 2), young_blocks_from_x_expansion(
+            (2, 2), {(1, 1, 0, 0): 1.0, (0, 0, 1, 1): 1.0}), (1j, 4j, 2j, 8j))
         assert np.allclose(y, (2j, 4j))
         # substitution check: f(2i,2i,4i,4i) = (2i)^2 + (4i)^2 = -20
         assert (y[0] ** 2 + y[1] ** 2) == pytest.approx(-20.0)
 
     def test_single_block_matches_gws(self):
         f = SymmetricPoly.from_terms(3, {(1, 0, 0): 1.0}, 1)
-        y = young_gws((3,), {(1, 0, 0): 1.0, (0, 1, 0): 1.0,
-                             (0, 0, 1): 1.0}, (1j, 2j, 3j))
+        y = young_gws((3,), young_blocks_from_x_expansion(
+            (3,), {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0}), (1j, 2j, 3j))
         assert len(y) == 1
-        assert y[0] == pytest.approx(gws_solve(f, (1j, 2j, 3j)))
+        assert y[0] == gws_solve(f, (1j, 2j, 3j))
 
     def test_block_not_in_support(self):
         # f ignores the second block, so its representative is just the
         # block's first coordinate
-        y = young_gws((2, 2), {(1, 1, 0, 0): 1.0}, (1j, 4j, 2j, 8j))
+        y = young_gws((2, 2), young_blocks_from_x_expansion((2, 2), {(1, 1, 0, 0): 1.0}),
+                      (1j, 4j, 2j, 8j))
         assert y[0] == pytest.approx(2j)
         assert y[1] == pytest.approx(2j)
+
+    def test_one_block_is_gws_solve_bit_for_bit(self):
+        # gws_solve is young_gws on one block, whichever way f is written,
+        # and both solve the diagonal equation with the affine coefficients
+        rng = np.random.default_rng(2024)
+        cases = []
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            d = int(rng.integers(0, n + 1))
+            coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+            H = HalfPlane.upper()
+            if rng.random() < 0.3:
+                H = HalfPlane(theta=float(rng.uniform(0, 2 * np.pi)),
+                              base=complex(rng.normal(), rng.normal()))
+            raw = rng.normal(size=n) + 1j * np.abs(rng.normal(size=n))
+            cases.append((affine_symmetric(n, coeffs), tuple(map(H.from_upper, raw)), H))
+        # Terms near 8e14 that cancel to a value near 10: the exact drift
+        # of y (mpmath, 60 digits) is 0.106, a rounding of the terms, which
+        # a check scaled by the value alone refused
+        H = HalfPlane(theta=0.3, base=3000 - 400j)
+        x = tuple(H.from_upper(v) for v in (0.5 + 0.8j, 0.3 + 0.1j, 1.2 + 0.6j, 1.8 + 1.1j))
+        e = elementary_symmetrics(x)
+        c0 = -((1 - 0.5j) * e[1] + 10 * e[3]) + 10
+        f = affine_symmetric(4, [c0, 0, 1 - 0.5j, 0, 10])
+        assert f.abs_eval_at_e(e) > 1e14 and abs(f.eval_at_e(e)) < 20
+        cases.append((f, x, H))
+        for f, x, H in cases:
+            c = f.affine_coefficients()
+            blocks = {(d,): c[d] for d in range(f.n + 1) if c[d] != 0}
+            y = symmetric._gws_core(c, x, H)
+            assert gws_solve(f, x, H) == y
+            assert young_gws((f.n,), f, x, H) == (y,)
+            assert young_gws((f.n,), blocks, x, H) == (y,)
+            assert halfplane_contains(H, y) != "outside"
+
+    def test_drift_check_refuses_a_wrong_root(self, monkeypatch):
+        solve = symmetric._gws_core
+        monkeypatch.setattr(symmetric, "_gws_core",
+                            lambda c, x, H: solve(c, x, H) + 1e-3)
+        f = SymmetricPoly.from_terms(2, {(0, 1): 1.0}, 2)
+        with pytest.raises(NoRootInRegion, match="block recursion drifted"):
+            gws_solve(f, (2j, 8j))
+        with pytest.raises(NoRootInRegion, match="block recursion drifted"):
+            young_gws((1, 1), {(1, 1): 1.0, (0, 0): 2.0}, (1j, 2j))
 
     def test_polynomial_on_other_variable_count_is_refused(self):
         # e1 + 5 e3 - 2 on three variables against two blocks of one
@@ -522,7 +568,7 @@ class TestYoungGws:
                 terms[(0,) * n] = 1.0
             x = tuple(complex(rng.normal(), abs(rng.normal()) + 1e-2)
                       for _ in range(n))
-            y = young_gws((b1, b2), terms, x)
+            y = young_gws((b1, b2), young_blocks_from_x_expansion((b1, b2), terms), x)
 
             def direct(pt):
                 return sum(c * np.prod([pt[i] for i in range(n) if key[i]])
