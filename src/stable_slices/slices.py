@@ -61,8 +61,8 @@ STEP_VERIFY_DELTA = 1e-9
 # reported unbounded
 STEP_CAP = 1e9
 # |Im t| / (1 + |t|) up to which a root t of the crossing polynomial counts
-# as real: a spurious candidate only costs its two probes, a missed one could
-# step over a crossing
+# as real: a spurious candidate only costs its three probes, a missed one
+# could step over a crossing
 _CROSSING_REAL_TOL = 1e-6
 # ITP constants of the bracketing phase: kappa1 (scaled by the initial
 # bracket width), kappa2 and the slack n0 over bisection's probe count
@@ -379,12 +379,15 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) ->
     (STEP_MARGIN of boundary_tol) so that the landed configuration stays
     stable under the full tolerance.  Every step at which a root can reach
     the line of that predicate is predicted exactly from the crossing
-    polynomial (``_crossings``).  Raw probes walk them in order, two per
-    crossing up to STEP_CAP, STEP_VERIFY_DELTA inside and outside it, and
-    STEP_CAP last; each is warm-started from the last admissible roots and
-    skipped when it does not lie past the last admissible point.  A
-    spurious crossing, such as a tangency, costs its two probes and the
-    walk goes on.  The first probe that reads inadmissible closes the
+    polynomial (``_crossings``).  Raw probes walk them in order, three per
+    crossing up to STEP_CAP: STEP_VERIFY_DELTA inside and outside it, then
+    the geometric mean of it and the next crossing, or of it and STEP_CAP
+    after the last one; STEP_CAP comes last.  Each is warm-started from the
+    last admissible roots and skipped when it does not lie past the last
+    admissible point.  The middle probe catches a crossing whose two close
+    probes both read admissible within raw-root noise.  A spurious
+    crossing, such as a tangency, costs its three probes and the walk goes
+    on.  The first probe that reads inadmissible closes the
     bracket at the last admissible point; when none does, the direction is
     unbounded.  The ITP method then narrows the bracket on the margin (min
     signed distance + allowance).  It converges superlinearly where the
@@ -423,10 +426,10 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) ->
         return float(H.signed_distances(roots).min()) + cut
 
     trials = []
-    for eps in _crossings(move_z, move_b, H, cut) or ():
-        if eps > STEP_CAP:
-            break
-        trials += (eps * (1.0 - STEP_VERIFY_DELTA), min(STEP_CAP, eps * (1.0 + STEP_VERIFY_DELTA)))
+    crossings = [eps for eps in _crossings(move_z, move_b, H, cut) or () if eps <= STEP_CAP]
+    for eps, following in zip(crossings, crossings[1:] + [STEP_CAP]):
+        trials += (eps * (1.0 - STEP_VERIFY_DELTA), min(STEP_CAP, eps * (1.0 + STEP_VERIFY_DELTA)),
+                   math.sqrt(eps * following))
     trials.append(STEP_CAP)
     lo, roots_lo, g_lo = 0.0, base_move, margin(base_move)
     for trial in trials:

@@ -284,7 +284,11 @@ def _gws_core(coeffs, x, halfplane: HalfPlane) -> complex:
         worst = min(abs(halfplane.signed_distance(r)) for r in roots)
         raise NoRootInRegion(
             f"no admissible root for the diagonal equation (closest margin {worst:.3e})")
-    y = min(inside, key=lambda r: (abs(r), r.real, r.imag))
+    # moduli and real parts compared on a grid, as in _sorted_point: roots
+    # of equal modulus, such as the cube roots of Y^3 = w, differ in abs by
+    # rounding, and that noise must not preempt the (Re, Im) tie-break
+    grid = BOUNDARY_SCALE * scale
+    y = min(inside, key=lambda r: (np.rint(abs(r) / grid), np.rint(r.real / grid), r.imag))
     return complex(y)
 
 
@@ -293,7 +297,8 @@ def gws_solve(f: SymmetricPoly, x, halfplane: HalfPlane | None = None) -> comple
 
     ``young_gws`` on one block: f must be affine-linear in the e basis
     (multiaffine symmetric), and the admissible root of smallest modulus is
-    returned, ties broken by lexicographic (Re, Im).
+    returned, ties broken by lexicographic (Re, Im); moduli and real parts
+    tie when they agree on a grid of BOUNDARY_SCALE (1 + max |root|).
     """
     return young_gws((f.n,), f, x, halfplane)[0]
 
@@ -365,7 +370,8 @@ def young_gws(blocks, f, x, halfplane: HalfPlane | None = None) -> tuple[complex
     ``young_blocks_from_x_expansion`` first.  Solved block by block: later
     blocks stay frozen at their x coordinates, earlier blocks at the
     already-found diagonal values; each block takes the admissible root of
-    smallest modulus, ties broken by lexicographic (Re, Im).
+    smallest modulus, ties broken by lexicographic (Re, Im) as in
+    ``gws_solve``.
     """
     H = halfplane if halfplane is not None else HalfPlane.upper()
     sizes = tuple(int(b) for b in blocks)
@@ -643,6 +649,10 @@ def _newton_system(table: _TermTable, pmap: _PatternMap, theta: np.ndarray):
     return F, _row_norms(F), _real_parts(dfdtheta).transpose(0, 2, 1)
 
 
+# A start in a box too wide for the float range overflows its expansions;
+# the iterations end such a start, and verify refuses its point, so NumPy's
+# warnings would only print to stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _gauss_newton(table: _TermTable, pmap: _PatternMap, theta: np.ndarray, finish) -> None:
     """Damped Gauss-Newton on the real and imaginary parts of the table's
     polynomials from every row of theta (starts x params), in lockstep.

@@ -229,15 +229,24 @@ class TestFindRoots:
         return passes
 
     def test_rotated_retry_rescues_a_stiff_cluster(self, monkeypatch):
-        # a triple root next to a double one: the circle start's iterates
+        # a triple root next to a double one, draw 120 of
+        # triple_plus_double(default_rng(2026)): the circle start's iterates
         # miss the residual gate, the rotated start's pass meets it
-        a = -3.25 + 0.25j
-        b = -3.365429610673588 + 0.18657019497890862j
-        roots = [a] * 3 + [b] * 2 + [-0.75 + 1j]
+        a = 3.3275034750961217 + 1.5580166069345391j
+        b = 3.2148363911785007 + 1.4468501002836704j
+        roots = [a] * 3 + [b] * 2 + [-0.5489078680192693 + 0.7706276144525595j]
         passes = self.count_passes(monkeypatch)
         found = find_roots(vieta_from_roots(roots))
         assert len(passes) == 2
         assert match_roots(found, roots) < 1e-9
+
+    def test_stiff_cluster_is_solved(self):
+        # a member of the same family that needed the rotated start while
+        # the pass ran on arrays at every degree
+        a = -3.25 + 0.25j
+        b = -3.365429610673588 + 0.18657019497890862j
+        roots = [a] * 3 + [b] * 2 + [-0.75 + 1j]
+        assert match_roots(find_roots(vieta_from_roots(roots)), roots) < 1e-9
 
     @pytest.mark.parametrize("roots", [
         [1.066493650154447 + 0.18513282640399917j] * 4
@@ -386,24 +395,141 @@ class TestCollapseRefine:
 
 class TestAberthFloorStop:
     """Multiple roots stall Aberth's steps above the step-size test; the
-    backward-error floor has to end the iteration instead of the cap."""
+    backward-error floor has to end the iteration instead of the cap.  At
+    these degrees _aberth runs on Python scalars; the array pass is held
+    to the same stop."""
 
     CASES = ([1j, 1j, 1j, 2j], [0.5, 0.5, 0.5, 0.5, 3j])
 
-    @pytest.mark.parametrize("roots", CASES)
-    def test_stops_well_before_the_cap(self, roots, monkeypatch):
+    @staticmethod
+    def check_stop(kernel, roots, monkeypatch):
         w = vieta_from_roots(roots).raw_coefficients()
         x0 = _circle_start(w)
         monkeypatch.setattr(polynomials, "_ABERTH_MAX_ITERATIONS", 60)
-        short, floored = _aberth(w, x0)
+        short, floored = kernel(w, x0)
         assert floored
         monkeypatch.setattr(polynomials, "_ABERTH_MAX_ITERATIONS", 400)
-        assert np.array_equal(short, _aberth(w, x0)[0])
+        assert np.array_equal(short, kernel(w, x0)[0])
+
+    @pytest.mark.parametrize("roots", CASES)
+    def test_stops_well_before_the_cap(self, roots, monkeypatch):
+        assert len(roots) <= polynomials._SCALAR_MAX_DEGREE
+        self.check_stop(_aberth, roots, monkeypatch)
+
+    @pytest.mark.parametrize("roots", CASES)
+    def test_array_pass_stops_well_before_the_cap(self, roots, monkeypatch):
+        self.check_stop(polynomials._aberth_arrays, roots, monkeypatch)
 
     @pytest.mark.parametrize("roots", CASES)
     def test_find_roots_passes_the_residual_gate(self, roots):
         found = find_roots(vieta_from_roots(roots))
         assert match_roots(found, roots) < 1e-6
+
+
+def triple_plus_double(rng) -> list[complex]:
+    """A triple root, a double root 1/8 to 1/2 away and a simple root."""
+    a = complex(rng.normal(0, 1.5), abs(rng.normal(0, 1)))
+    b = a + rng.uniform(0.125, 0.5) * np.exp(2j * np.pi * rng.uniform())
+    return [a] * 3 + [complex(b)] * 2 + [complex(rng.normal(0, 1.5), abs(rng.normal(0, 1)))]
+
+
+def mfold_plus_near(rng) -> list[complex]:
+    """An m-fold root, m = 2 to 4, a simple root 1e-4 to 1e-1 away and up
+    to three random ones."""
+    m = int(rng.integers(2, 5))
+    a = complex(rng.normal(0, 1.5), abs(rng.normal(0, 1)))
+    near = a + 10.0 ** rng.uniform(-4, -1) * np.exp(2j * np.pi * rng.uniform())
+    others = [complex(rng.normal(0, 1.5), abs(rng.normal(0, 1)))
+              for _ in range(int(rng.integers(0, 4)))]
+    return [a] * m + [complex(near)] + others
+
+
+def random_stable(rng) -> list[complex]:
+    """Degree 5 to 8, roots N(0, 1.5) + i |N(0, 1)|."""
+    n = int(rng.integers(5, 9))
+    return (rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))).tolist()
+
+
+class TestScalarKernel:
+    """Up to _SCALAR_MAX_DEGREE roots the Aberth pass and the polish run on
+    Python scalars.  They agree with the array pass to rounding, and a
+    Python arithmetic error is the non-finite outcome, not a crash."""
+
+    @staticmethod
+    def use_arrays(monkeypatch):
+        monkeypatch.setattr(polynomials, "_SCALAR_MAX_DEGREE", 0)
+
+    @pytest.mark.parametrize("n", range(3, polynomials._SCALAR_MAX_DEGREE + 2))
+    def test_roots_agree_with_the_array_pass(self, monkeypatch, n):
+        rng = np.random.default_rng([2026, n])
+        for _ in range(20):
+            p = vieta_from_roots(rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n)))
+            monkeypatch.setattr(polynomials, "_SCALAR_MAX_DEGREE", n)
+            found = find_roots(p)
+            self.use_arrays(monkeypatch)
+            expected = find_roots(p)
+            scale = 1.0 + max(abs(v) for v in expected)
+            assert match_roots(found, expected) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", range(3, polynomials._SCALAR_MAX_DEGREE + 2))
+    def test_stacked_roots_stop_at_the_floor_in_both_passes(self, n):
+        # a double or triple root keeps the steps above the step-size test,
+        # so both passes end at the floor.  On simple roots the last steps
+        # are at rounding level, and whether they stall or pass the test
+        # first is a rounding race: 12 of 300 random draws of degree 5 to 8
+        # end differently, so the flag is compared on stacks only
+        rng = np.random.default_rng([2026, n])
+        for k in range(20):
+            roots = rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))
+            roots[1:2 + k % 2] = roots[0]
+            w = vieta_from_roots(roots).raw_coefficients()
+            x0 = _circle_start(w)
+            assert polynomials._aberth_scalars(
+                w.tolist(), polynomials._derivative(w).tolist(), x0.tolist())[1]
+            assert polynomials._aberth_arrays(w, x0)[1]
+
+    def test_overflowing_start_is_a_numerical_failure(self):
+        # the circle start has radius about 1e300, where p and p' overflow
+        # to NaN, so the first step is not finite
+        p = Poly((1e300, 0.0, 0.0, 0.0, 0.0, 1e300))
+        x, floored = _aberth(p.raw_coefficients(), _circle_start(p.raw_coefficients()))
+        assert np.isnan(x).all() and not floored
+        with pytest.raises(NonConvergence, match="non-finite iterate"):
+            find_roots(p)
+        # a start with finite parts and a modulus past the float range,
+        # where Python's abs raises OverflowError
+        x, floored = _aberth(np.array([1.0, 0.0, -1.0], dtype=complex),
+                             np.array([1.5e308 * (1 + 1j), 1j]))
+        assert np.isnan(x).all() and not floored
+
+    def test_overflowing_polish_is_a_numerical_failure(self):
+        # p' = 2x at 0.7e308 (1 + i) has finite parts and a modulus past
+        # the float range
+        x = polynomials._polish(np.array([1.0, 0.0, 1.0], dtype=complex),
+                                np.array([0.7e308 * (1 + 1j), 1j]))
+        assert np.isnan(x).all()
+
+    def test_hard_families_fail_as_often_as_on_arrays(self, monkeypatch):
+        # NonConvergence counts over 300 draws (rng 2026) of each family,
+        # printed for both passes; the scalar pass may not fail more often
+        # by more than rounding can move a borderline draw
+        counts = {}
+        for kernel in ("scalars", "arrays"):
+            if kernel == "arrays":
+                self.use_arrays(monkeypatch)
+            for family in (triple_plus_double, mfold_plus_near, random_stable):
+                rng = np.random.default_rng(2026)
+                failed = 0
+                for _ in range(300):
+                    try:
+                        find_roots(vieta_from_roots(family(rng)))
+                    except NonConvergence:
+                        failed += 1
+                counts[kernel, family.__name__] = failed
+        print(counts)
+        for family in ("triple_plus_double", "mfold_plus_near"):
+            assert counts["scalars", family] <= 1.1 * counts["arrays", family] + 2
+        assert counts["scalars", "random_stable"] == counts["arrays", "random_stable"] == 0
 
 
 class TestClusterRoots:

@@ -420,10 +420,11 @@ class TestStepPrediction:
         # a real root starts on the boundary line and leaves it at once.  The
         # crossing is predicted at eps = 2.0827e-7, but STEP_VERIFY_DELTA
         # moves the margin there by less than raw-root noise, so both its
-        # probes read admissible; the inner probe of the next crossing,
-        # 1.24e7, reads inadmissible, and ITP finds the first one in that
-        # bracket.  Taking the outer probe's margin for a tangency and
-        # reporting the direction unbounded would be wrong
+        # probes can read admissible.  So can the inner probe of the next
+        # crossing, 1.24e7, by 3.6e-16 as numpy.roots sees it; the probe at
+        # their geometric mean reads inadmissible, and ITP finds the first
+        # crossing in that bracket.  Taking the outer probe's margin for a
+        # tangency and reporting the direction unbounded would be wrong
         z = np.asarray(vieta_from_roots([-0.5587840908301573,
                                          0.9162470079135698 + 0.4152410595284843j,
                                          -1.6032901259175492 + 1.2133954349468397j]).z)
@@ -474,9 +475,10 @@ class TestStepPrediction:
             moved = np.roots(z_to_raw(move_z + scale * res.epsilon * b))
             assert (min(H.signed_distance(x) for x in moved) < 0.0) == outside
 
-    def test_spurious_crossing_costs_two_probes(self, monkeypatch):
+    def test_spurious_crossing_costs_three_probes(self, monkeypatch):
         # a predicted crossing that is not one, such as a tangency, is
-        # probed from both sides and the walk goes on to the real one
+        # probed from both sides and between it and the next crossing, and
+        # the walk goes on to the real one
         plain = _record_raw_probes(monkeypatch)
         expected = max_stable_step(_movers((3j, -2.0)), (0.0, 1.0))
         monkeypatch.undo()
@@ -486,7 +488,7 @@ class TestStepPrediction:
         res = max_stable_step(_movers((3j, -2.0)), (0.0, 1.0))
         assert res.event == expected.event == "root-hit-boundary"
         assert res.epsilon == expected.epsilon == pytest.approx(2.000000045, rel=1e-12)
-        assert len(spurious) == len(plain) + 2
+        assert len(spurious) == len(plain) + 3
 
     def test_vanishing_crossing_polynomial_probes_the_cap(self, monkeypatch):
         # b = 0 leaves F identically zero: no prediction, and the one

@@ -1,5 +1,6 @@
 """Elementary-symmetric evaluation, one-point reductions and variety search."""
 
+import cmath
 import itertools
 import math
 
@@ -352,6 +353,25 @@ class TestGwsSolve:
         # e2(2i, 8i) = -16, so Y^2 = -16 and only 4i lies in the region
         f = SymmetricPoly.from_terms(2, {(0, 1): 1.0}, 2)
         assert gws_solve(f, (2j, 8j)) == pytest.approx(4j)
+
+    def test_equal_moduli_tie_break_by_real_part(self):
+        # f = c0 + c3 e3 on a block of 3: Y^3 = e3(x), whose cube roots
+        # share one modulus, and two of them lie in the upper half-plane.
+        # Their abs differ by rounding, which picked the one of larger
+        # real part here
+        x = (-0.3171556440173552 + 0.2932336958002246j,
+             -0.24333508574217566 + 0.817206580492595j,
+             -0.7944473388868819 + 0.13423994708633882j)
+        f = affine_symmetric(3, [-0.11078013611159404 + 0.5433593895301524j, 0, 0,
+                                 0.22463852364937692 + 2.550034636307906j])
+        w = x[0] * x[1] * x[2]
+        cube_roots = [abs(w) ** (1 / 3) * cmath.exp(1j * (cmath.phase(w) + 2 * math.pi * k) / 3)
+                      for k in range(3)]
+        inside = [r for r in cube_roots if r.imag > 0]
+        assert len(inside) == 2
+        y = gws_solve(f, x)
+        assert y == pytest.approx(min(inside, key=lambda r: r.real), rel=1e-12)
+        assert young_gws((3,), f, x) == (y,)
 
     def test_constant_returns_first_coordinate(self):
         f = SymmetricPoly.from_terms(3, {(): 7.0}, 0)
