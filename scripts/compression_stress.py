@@ -9,6 +9,7 @@ instance's own coordinates and half-plane.  Exit status 1 if any run
 raises NonConvergence or breaks an invariant.
 
     python3 scripts/compression_stress.py --count 200 --seed 7
+    python3 scripts/compression_stress.py --n-lo 3 --n-hi 8 --count 300 --seed 2
 """
 
 import argparse
@@ -62,8 +63,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=StressConfig.count)
     ap.add_argument("--seed", type=int, default=StressConfig.seed)
+    ap.add_argument("--n-lo", type=int, default=StressConfig.n_lo,
+                    help="lowest degree drawn (at least 2)")
+    ap.add_argument("--n-hi", type=int, default=StressConfig.n_hi,
+                    help="highest degree drawn")
     args = ap.parse_args()
-    cfg = StressConfig(count=args.count, seed=args.seed)
+    if not 2 <= args.n_lo <= args.n_hi:
+        ap.error("need 2 <= --n-lo <= --n-hi")
+    cfg = StressConfig(count=args.count, seed=args.seed, n_lo=args.n_lo, n_hi=args.n_hi)
 
     rng = np.random.default_rng(cfg.seed)
     t0 = time.time()
@@ -92,7 +99,8 @@ def main() -> int:
         worst_membership = max(worst_membership, resid / tol)
         worst_steps = max(worst_steps, len(report.steps))
     dt = time.time() - t0
-    print(f"{cfg.count} instances ({rotated} in rotated half-planes), seed {cfg.seed}: "
+    print(f"{cfg.count} instances of degree {cfg.n_lo}-{cfg.n_hi} "
+          f"({rotated} in rotated half-planes), seed {cfg.seed}: "
           f"{cfg.count - failures} finished, {failures} numerical failures, "
           f"{violations} violations in {dt:.1f}s")
     print(f"worst membership residual {worst_membership:.2e} of tolerance; "

@@ -38,7 +38,8 @@ _FLOOR_FACTOR = 4.0
 # Up to this degree _aberth and find_roots' polish iterate on Python complex
 # scalars, above it on NumPy arrays: on a few entries a NumPy call costs more
 # than its arithmetic.  Cold find_roots timed 2.1x as fast on scalars at
-# degree 3, 1.35x at 8, 1.06x at 11 and 0.96x at 12 (README, "Numerics")
+# degree 3, 1.35x at 8, 1.06x at 11 and 0.96x at 12 (README, "Numerics").
+# Up to it a cold find_roots also starts from the companion eigenvalues
 _SCALAR_MAX_DEGREE = 8
 
 
@@ -343,6 +344,19 @@ def _circle_start(w: np.ndarray) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
+def _eig_start(w: np.ndarray) -> np.ndarray:
+    """find_roots' first cold start up to _SCALAR_MAX_DEGREE: the
+    companion-matrix eigenvalues, np.roots(w), which are backward stable
+    normwise (Edelman & Murakami, Math. Comp. 64, 1995); _circle_start's
+    points where LAPACK raises or gives a non-finite value."""
+    try:
+        with np.errstate(all="ignore"):
+            x = np.roots(w)
+    except np.linalg.LinAlgError:
+        return _circle_start(w)
+    return x if np.all(np.isfinite(x)) else _circle_start(w)
+
+
 def _rotated_start(w: np.ndarray) -> np.ndarray:
     """find_roots' second cold start: n points on a circle 1.3 times as wide
     as _circle_start's, turned by 0.7 against it."""
@@ -448,8 +462,10 @@ def find_roots(
     """All roots with multiplicity via simultaneous (Aberth) iteration.
 
     Deterministic.  One pass runs from each start until one is accepted:
-    a warm call's start is the supplied values, a cold call's the circle
-    of _circle_start and, once that pass misses, _rotated_start's.  A pass
+    a warm call's start is the supplied values.  A cold call's starts are,
+    up to degree _SCALAR_MAX_DEGREE (8), the companion eigenvalues of
+    _eig_start, then _rotated_start's circle, then _circle_start's; above
+    it, _circle_start's circle, then _rotated_start's.  A pass
     iterates until the largest step falls to 1e-14 (1 + max |x|), or, once
     the steps no longer halve, until every residual is at the rounding
     floor |p(x_j)| <= 4 n eps sum_i |a_i| |x_j|^i (Bini 1996), and only in
@@ -470,7 +486,12 @@ def find_roots(
     differently.  Cold calls on random stable polynomials, median ms on
     arrays / on scalars (README, "Numerics"): degree 3 0.56 / 0.26,
     6 0.64 / 0.39, 8 1.10 / 0.80, 11 2.27 / 2.13, 12 2.79 / 2.91,
-    16 5.85 / 8.29.
+    16 5.85 / 8.29.  From the companion eigenvalues a pass is a short
+    refinement: median ms from the circle / from the eigenvalues, degree
+    3 0.14 / 0.11, 6 0.37 / 0.15, 8 0.74 / 0.19.  Above degree 8 the
+    circle stays first: roots that differ at rounding level make the
+    degree-24 sweep job compress-34-n24-k2-coords stall, since its
+    boundary walk's fiber correction ends at the rounding floor.
     """
     n = p.degree
     if n == 1:
@@ -488,6 +509,9 @@ def find_roots(
         # closer than 0.013, and _aberth clamps the pair differences left.
         warm = x + 1e-9 * (1.0 + np.abs(x)) * np.exp(1j * (0.6 + 1.7 * np.arange(n)))
         starts = (lambda w: warm,)
+    elif n <= _SCALAR_MAX_DEGREE:
+        # the circle comes last: some stiff clusters only its pass solves
+        starts = (_eig_start, _rotated_start, _circle_start)
     else:
         starts = (_circle_start, _rotated_start)
     for start in starts:

@@ -230,8 +230,8 @@ class TestFindRoots:
 
     def test_rotated_retry_rescues_a_stiff_cluster(self, monkeypatch):
         # a triple root next to a double one, draw 120 of
-        # triple_plus_double(default_rng(2026)): the circle start's iterates
-        # miss the residual gate, the rotated start's pass meets it
+        # triple_plus_double(default_rng(2026)): the eigenvalue start's
+        # iterates miss the residual gate, the rotated start's pass meets it
         a = 3.3275034750961217 + 1.5580166069345391j
         b = 3.2148363911785007 + 1.4468501002836704j
         roots = [a] * 3 + [b] * 2 + [-0.5489078680192693 + 0.7706276144525595j]
@@ -255,12 +255,87 @@ class TestFindRoots:
         + [0.3176968921431506 + 0.8028557950451586j,
            0.2713499427379583 + 0.0231796154480359j],
     ], ids=["near-simple", "near-simple-and-far"])
-    def test_rotated_retry_rescues_a_fourfold_root(self, monkeypatch, roots):
+    def test_fourfold_root_is_solved(self, roots):
         # a 4-fold root with a simple one about 1e-2 away
+        assert match_roots(find_roots(vieta_from_roots(roots)), roots) < 1e-9
+
+    @pytest.mark.parametrize("roots", [
+        [-1.6999078347860686 + 0.30925702541729105j] * 3
+        + [-1.697375976777769 + 0.30878097578018515j,
+           -0.9366382145641778 + 0.311990169593089j],
+        [-1.212921446560678 + 0.9252364056618119j] * 3
+        + [-1.2151105688939203 + 0.9265290624711451j,
+           -0.5446386304529668 + 1.3304141883278107j,
+           0.0690463039414747 + 1.3480400940037323j,
+           -0.3496504145680769 + 0.8056108394550703j],
+    ], ids=["draw-941", "draw-1066"])
+    def test_rotated_retry_rescues_a_threefold_root(self, monkeypatch, roots):
+        # a triple root with a simple one 2.5e-3 away, draws of
+        # mfold_plus_near(default_rng(2026)): the eigenvalue start's pass
+        # misses the residual gate, the rotated start's pass meets it
         passes = self.count_passes(monkeypatch)
         found = find_roots(vieta_from_roots(roots))
         assert len(passes) == 2
         assert match_roots(found, roots) < 1e-9
+
+    @pytest.mark.parametrize("roots, passes", [
+        # m-fold roots with a near simple one, draws 6 and 28 of
+        # mfold_plus_near(default_rng(2026)), which neither circle start
+        # solves
+        ([1.0795919046425881 + 2.1834881427128314j] * 3
+         + [1.076398387130644 + 2.1804319574421442j,
+            4.726362200309775 + 1.6184131202601322j,
+            1.2406597973328715 + 0.663821954890323j], 1),
+        ([-1.0241606324516987 + 0.06214563047606366j] * 2
+         + [-1.0241283557171592 + 0.06225196623019588j,
+            -0.9289317806494788 + 1.5511470339356546j,
+            -1.6546911376236868 + 1.5374765897606952j,
+            -0.924858284179016 + 0.5599863050754036j], 1),
+        # draw 73 of triple_plus_double(default_rng(2026)): only the third
+        # start, the circle, meets the gate
+        ([4.446556485017034 + 1.47084001348735j] * 3
+         + [4.4883891705521375 + 1.6238316876626124j] * 2
+         + [0.5703870187779143 + 1.1845560951901957j], 3),
+    ], ids=["mfold-draw-6", "mfold-draw-28", "triple-plus-double-draw-73"])
+    def test_cold_starts_in_order(self, monkeypatch, roots, passes):
+        counted = self.count_passes(monkeypatch)
+        found = find_roots(vieta_from_roots(roots))
+        assert len(counted) == passes
+        assert match_roots(found, roots) < 1e-9
+
+    @pytest.mark.parametrize("error", ["raises", "nan"])
+    def test_eig_start_falls_back_to_the_circle(self, monkeypatch, error):
+        roots = [0.5j, 1 - 1j, 2 + 3j, -1 + 0.25j]
+        p = vieta_from_roots(roots)
+        w = p.raw_coefficients()
+
+        def broken(c):
+            if error == "raises":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return np.full(c.size - 1, np.nan, dtype=complex)
+
+        monkeypatch.setattr(np, "roots", broken)
+        assert np.array_equal(polynomials._eig_start(w), _circle_start(w))
+        assert match_roots(find_roots(p), roots) < 1e-9
+
+    @pytest.mark.parametrize("roots", [
+        [0j, 1 + 1j, -2 + 0.5j],
+        [0j, 0j, 0j, 0.5 + 2j, -1.5 + 0.25j, 3 - 1j, 1j, -0.75 + 1.5j],
+    ], ids=["one-zero", "three-zeros-degree-8"])
+    def test_zero_roots(self, roots):
+        # the trailing zero coefficients are stripped by np.roots and come
+        # back as exact zeros in its output
+        assert match_roots(find_roots(vieta_from_roots(roots)), roots) < 1e-6
+
+    @pytest.mark.parametrize("n", range(polynomials._SCALAR_MAX_DEGREE + 1, 13))
+    def test_circle_starts_above_the_scalar_degrees(self, monkeypatch, n):
+        def unused(w):
+            raise AssertionError("the eigenvalue start serves degree <= 8 only")
+
+        monkeypatch.setattr(polynomials, "_eig_start", unused)
+        rng = np.random.default_rng([2026, n])
+        roots = rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))
+        assert match_roots(find_roots(vieta_from_roots(roots)), roots) < 1e-9
 
     @pytest.mark.parametrize("raw", [False, True])
     def test_warm_start_needs_one_value_per_root(self, raw):
