@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -134,6 +135,26 @@ def vieta_rows(x) -> np.ndarray:
     return e[1:].T
 
 
+def _expand(xs: Sequence[complex]) -> np.ndarray:
+    """e_1, ..., e_n of the Python complex roots xs, as an array.
+
+    A non-finite root raises ValueError, finite roots whose expansion
+    overflows raise NonConvergence."""
+    try:  # |e_i| <= (1 + sum |x_j|)^n: only roots that large pay for the
+        # guard, and a non-finite root makes the bound non-finite
+        small = len(xs) * math.log1p(sum(map(abs, xs))) < 700.0
+    except OverflowError:  # a modulus past the float range
+        small = False
+    if small:
+        return vieta_rows([xs])[0]
+    _as_complex_tuple(xs, "root")  # a non-finite root is invalid input
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = vieta_rows([xs])[0]
+    if not np.all(np.isfinite(e)):
+        raise NonConvergence("the expansion of the roots overflows the float range")
+    return e
+
+
 def vieta_from_roots(roots: Sequence[complex]) -> Poly:
     """Expand prod (T - x_j) and return the Poly carrying e_i(roots).
 
@@ -141,17 +162,7 @@ def vieta_from_roots(roots: Sequence[complex]) -> Poly:
     xs = _as_complex_tuple(roots, "root")
     if not xs:
         raise ValueError("need at least one root")
-    try:  # |e_i| <= (1 + max |x_j|)^n: only roots that large pay for the guard
-        small = len(xs) * math.log1p(max(map(abs, xs))) < 700.0
-    except OverflowError:  # a modulus past the float range
-        small = False
-    if small:
-        return Poly(tuple(vieta_rows([xs])[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = vieta_rows([xs])[0]
-    if not np.all(np.isfinite(e)):
-        raise NonConvergence("the expansion of the roots overflows the float range")
-    return Poly(tuple(e))
+    return Poly(tuple(_expand(xs)))
 
 
 def _polyval(c: list, x: np.ndarray) -> np.ndarray:
@@ -373,14 +384,13 @@ def _derivative(w: np.ndarray, order: int = 1) -> np.ndarray:
     return w
 
 
-def _deflate(w: np.ndarray, r: complex) -> np.ndarray:
-    # synthetic division by (T - r); the remainder is discarded because r
-    # is used as an exact root of the represented factor
-    q = np.empty(w.size - 1, dtype=complex)
-    acc = w[0]
-    for i in range(w.size - 1):
-        q[i] = acc
-        acc = acc * r + w[i + 1]
+def _deflate(w: list, r: complex) -> list:
+    """Quotient of the descending Python-scalar coefficients w by (T - r),
+    by synthetic division; the remainder is discarded because r is used
+    as an exact root of the represented factor."""
+    q = [w[0]]
+    for a in w[1:-1]:
+        q.append(q[-1] * r + a)
     return q
 
 
@@ -414,10 +424,11 @@ def _snapped(w: np.ndarray, z: np.ndarray, x: np.ndarray,
     # limited.  Dividing the snapped stacks out first leaves a
     # quotient that is well conditioned at the companions.
     if singles:
-        q = w
+        ql = w.tolist()
         for mu, m in stacks:
             for _ in range(m):
-                q = _deflate(q, mu)
+                ql = _deflate(ql, mu)
+        q = np.array(ql)
         dq = _derivative(q)
         singles = [_scalar_newton(q, dq, mu) for mu in singles]
     arr = np.asarray([mu for mu, m in stacks for _ in range(m)] + singles, dtype=complex)
@@ -451,6 +462,15 @@ def _collapse_refine(w: np.ndarray, z: np.ndarray, x: np.ndarray):
         if best is None or err < best[1]:
             best = (arr, err)
     return best
+
+
+@functools.cache
+def _warm_phases(n: int) -> np.ndarray:
+    """The phases of find_roots' warm-start nudge at degree n, read-only:
+    one array per degree serves every call."""
+    phases = np.exp(1j * (0.6 + 1.7 * np.arange(n)))
+    phases.flags.writeable = False
+    return phases
 
 
 def find_roots(
@@ -507,7 +527,7 @@ def find_roots(
         # nudge keeps every configuration reachable.  It also splits
         # coincident warm values: for n <= 100 no two of its phases are
         # closer than 0.013, and _aberth clamps the pair differences left.
-        warm = x + 1e-9 * (1.0 + np.abs(x)) * np.exp(1j * (0.6 + 1.7 * np.arange(n)))
+        warm = x + 1e-9 * (1.0 + np.abs(x)) * _warm_phases(n)
         starts = (lambda w: warm,)
     elif n <= _SCALAR_MAX_DEGREE:
         # the circle comes last: some stiff clusters only its pass solves

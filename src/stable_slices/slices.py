@@ -32,10 +32,10 @@ from .polynomials import (
     RootProfile,
     _compose_affine,
     _deflate,
+    _expand,
     _gaps,
     cluster_roots,
     find_roots,
-    raw_to_z,
     vieta_from_roots,
     z_to_raw,
 )
@@ -542,20 +542,20 @@ def _state_roots(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray) -> np.ndarra
     return np.concatenate([moving, frozen]) if frozen.size else moving
 
 
-def _position_tangents(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray) -> np.ndarray:
-    """Columns d z / d x_i for a root multiset parametrized by positions.
+def _position_tangents(w: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Columns d z / d x_i for a root multiset parametrized by positions:
+    the product f with raw coefficients w, of which a multiplicity-mu_i
+    stack sits at each x_i.
 
-    Moving the whole multiplicity-mu_i stack at x_i perturbs the product
-    by -mu_i * f / (T - x_i); the Vieta signs turn the raw coefficients of
-    that quotient into the z-perturbation.
+    Moving the whole stack at x_i perturbs f by -mu_i * f / (T - x_i); the
+    Vieta signs turn the raw coefficients of that quotient into the
+    z-perturbation.  The matrix is C-ordered, as S2.matrix @ cols rounds
+    according to the memory layout.
     """
-    roots = _state_roots(x, mu, frozen)
-    w = np.asarray(vieta_from_roots(roots).raw_coefficients(), dtype=complex)
-    cols = np.empty((roots.size, x.size), dtype=complex)
-    for i in range(x.size):
-        q = _deflate(w, complex(x[i]))
-        cols[:, i] = -float(mu[i]) * raw_to_z(np.concatenate(([0.0], q)))
-    return cols
+    wl = w.tolist()
+    quotients = np.array([_deflate(wl, r) for r in x.tolist()]).T
+    scale = (-1.0) ** np.arange(1, w.size)[:, None] * -mu
+    return np.multiply(quotients, scale, order="C")
 
 
 def _fiber_correct(x: np.ndarray, mu: np.ndarray, frozen: np.ndarray,
@@ -597,12 +597,12 @@ def _fiber_correct_mixed(xr: np.ndarray, mur: np.ndarray,
     t, xc = np.asarray(xr, dtype=float), np.asarray(xc, dtype=complex)
     mu = np.concatenate([mur, muc]).astype(int)
     w = cmath.exp(1j * H.theta)
-    empty = np.zeros(0, dtype=complex)
+    k = S2.matrix.shape[0]
     best, best_err = (t, xc), np.inf
     prev = np.inf
     for _ in range(16):
         pos = np.concatenate([H.from_upper(t), xc])
-        zc = np.asarray(vieta_from_roots(_state_roots(pos, mu, empty)).z, dtype=complex)
+        zc = _expand(np.repeat(pos, mu).tolist())
         res = S2.matrix @ zc - S2.target_vector
         err = float(np.max(np.abs(res))) if res.size else 0.0
         if err < best_err:
@@ -610,14 +610,18 @@ def _fiber_correct_mixed(xr: np.ndarray, mur: np.ndarray,
         if err <= 0.01 * tol or err > 0.9 * prev:
             break
         prev = err
-        Jc = S2.matrix @ _position_tangents(pos, mu, empty)
+        Jc = S2.matrix @ _position_tangents(z_to_raw(zc), pos, mu)
         # a unit step in t moves the root by e^{i theta}
         Jc[:, :nr] *= w
-        A = np.empty((2 * Jc.shape[0], nr + 2 * nc))
-        A[:, :nr] = np.vstack([Jc[:, :nr].real, Jc[:, :nr].imag])
-        A[:, nr::2] = np.vstack([Jc[:, nr:].real, Jc[:, nr:].imag])
+        # rows: the real parts of the k constraints, then the imaginary ones
+        A = np.empty((2 * k, nr + 2 * nc))
+        A[:k, :nr] = Jc[:, :nr].real
+        A[k:, :nr] = Jc[:, :nr].imag
+        A[:k, nr::2] = Jc[:, nr:].real
+        A[k:, nr::2] = Jc[:, nr:].imag
         # the imaginary degree of freedom moves z along i times the column
-        A[:, nr + 1::2] = np.vstack([-Jc[:, nr:].imag, Jc[:, nr:].real])
+        A[:k, nr + 1::2] = -Jc[:, nr:].imag
+        A[k:, nr + 1::2] = Jc[:, nr:].real
         A[:, nr:] *= xc_weight
         rhs = np.concatenate([res.real, res.imag])
         delta, *_ = np.linalg.lstsq(A, -rhs, rcond=None)
@@ -702,7 +706,9 @@ def _boundary_walk(x, mu, frozen, S2, H, functionals, t_bd, interior_count):
             continue
 
         # a unit step in a line coordinate moves its root by e^{i theta}
-        cols = _position_tangents(H.from_upper(x), mu, frozen) * cmath.exp(1j * H.theta)
+        pos = H.from_upper(x)
+        raw = z_to_raw(_expand(_state_roots(pos, mu, frozen).tolist()))
+        cols = _position_tangents(raw, pos, mu) * cmath.exp(1j * H.theta)
         J = S2.matrix @ cols
         V = _kernel_basis(np.vstack([J.real, J.imag]), x.size)
         if V.shape[1] == 0:

@@ -178,6 +178,15 @@ class TestVietaRows:
         with pytest.raises(ValueError):
             vieta_from_roots((complex("inf"), 1.0))
 
+    def test_expansion_guard_sees_every_root(self):
+        # a NaN after the first root is no maximum, but it makes the sum of
+        # the moduli NaN, so the guarded path rejects it
+        for roots in ([1.0 + 0j, complex("nan")], [2j, 1.0, complex(0.0, float("inf"))]):
+            with pytest.raises(ValueError, match="root must be finite"):
+                polynomials._expand(roots)
+        with pytest.raises(NonConvergence, match="overflows"):
+            polynomials._expand([1e200 + 0j, 1e200 + 0j])
+
 
 class TestFindRoots:
     def test_t_squared_plus_one(self):
@@ -341,6 +350,29 @@ class TestFindRoots:
     def test_warm_start_needs_one_value_per_root(self, raw):
         with pytest.raises(DimensionMismatch, match="one value per root"):
             find_roots(Poly((0.0, 1.0)), initial=[1j], raw=raw)
+
+    def test_warm_phases_are_cached_read_only(self):
+        for n in range(2, 41):
+            phases = polynomials._warm_phases(n)
+            assert np.array_equal(phases, np.exp(1j * (0.6 + 1.7 * np.arange(n))))
+            assert not phases.flags.writeable
+            assert polynomials._warm_phases(n) is phases
+
+
+class TestDeflate:
+    def test_matches_numpy_scalar_division_bit_for_bit(self):
+        rng = np.random.default_rng(2027)
+        for _ in range(500):
+            n = int(rng.integers(1, 33))
+            w = (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)) \
+                * 10.0 ** rng.uniform(-3, 3, n + 1)
+            r = complex(*rng.normal(0.0, 2.0, 2))
+            # the division as the array version did it, on NumPy scalars
+            expected, acc = [], w[0]
+            for a in w[1:]:
+                expected.append(acc)
+                acc = acc * r + a
+            assert bits(polynomials._deflate(w.tolist(), r)) == bits(expected)
 
 
 class TestPolyval:

@@ -24,7 +24,7 @@ from stable_slices import (
 )
 from stable_slices.errors import DimensionMismatch, NonConvergence
 from stable_slices.polynomials import cluster_roots
-from stable_slices.polynomials import BOUNDARY_SCALE, z_to_raw
+from stable_slices.polynomials import BOUNDARY_SCALE, raw_to_z, z_to_raw
 from stable_slices.slices import (
     _hermite_verdicts,
     STEP_CAP,
@@ -625,6 +625,117 @@ class TestCompress:
             assert fi <= ti and fb <= tb
             assert S.residual(np.asarray(st.final_z.z)) <= \
                 membership_tolerance(S.target_vector)
+
+
+def reference_position_tangents(x, mu, frozen):
+    """d z / d x_i column by column, as the walk built it with one NumPy
+    element per coefficient: synthetic division of the expansion by
+    (T - x_i) on NumPy scalars, then the Vieta signs and -mu_i."""
+    roots = slices._state_roots(x, mu, frozen)
+    w = np.asarray(vieta_from_roots(roots).raw_coefficients(), dtype=complex)
+    cols = np.empty((roots.size, x.size), dtype=complex)
+    for i in range(x.size):
+        q = np.empty(w.size - 1, dtype=complex)
+        acc = w[0]
+        for j in range(w.size - 1):
+            q[j] = acc
+            acc = acc * complex(x[i]) + w[j + 1]
+        cols[:, i] = -float(mu[i]) * raw_to_z(np.concatenate(([0.0], q)))
+    return cols
+
+
+def walk_state(rng, H, movers, frozen):
+    """Positions of `movers` stacks on the boundary line of H, each of
+    multiplicity 1-3, and `frozen` simple roots inside H."""
+    x = H.from_upper(rng.normal(0.0, 2.0, movers))
+    mu = rng.integers(1, 4, movers)
+    fr = H.from_upper(rng.normal(0.0, 2.0, frozen) + 1j * (np.abs(rng.normal(0.0, 1.0, frozen)) + 0.1))
+    return x, mu, fr
+
+
+class TestPositionTangents:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_match_the_per_root_construction(self, seed):
+        rng = np.random.default_rng([2027, seed])
+        for _ in range(150):
+            H = HalfPlane(rng.uniform(0.0, 2.0 * np.pi), complex(*rng.normal(0.0, 0.5, 2)))
+            movers = int(rng.integers(1, 9))
+            frozen = int(rng.integers(0, 9))
+            # degree up to 3 * 8 + 8 = 32
+            x, mu, fr = walk_state(rng, H, movers, frozen)
+            w = z_to_raw(vieta_from_roots(slices._state_roots(x, mu, fr)).z)
+            cols = slices._position_tangents(w, x, mu)
+            assert np.array_equal(cols, reference_position_tangents(x, mu, fr))
+            # S2.matrix @ cols rounds according to the memory layout
+            assert cols.flags.c_contiguous
+
+    def test_column_is_the_derivative_of_the_whole_stack(self):
+        rng = np.random.default_rng(2028)
+        H = HalfPlane(2.1, 0.4 - 0.3j)
+        x, mu, fr = walk_state(rng, H, 5, 3)
+        mu[:3] = (3, 2, 1)
+
+        def z_at(xs):
+            return np.asarray(vieta_from_roots(slices._state_roots(xs, mu, fr)).z)
+
+        w = z_to_raw(z_at(x))
+        cols = slices._position_tangents(w, x, mu)
+        assert cols.shape == (int(mu.sum()) + fr.size, x.size)
+        for i in range(x.size):
+            for direction in (1.0, 1j):
+                h = 1e-6 * (1.0 + abs(x[i])) * direction
+                up, down = x.copy(), x.copy()
+                up[i] += h
+                down[i] -= h
+                slope = (z_at(up) - z_at(down)) / (2.0 * h)
+                scale = 1.0 + float(np.max(np.abs(cols[:, i])))
+                assert np.max(np.abs(slope - cols[:, i])) <= 1e-6 * scale
+
+
+class TestFiberCorrection:
+    H = HalfPlane(0.7, 0.3 + 0.2j)
+    # a double boundary stack, a simple boundary root, an interior root
+    T = np.array([-0.8, 1.3])
+    MUR = np.array([2, 1])
+    MUC = np.array([1])
+
+    def slice_through(self, t, xc):
+        roots = np.concatenate([np.repeat(self.H.from_upper(t), self.MUR), xc])
+        z = np.asarray(vieta_from_roots(roots).z)
+        L = np.random.default_rng(2029).normal(size=(2, 4)) \
+            + 1j * np.random.default_rng(2030).normal(size=(2, 4))
+        return Slice.from_arrays(L, L @ z)
+
+    def test_projects_a_nudged_state_onto_the_slice(self):
+        xc = np.array([self.H.from_upper(0.4 + 1.1j)])
+        S = self.slice_through(self.T, xc)
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(S.target_vector))))
+        t0 = self.T + np.array([2e-3, -1.5e-3])
+        xc0 = xc + (1e-3 - 2e-3j)
+        assert S.residual(np.asarray(vieta_from_roots(np.concatenate(
+            [np.repeat(self.H.from_upper(t0), self.MUR), xc0])).z)) > 1e3 * tol
+        t, nxc, err = slices._fiber_correct_mixed(t0, self.MUR, xc0, self.MUC, S, self.H, tol)
+        assert err <= tol
+        # boundary roots stay line coordinates, so they stay on the line
+        assert t.dtype == np.float64 and t.shape == (2,)
+        assert nxc.shape == (1,)
+        assert self.H.signed_distance(nxc[0]) > 0.5
+        # the multiplicities are the state's: re-expanding the double
+        # stack as one meets the slice and keeps the double root
+        roots = np.concatenate([np.repeat(self.H.from_upper(t), self.MUR), nxc])
+        z = np.asarray(vieta_from_roots(roots).z)
+        assert S.residual(z) <= tol
+        profile = cluster_roots(find_roots(Poly(tuple(z))), self.H)
+        assert sorted((c.side, c.multiplicity) for c in profile.clusters) == \
+            [("boundary", 1), ("boundary", 2), ("interior", 1)]
+
+    def test_overflowing_expansion_is_a_numerical_failure(self):
+        # CLI exit 3: e_4 of these roots is past the float range
+        xc = np.array([self.H.from_upper(0.4 + 1.1j)])
+        S = self.slice_through(self.T, xc)
+        with pytest.raises(NonConvergence, match="overflows the float range"):
+            slices._fiber_correct_mixed(np.array([1e100, -1e100]), self.MUR, xc * 1e100,
+                                        self.MUC, S, self.H, 1e-12)
 
 
 def reference_section(S, H, free_axes, window, resolution):
