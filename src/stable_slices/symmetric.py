@@ -270,7 +270,8 @@ def _gws_core(coeffs, x, halfplane: HalfPlane) -> complex:
     for d in range(1, n + 1):
         u[d] = c[d] * math.comb(n, d)
     deg = n
-    while deg > 0 and abs(u[deg]) <= 1e-14 * (1.0 + float(np.max(np.abs(u)))):
+    # u[0] holds the target, whose size says nothing of the leading terms
+    while deg > 0 and abs(u[deg]) <= 1e-14 * float(np.max(np.abs(u[1:]))):
         deg -= 1
     if deg == 0:
         # constant problem: any point works, x_1 is the deterministic pick
@@ -465,31 +466,52 @@ class _Pattern:
         rot = np.exp(1j * halfplane.theta)
         widths = self.multiplicities + (1,) * self.interior
         matrix = np.zeros((self.params, sum(widths)), dtype=complex)
-        clamped = []
+        clamped = np.zeros(self.params, dtype=bool)
         row = col = 0
         for k, width in enumerate(widths):
             matrix[row, col:col + width] = rot
             if k >= len(self.multiplicities) or not self.boundary_real:
                 matrix[row + 1, col:col + width] = 1j * rot
-                clamped.append(row + 1)
+                clamped[row + 1] = True
                 row += 1
             row += 1
             col += width
-        return _PatternMap(base=halfplane.base, matrix=matrix,
-                           clamped=np.asarray(clamped, dtype=int))
+        return _PatternMap(base=halfplane.base, matrix=matrix, clamped=clamped)
 
 
 @dataclasses.dataclass(frozen=True)
 class _PatternMap:
-    """x = base + theta @ matrix, with theta[clamped] >= 0.
+    """x = base + theta @ matrix, with theta >= 0 where ``clamped``.
 
-    ``clamped`` lists the parameters that are imaginary parts in the upper
-    chart.
+    ``clamped`` marks the parameters that are imaginary parts in the upper
+    chart.  One pattern's map has a (params, n) matrix and a (params,) mask;
+    a stacked map (``stack``) has a (width, n) matrix and a (1, width) mask
+    per start, and reads (starts, rows, width) stacks of parameters.
     """
 
     base: complex
     matrix: np.ndarray
     clamped: np.ndarray
+
+    @classmethod
+    def stack(cls, maps, starts: int) -> "_PatternMap":
+        """``starts`` starts of each map in turn, their parameters padded
+        with zeros to the widest map's."""
+        width = max(m.matrix.shape[0] for m in maps)
+        matrix = np.zeros((len(maps), width, maps[0].matrix.shape[1]), dtype=complex)
+        clamped = np.zeros((len(maps), 1, width), dtype=bool)
+        for i, m in enumerate(maps):
+            matrix[i, :m.matrix.shape[0]] = m.matrix
+            clamped[i, 0, :m.clamped.size] = m.clamped
+        return cls(base=maps[0].base, matrix=matrix.repeat(starts, axis=0),
+                   clamped=clamped.repeat(starts, axis=0))
+
+    def take(self, rows) -> "_PatternMap":
+        """The map of the starts ``rows`` of a stacked map; one pattern's
+        map serves every start."""
+        if self.matrix.ndim == 2:
+            return self
+        return _PatternMap(base=self.base, matrix=self.matrix[rows], clamped=self.clamped[rows])
 
     def points(self, theta: np.ndarray) -> np.ndarray:
         """Points for one parameter vector, a batch or a stack of batches of them."""
@@ -497,9 +519,7 @@ class _PatternMap:
 
     def project(self, theta: np.ndarray) -> np.ndarray:
         """Clamp the imaginary parts at 0, so the values stay in the closed half-plane."""
-        out = theta.copy()
-        out[..., self.clamped] = np.maximum(out[..., self.clamped], 0.0)
-        return out
+        return np.where(self.clamped, np.maximum(theta, 0.0), theta)
 
     def derivatives(self, table: _TermTable, theta: np.ndarray):
         """Values (B, P) of the table's polynomials at the parameters theta
@@ -548,16 +568,14 @@ def _km_patterns(n: int, k_boundary: int, m_interior: int):
 def _start_thetas(pmap: _PatternMap, box, stream, starts) -> np.ndarray:
     """Random parameters in box, one row per start index s, drawn from
     ``default_rng([*stream, s])``: imaginary parts from (0, im_hi), the
-    others from (re_lo, re_hi), in parameter order."""
+    others from (re_lo, re_hi), in parameter order.  low + width * random
+    is Generator.uniform's own formula, so a row is the draws of one
+    uniform call per parameter."""
     re_lo, re_hi, im_hi = box
-    clamped = set(pmap.clamped.tolist())
-    params = pmap.matrix.shape[0]
-    rows = []
-    for s in starts:
-        rng = np.random.default_rng([*stream, s])
-        rows.append([rng.uniform(0.0, im_hi) if q in clamped else rng.uniform(re_lo, re_hi)
-                     for q in range(params)])
-    return np.asarray(rows, dtype=float).reshape(-1, params)
+    low = np.where(pmap.clamped, 0.0, re_lo)
+    width = np.where(pmap.clamped, im_hi, re_hi - re_lo)
+    rows = [low + width * np.random.default_rng([*stream, s]).random(low.size) for s in starts]
+    return np.asarray(rows, dtype=float).reshape(-1, low.size)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -599,15 +617,20 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 class _Lockstep:
-    """The live starts of a lockstep batch: the index, parameters and score
-    of each, in start order.
+    """The live starts of a lockstep batch: the index, group end, parameters,
+    score and map (``_PatternMap.take``) of each, in start order.
 
-    ``finish(start, theta, score)`` is called once for each start as it
-    ends; returning True ends, unfinished, every start of higher index.
+    The starts form consecutive groups, the last start of each group one
+    below its entry of ``ends``.  ``finish(start, theta, score)`` is called
+    once for each start as it ends; returning True ends, unfinished, every
+    start of higher index in its group.
     """
 
-    def __init__(self, theta: np.ndarray, score: np.ndarray, finish) -> None:
+    def __init__(self, pmap: _PatternMap, theta: np.ndarray, score: np.ndarray, finish,
+                 ends) -> None:
         self.start = np.arange(theta.shape[0])
+        self.end = np.repeat(ends, np.diff(ends, prepend=0))
+        self.pmap = pmap
         self.theta = theta
         self.score = score
         self.finish = finish
@@ -617,11 +640,16 @@ class _Lockstep:
         return ``arrays`` (rows per live start) cut to the starts left."""
         if mask.all():
             return arrays
+        cut = 0
         for r in np.flatnonzero(~mask):
-            if self.finish(int(self.start[r]), self.theta[r], float(self.score[r])):
-                mask = mask & (self.start < self.start[r])
-                break
-        self.start, self.theta, self.score = self.start[mask], self.theta[mask], self.score[mask]
+            start = int(self.start[r])
+            # a start cut earlier in this call ends unfinished
+            if start >= cut and self.finish(start, self.theta[r], float(self.score[r])):
+                cut = int(self.end[r])
+                mask = mask & ((self.start < start) | (self.start >= cut))
+        self.start, self.end = self.start[mask], self.end[mask]
+        self.theta, self.score = self.theta[mask], self.score[mask]
+        self.pmap = self.pmap.take(mask)
         return tuple(a[mask] for a in arrays)
 
 
@@ -670,7 +698,7 @@ def _gauss_newton(table: _TermTable, pmap: _PatternMap, theta: np.ndarray, finis
     describes.
     """
     halvings = 0.5 ** np.arange(1, 25)[:, None]
-    batch = _Lockstep(theta, np.full(theta.shape[0], np.inf), finish)
+    batch = _Lockstep(pmap, theta, np.full(theta.shape[0], np.inf), finish, [theta.shape[0]])
     F, norm, J = _newton_system(table, pmap, theta)
     progress = np.ones(theta.shape[0], dtype=bool)
     for iteration in range(_NEWTON_ITERATIONS + 1):
@@ -835,28 +863,29 @@ class HalfDegreeResult:
 
 @dataclasses.dataclass(frozen=True)
 class _Objective:
-    """lam Re f + mu Im f on a pattern's parameters, f the one polynomial of
-    ``table``: values (...) at theta (..., params), and exact gradients (B,
-    params) at theta (B, params)."""
+    """lam Re f + mu Im f, f the one polynomial of ``table``, on the
+    parameters of a ``_PatternMap``: values (...) at theta (..., params),
+    and exact gradients (B, params) at theta (B, params)."""
 
     table: _TermTable
-    pmap: _PatternMap
     lam: float
     mu: float
 
     def _weigh(self, values: np.ndarray) -> np.ndarray:
         return self.lam * values[..., 0].real + self.mu * values[..., 0].imag
 
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        return self._weigh(self.table.at_points(self.pmap.points(theta)))
+    def __call__(self, pmap: _PatternMap, theta: np.ndarray) -> np.ndarray:
+        return self._weigh(self.table.at_points(pmap.points(theta)))
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self._weigh(self.pmap.derivatives(self.table, theta)[1])
+    def gradient(self, pmap: _PatternMap, theta: np.ndarray) -> np.ndarray:
+        return self._weigh(pmap.derivatives(self.table, theta)[1])
 
 
-def _descend(objective: _Objective, theta0: np.ndarray, finish) -> None:
+def _descend(objective: _Objective, pmap: _PatternMap, theta0: np.ndarray, finish,
+             ends) -> None:
     """Projected steepest descent with backtracking from every row of theta0
-    (starts x params), in lockstep.
+    (starts x params) on the map's parameters, in lockstep; the starts form
+    the groups of ``_Lockstep`` that end at ``ends``.
 
     Each iteration reads, for every live start, the exact gradient of the
     objective (``_Objective.gradient``) and evaluates one (starts, 40,
@@ -869,14 +898,14 @@ def _descend(objective: _Objective, theta0: np.ndarray, finish) -> None:
     start value, its gradient (it then finishes with value NaN) or an
     accepted step's value.
     """
-    theta = objective.pmap.project(theta0)
-    batch = _Lockstep(theta, objective(theta[:, None])[:, 0], finish)
+    theta = pmap.project(theta0[:, None])[:, 0]
+    batch = _Lockstep(pmap, theta, objective(pmap, theta[:, None])[:, 0], finish, ends)
     halvings = 0.5 ** np.arange(40)
     for _ in range(_DESCENT_ITERATIONS):
         batch.keep(np.isfinite(batch.score) & (batch.score >= _UNBOUNDED_FLOOR))
         if not batch.start.size:
             return
-        grad = objective.gradient(batch.theta)
+        grad = objective.gradient(batch.pmap, batch.theta)
         gnorm = _row_norms(grad)
         finite = np.isfinite(grad).all(axis=1)
         batch.score = np.where(finite, batch.score, np.nan)
@@ -884,9 +913,9 @@ def _descend(objective: _Objective, theta0: np.ndarray, finish) -> None:
                                  grad, gnorm)
         theta, value = batch.theta, batch.score
         step = np.maximum(1.0, np.abs(value) / (gnorm * gnorm + 1e-300))
-        cands = objective.pmap.project(
+        cands = batch.pmap.project(
             theta[:, None] - (step[:, None] * halvings)[:, :, None] * grad[:, None])
-        values = objective(cands)
+        values = objective(batch.pmap, cands)
         lower = values < (value - 1e-14 * (1.0 + np.abs(value)))[:, None]
         cands, values, lower = batch.keep(lower.any(axis=1), cands, values, lower)
         rows, pick = np.arange(len(cands)), lower.argmax(axis=1)
@@ -903,58 +932,68 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
 
     The restricted space uses k = max(floor(d/2), 2): at most k distinct
     real coordinates (with multiplicities) plus at most k interior ones.
-    All starts of a pattern run projected steepest descent on the exact
-    gradient as one lockstep batch (``_descend``).  Unboundedness is
-    reported when a start dives under the floor and the doubled witness
+    The full pass has one pattern, all n coordinates interior; the
+    restricted pass has the patterns of that space.  Every start of both
+    passes, by pass, then pattern, then start, runs projected steepest
+    descent on the exact gradient in one lockstep batch (``_descend``), on
+    its pattern's parameters padded to the widest pattern's.  Unboundedness
+    is reported when a start dives under the floor and the doubled witness
     drops at least 1.5 times as far below the objective at the half-plane's
-    base point (all parameters zero) as the witness does;
-    that test runs as a start ends, unless a start of lower index has
-    already passed it, and a pass ends the starts above it.  A start whose
-    objective overflows on its descent's path ends the starts above it too.
-    The starts are then read in order, so the result is that of running
-    them one after another: NonConvergence is raised when the first start
-    that overflows comes before the first that passes the doubling test.
+    base point (all parameters zero) as the witness does; that test runs as
+    a start ends, unless a start of lower index in its pass has already
+    passed it, and a pass ends the starts above it in its pass.  A start
+    whose objective overflows on its descent's path ends the starts above
+    it in its pass too.  Each pass is then read in order, so its result is
+    that of running its starts one after another: NonConvergence is raised
+    when the first start that overflows comes before the first that passes
+    the doubling test.
     """
     H = HalfPlane.upper()
     k = max(f.degree // 2, 2)
     if box is None:
         box = (-3.0, 3.0, 3.0)
 
-    table = _TermTable.compile([f])
+    passes = ([_Pattern(multiplicities=(), interior=f.n, boundary_real=True)],
+              _km_patterns(f.n, k, k))
+    objective = _Objective(_TermTable.compile([f]), lam, mu)
+    maps = [pattern_obj.affine_map(H) for patterns in passes for pattern_obj in patterns]
+    streams = [(tag, p_idx) for tag, patterns in enumerate(passes)
+               for p_idx in range(len(patterns))]
+    stacked = _PatternMap.stack(maps, budget)
+    theta0 = np.zeros(stacked.matrix.shape[:2])
+    for i, (pmap, stream) in enumerate(zip(maps, streams)):
+        theta0[i * budget:(i + 1) * budget, :pmap.clamped.size] = _start_thetas(
+            pmap, box, (_SEARCH_STREAM, seed, *stream), range(budget))
+    runs = {}
 
-    def optimize(patterns, tag: int):
-        best = float("inf")
-        witness = ()
-        for p_idx, pattern_obj in enumerate(patterns):
-            objective = _Objective(table, pattern_obj.affine_map(H), lam, mu)
-            pmap = objective.pmap
-            runs = {}
+    def finish(start: int, theta: np.ndarray, value: float) -> bool:
+        if not math.isfinite(value):
+            # one start at a time, the pass would stop here
+            runs[start] = None
+            return True
+        pmap = maps[start // budget]
+        theta = theta[:pmap.clamped.size]
+        dives = False
+        if value < _UNBOUNDED_FLOOR:
+            base, doubled = objective(pmap, np.stack([np.zeros_like(theta), 2.0 * theta]))
+            dives = bool(doubled - base <= 1.5 * (value - base))
+        runs[start] = (value, theta, dives)
+        return dives
 
-            def finish(s_idx: int, theta: np.ndarray, value: float) -> bool:
-                if not math.isfinite(value):
-                    # one start at a time, the search would stop here
-                    runs[s_idx] = None
-                    return True
-                dives = False
-                if value < _UNBOUNDED_FLOOR:
-                    base, doubled = objective(np.stack([np.zeros_like(theta), 2.0 * theta]))
-                    dives = bool(doubled - base <= 1.5 * (value - base))
-                runs[s_idx] = (value, theta, dives)
-                return dives
+    ends = np.cumsum([len(patterns) * budget for patterns in passes])
+    _descend(objective, stacked, theta0, finish, ends)
 
-            theta0 = _start_thetas(pmap, box, (_SEARCH_STREAM, seed, tag, p_idx), range(budget))
-            _descend(objective, theta0, finish)
-            for s_idx in range(budget):
-                if runs[s_idx] is None:
-                    raise NonConvergence(
-                        "half-degree objective is not finite at a descent point")
-                value, theta, dives = runs[s_idx]
-                if value < best or dives:
-                    best, witness = value, tuple(complex(v) for v in pmap.points(theta))
-                if dives:
-                    return float("-inf"), True, witness
+    def read(first: int, stop: int):
+        best, witness = float("inf"), ()
+        for start in range(first, stop):
+            if runs[start] is None:
+                raise NonConvergence("half-degree objective is not finite at a descent point")
+            value, theta, dives = runs[start]
+            if value < best or dives:
+                best = value
+                witness = tuple(complex(v) for v in maps[start // budget].points(theta))
+            if dives:
+                return float("-inf"), True, witness
         return best, False, witness
 
-    full_patterns = [_Pattern(multiplicities=(), interior=f.n, boundary_real=True)]
-    restricted_patterns = _km_patterns(f.n, k, k)
-    return HalfDegreeResult(*optimize(full_patterns, 0), *optimize(restricted_patterns, 1), k=k)
+    return HalfDegreeResult(*read(0, ends[0]), *read(ends[0], ends[1]), k=k)

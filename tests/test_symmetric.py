@@ -2,7 +2,9 @@
 
 import cmath
 import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from stable_slices import (
     young_blocks_from_x_expansion,
     young_gws,
 )
-from stable_slices import symmetric
+from stable_slices import cli, symmetric
 from stable_slices.polynomials import BOUNDARY_SCALE
 from stable_slices.slices import compactness_bounds
 from stable_slices.symmetric import (
@@ -47,11 +49,16 @@ from stable_slices.symmetric import (
     _newton_system,
     _Objective,
     _Pattern,
+    _PatternMap,
     _row_norms,
     _sorted_point,
     _start_thetas,
     _TermTable,
 )
+
+# the halfdeg-opt jobs of the benchmark's search workload at seed 1
+HALFDEG_JOBS = [entry["job"] for entry in json.loads(
+    (pathlib.Path(__file__).parent / "data" / "halfdeg_verdicts.json").read_text())]
 
 
 def brute_elementary(x):
@@ -222,11 +229,10 @@ class TestExactJacobian:
                 theta = rng.normal(size=(4, pmap.matrix.shape[0]))
                 F, norm, J = _newton_system(table, pmap, theta)
                 assert np.allclose(norm, np.linalg.norm(F, axis=1), rtol=1e-15, atol=0)
-                objective = _Objective(_TermTable.compile(polys[:1]), pmap,
-                                       *weights.normal(size=2))
+                objective = _Objective(_TermTable.compile(polys[:1]), *weights.normal(size=2))
                 for values, exact in ((lambda t: _newton_system(table, pmap, t)[0], J),
-                                      (lambda t: objective(t[:, None]),
-                                       objective.gradient(theta)[:, None])):
+                                      (lambda t: objective(pmap, t[:, None]),
+                                       objective.gradient(pmap, theta)[:, None])):
                     scale = 1.0 + np.max(np.abs(exact), axis=(1, 2))
                     for q in range(theta.shape[1]):
                         shift = np.zeros_like(theta)
@@ -324,6 +330,27 @@ class TestPatternMap:
                 one = pmap.points(theta[b])
                 assert np.max(np.abs(one - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
 
+    def test_stack_pads_each_pattern_and_is_cut_by_start(self):
+        # a padded start gives its pattern's points and projection bit for bit
+        rng = np.random.default_rng(6)
+        H = HalfPlane(theta=0.4, base=-1.2 + 0.5j)
+        maps = [p.affine_map(H) for p in [_Pattern((), 4, True)] + _km_patterns(4, 2, 2)]
+        stacked = _PatternMap.stack(maps, 2)
+        width = stacked.matrix.shape[1]
+        assert stacked.matrix.shape == (2 * len(maps), width, 4) and width == 8
+        theta = rng.normal(size=(2 * len(maps), 3, width))
+        for i, pmap in enumerate(maps):
+            params = pmap.clamped.size
+            rows = theta[2 * i:2 * i + 2].copy()
+            rows[..., params:] = 0.0
+            assert np.array_equal(stacked.take(slice(2 * i, 2 * i + 2)).points(rows),
+                                  pmap.points(rows[..., :params]))
+            projected = stacked.take([2 * i, 2 * i + 1]).project(rows)
+            assert np.array_equal(projected[..., :params], pmap.project(rows[..., :params]))
+            assert not projected[..., params:].any()
+        assert stacked.take(np.arange(2 * len(maps)) % 2 == 1).matrix.shape[0] == len(maps)
+        assert maps[0].take([5, 7]) is maps[0]
+
 
 class TestCoordinateProfile:
     def test_all_interior(self):
@@ -345,6 +372,28 @@ class TestCoordinateProfile:
 
 
 class TestGwsSolve:
+    def test_leading_terms_are_not_judged_against_the_target(self):
+        # draw 2 of a seeded family: n up to 12, f affine of degree d <= n,
+        # a random half-plane with base up to 1e3 and x inside it.  At n =
+        # 10, d = 8 the target sits in u[0] at 3e23, and 1e-14 of it once
+        # outweighed every leading coefficient (at most 261): the equation
+        # read as constant, x_1 came back, and f missed by 6.9e21
+        rng = np.random.default_rng(2024)
+        for _ in range(3):
+            n = int(rng.integers(1, 13))
+            d = int(rng.integers(0, n + 1))
+            coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+            H = HalfPlane(theta=float(rng.uniform(0, 2 * np.pi)),
+                          base=complex(*rng.uniform(-1e3, 1e3, 2)))
+            x = tuple(map(H.from_upper, rng.normal(size=n) + 1j * np.abs(rng.normal(size=n))))
+        assert (n, d) == (10, 8)
+        f = affine_symmetric(n, coeffs)
+        y = gws_solve(f, x, H)
+        e, ey = elementary_symmetrics(x), elementary_symmetrics((y,) * n)
+        scale = 1.0 + f.abs_eval_at_e(e) + f.abs_eval_at_e(ey)
+        assert abs(f.eval_at_e(ey) - f.eval_at_e(e)) <= 1e-6 * scale
+        assert halfplane_contains(H, y) != "outside"
+
     def test_linear_averages(self):
         f = SymmetricPoly.from_terms(3, {(1, 0, 0): 1.0}, 1)
         assert gws_solve(f, (1j, 2j, 3j)) == pytest.approx(2j)
@@ -790,29 +839,29 @@ def reference_variety_search(polys, H, *, pattern, budget, seed):
                      best_x=best_x)
 
 
-def reference_descend(objective, theta0):
-    """_descend as it was before the starts ran in lockstep, for one start,
-    with its rule for overflow: a non-finite value read at the start point,
-    in the gradient or at an accepted step raises NonConvergence."""
+def reference_descend(objective, pmap, theta0):
+    """_descend as it was before the starts ran in lockstep, for one start
+    on the parameters of its own pattern's map, with its rule for overflow:
+    a non-finite value read at the start point, in the gradient or at an
+    accepted step raises NonConvergence."""
     def finite(values):
         if not np.all(np.isfinite(values)):
             raise NonConvergence("half-degree objective is not finite at a descent point")
         return values
 
-    pmap = objective.pmap
     halvings = 0.5 ** np.arange(40)
     theta = pmap.project(theta0)
-    value = float(finite(objective(theta[None, :])[0]))
+    value = float(finite(objective(pmap, theta[None, :])[0]))
     for _ in range(_DESCENT_ITERATIONS):
         if value < _UNBOUNDED_FLOOR:
             break
-        grad = finite(objective.gradient(theta[None, :]))[0]
+        grad = finite(objective.gradient(pmap, theta[None, :]))[0]
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-12 * (1.0 + abs(value)):
             break
         step = max(1.0, abs(value) / (gnorm * gnorm + 1e-300))
         cands = pmap.project(theta - (step * halvings)[:, None] * grad)
-        values = objective(cands)
+        values = objective(pmap, cands)
         lower = np.flatnonzero(values < value - 1e-14 * (1.0 + abs(value)))
         if lower.size == 0:
             break
@@ -820,8 +869,8 @@ def reference_descend(objective, theta0):
     return value, theta
 
 
-def halfdeg_objective(f, lam, mu, pmap):
-    return _Objective(_TermTable.compile([f]), pmap, lam, mu)
+def halfdeg_objective(f, lam, mu):
+    return _Objective(_TermTable.compile([f]), lam, mu)
 
 
 def reference_halfdeg(f, lam, mu, *, budget, seed):
@@ -829,20 +878,21 @@ def reference_halfdeg(f, lam, mu, *, budget, seed):
     ran in lockstep: one start after another.  Each gives (infimum,
     unbounded, witness, (pattern, start) of the diving start or None)."""
     H = HalfPlane.upper()
+    objective = halfdeg_objective(f, lam, mu)
 
     def optimize(patterns, tag):
         best, witness = float("inf"), None
         for p_idx, pat in enumerate(patterns):
             pmap = pat.affine_map(H)
-            objective = halfdeg_objective(f, lam, mu, pmap)
             for s_idx in range(budget):
                 theta0 = _start_thetas(pmap, (-3.0, 3.0, 3.0),
                                        (_SEARCH_STREAM, seed, tag, p_idx), [s_idx])[0]
-                value, theta = reference_descend(objective, theta0)
+                value, theta = reference_descend(objective, pmap, theta0)
                 if value < best:
                     best, witness = value, pmap.points(theta)
                 if value < _UNBOUNDED_FLOOR:
-                    base, doubled = objective(np.stack([np.zeros_like(theta), 2.0 * theta]))
+                    base, doubled = objective(pmap, np.stack([np.zeros_like(theta),
+                                                              2.0 * theta]))
                     if doubled - base <= 1.5 * (value - base):
                         return float("-inf"), True, pmap.points(theta), (p_idx, s_idx)
         return best, False, witness, None
@@ -873,6 +923,11 @@ def paper_quadruple(count):
         for i in range(1, count + 1)]
 
 
+# x = (theta,): one boundary value of multiplicity one in the upper half-plane
+ONE_REAL_VALUE = _Pattern(multiplicities=(1,), interior=0,
+                          boundary_real=True).affine_map(HalfPlane.upper())
+
+
 class TestLockstep:
     def test_ending_starts_finish_in_order_and_a_hit_cuts_above(self):
         finished = []
@@ -881,7 +936,7 @@ class TestLockstep:
             finished.append(start)
             return start in (1, 3)
 
-        batch = _Lockstep(np.arange(6.0)[:, None], np.zeros(6), finish)
+        batch = _Lockstep(ONE_REAL_VALUE, np.arange(6.0)[:, None], np.zeros(6), finish, [6])
         (rows,) = batch.keep(np.array([True, True, True, False, True, False]), np.arange(6))
         # start 3 hits, so starts 4 and 5 end unfinished
         assert finished == [3]
@@ -892,14 +947,35 @@ class TestLockstep:
         assert batch.start.tolist() == rows.tolist() == [0]
         assert batch.keep(np.ones(1, dtype=bool), rows) == (rows,)
 
+    def test_a_hit_cuts_above_only_within_its_group(self):
+        # groups {0, 1, 2} and {3, 4, 5} of a stacked map, which is cut with
+        # the starts
+        finished = []
+
+        def finish(start, theta, score):
+            finished.append(start)
+            return start in (0, 1, 4)
+
+        H = HalfPlane.upper()
+        stacked = _PatternMap.stack([ONE_REAL_VALUE, _Pattern((), 1, True).affine_map(H)], 3)
+        batch = _Lockstep(stacked, np.zeros((6, 2)), np.zeros(6), finish, [3, 6])
+        (rows,) = batch.keep(np.array([True, False, False, True, False, True]), np.arange(6))
+        # start 1 ends start 2 of its group, start 4 start 5 of its own
+        assert finished == [1, 4]
+        assert batch.start.tolist() == rows.tolist() == [0, 3]
+        assert np.array_equal(batch.pmap.matrix, stacked.matrix[[0, 3]])
+        # start 0 ends its group, which has no start left above it
+        (rows,) = batch.keep(np.array([False, False]), rows)
+        assert finished == [1, 4, 0, 3]
+        assert batch.start.size == batch.pmap.matrix.shape[0] == 0
+
     def test_overflow_ends_a_start_and_only_finite_norms_count(self):
         # f(x) = x - 0.5 on the real line (x = theta), whose value overflows
         # right of 2 and whose derivative overflows right of 1.  Start 0
         # (theta = 3) ends at once with no norm; start 1 (theta = 1.5) ends
         # at once, since its Jacobian has no usable step, but its finite
         # norm counts; start 2 goes from -1 to 0.5.
-        pmap = _Pattern(multiplicities=(1,), interior=0,
-                        boundary_real=True).affine_map(HalfPlane.upper())
+        pmap = ONE_REAL_VALUE
 
         class Table:
             def at_points(self, x):
@@ -958,6 +1034,23 @@ class TestLockstep:
         assert 0.1056 < ended["score"] < 0.1057
         creeping, _ = run(0.0)
         assert creeping == _NEWTON_ITERATIONS
+
+
+def spy_finish(monkeypatch):
+    """(start, value, whether it ended its group) of every start that
+    halfdeg_optimize's batch finishes, in the order they finish."""
+    ended = []
+    descend = symmetric._descend
+
+    def spy(objective, pmap, theta0, finish, ends):
+        def record(start, theta, value):
+            cut = finish(start, theta, value)
+            ended.append((start, value, cut))
+            return cut
+        descend(objective, pmap, theta0, record, ends)
+
+    monkeypatch.setattr(symmetric, "_descend", spy)
+    return ended
 
 
 class TestLockstepMatchesSequential:
@@ -1046,14 +1139,48 @@ class TestLockstepMatchesSequential:
             for tag, pat, overflows in ((0, _Pattern((), 2, True), 3),
                                         (1, _km_patterns(2, 2, 2)[0], 2)):
                 pmap = pat.affine_map(H)
-                objective = halfdeg_objective(f, -1.0, 0.0, pmap)
+                objective = halfdeg_objective(f, -1.0, 0.0)
                 theta0 = _start_thetas(pmap, (-3.0, 3.0, 3.0), (_SEARCH_STREAM, 29, tag, 0),
                                        [0, overflows])
-                assert reference_descend(objective, theta0[0])[0] < _UNBOUNDED_FLOOR
+                assert reference_descend(objective, pmap, theta0[0])[0] < _UNBOUNDED_FLOOR
                 with pytest.raises(NonConvergence):
-                    reference_descend(objective, theta0[1])
+                    reference_descend(objective, pmap, theta0[1])
             full, restricted = self.assert_same_halfdeg(f, -1.0, 0.0, budget=4, seed=29)
         assert (full[3], restricted[3]) == ((0, 0), (0, 0))
+
+    def test_halfdeg_bit_for_bit_on_benchmark_jobs(self):
+        # up to 8 patterns, of 1 to 8 parameters, share the batch at n = 3, 4
+        jobs = [job for job in HALFDEG_JOBS if job["payload"]["f"]["n"] > 2]
+        assert len(jobs) == 32
+        for job in jobs:
+            payload = job["payload"]
+            self.assert_same_halfdeg(cli._parse_sympoly(payload["f"]), payload["lambda"],
+                                     payload["mu"], budget=payload["budget"], seed=job["seed"])
+
+    def test_halfdeg_full_dive_ends_no_restricted_start(self, monkeypatch):
+        # -1e11 Re(e1^2): start 0 of the full pattern dives at once, and so
+        # does start 0 of the second restricted pattern (start 6 of the
+        # batch), which ends the restricted starts above it; start 0 of the
+        # first restricted pattern (start 3) dives only after descent steps
+        f = SymmetricPoly.from_terms(2, {(2, 0): 1e11}, 2)
+        ended = spy_finish(monkeypatch)
+        full, restricted = self.assert_same_halfdeg(f, -1.0, 0.0, budget=3, seed=1)
+        assert (full[3], restricted[3]) == ((0, 0), (0, 0))
+        assert [(start, cut) for start, _, cut in ended] == [(0, True), (6, True), (3, True)]
+
+    def test_halfdeg_restricted_overflow_raises_after_a_full_dive(self, monkeypatch):
+        # -1e307 Re(e1^2): start 2 of the full pattern dives; start 0 of the
+        # first restricted pattern (start 3 of the batch) overflows before
+        # any restricted start dives, and the full pass's dive hides nothing
+        f = SymmetricPoly.from_terms(2, {(2, 0): 1e307}, 2)
+        ended = spy_finish(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergence):
+                reference_halfdeg(f, -1.0, 0.0, budget=3, seed=47)
+            with pytest.raises(NonConvergence):
+                halfdeg_optimize(f, -1.0, 0.0, budget=3, seed=47)
+        cuts = [(start, math.isfinite(value)) for start, value, cut in ended if cut]
+        assert cuts == [(2, True), (3, False)]
 
     def test_halfdeg_overflow_raises(self):
         # start 0 overflows before any start dives
