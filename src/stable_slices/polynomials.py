@@ -40,7 +40,8 @@ _FLOOR_FACTOR = 4.0
 # scalars, above it on NumPy arrays: on a few entries a NumPy call costs more
 # than its arithmetic.  Cold find_roots timed 2.1x as fast on scalars at
 # degree 3, 1.35x at 8, 1.06x at 11 and 0.96x at 12 (README, "Numerics").
-# Up to it a cold find_roots also starts from the companion eigenvalues
+# Up to it a cold find_roots also starts from the companion eigenvalues,
+# and cluster_roots links and averages on Python scalars
 _SCALAR_MAX_DEGREE = 8
 
 
@@ -495,11 +496,14 @@ def find_roots(
     reproduces the coefficient vector within the residual tolerance; after
     the last start the residual raises NonConvergence.
 
-    With raw=True the first pass's iterates are returned as-is: no
-    multiple-root snapping, no second start, no residual check.  Near a
-    root collision the snapped representation can hide which side of the
-    collision the polynomial is on, so step-size searches probe in raw
-    mode and only the landed point gets the full treatment.
+    With raw=True the first pass's iterates are returned as-is, sorted:
+    no Newton polish, no multiple-root snapping, no second start, no
+    residual check.  The pass has already stopped at a step of
+    1e-14 (1 + max |x|) or at the rounding floor, and the polish cost
+    15-22% of a warm raw call at degrees 4 to 8.  Near a root collision
+    the snapped representation can hide which side of the collision the
+    polynomial is on, so step-size searches probe in raw mode and only
+    the landed point gets the full treatment.
 
     Up to degree _SCALAR_MAX_DEGREE (8) the passes and the polish run on
     Python complex scalars, above it on NumPy arrays; the two round
@@ -536,12 +540,12 @@ def find_roots(
         starts = (_circle_start, _rotated_start)
     for start in starts:
         x, floored = _aberth(w, start(w))
+        if raw:
+            break
         # Newton cannot improve residuals already at the floor; inside a
         # tight cluster it would only blow the rounding noise up by 1/p'
         if not floored:
             x = _polish(w, x)
-        if raw:
-            break
         if not np.all(np.isfinite(x)):
             raise NonConvergence("root iteration overflowed to a non-finite iterate")
         tol = RESIDUAL_SCALE * p.scale()
@@ -653,27 +657,46 @@ def _center(xs: np.ndarray, g: list[int]) -> complex:
     return complex(np.mean(xs[g]))
 
 
-def cluster_roots(
-    roots: Sequence[complex],
-    halfplane: "HalfPlane",
-    *,
-    radius: float | None = None,
-    boundary_tol: float | None = None,
-) -> RootProfile:
-    """Single-linkage clustering plus interior/boundary/outside labels.
+def _mean_scalars(values: list) -> complex:
+    """np.mean of the array of up to 64 Python complex values, bit for bit.
 
-    Cluster centers are multiplicity-weighted means.  After linkage,
-    clusters whose centers still fall within the radius are merged again
-    so that surviving centers are pairwise separated by more than the
-    radius.
+    NumPy's pairwise sum adds up to three values one by one from -0.0, and
+    more in four interleaved partial sums, (s0 + s1) + (s2 + s3), that take
+    four values a round, then the rest one by one; the reduction adds that
+    to its identity 0.  Smith's complex quotient by the count (m, 0) then
+    scales each part by the reciprocal 1 / m.
     """
-    xs = np.asarray(list(roots), dtype=complex)
-    if xs.size == 0:
-        raise ValueError("need at least one root")
-    scale = 1.0 + float(np.max(np.abs(xs)))
-    r = radius if radius is not None else CLUSTER_SCALE * scale
-    btol = boundary_tol if boundary_tol is not None else BOUNDARY_SCALE * scale
+    m = len(values)
+    if m == 1:
+        return values[0] + 0j
+    re = [v.real for v in values]
+    im = [v.imag for v in values]
+    if m < 4:
+        sr = si = -0.0
+        for a, b in zip(re, im):
+            sr += a
+            si += b
+    else:
+        r, i = re[:4], im[:4]
+        k = 4
+        while k + 4 <= m:
+            for t in range(4):
+                r[t] += re[k + t]
+                i[t] += im[k + t]
+            k += 4
+        sr, si = (r[0] + r[1]) + (r[2] + r[3]), (i[0] + i[1]) + (i[2] + i[3])
+        for a, b in zip(re[k:], im[k:]):
+            sr += a
+            si += b
+    sr, si = 0.0 + sr, 0.0 + si
+    scl = 1.0 / m
+    return complex((sr + si * 0.0) * scl, (si - sr * 0.0) * scl)
 
+
+def _linked_arrays(xs: np.ndarray, r: float) -> tuple[list[list[int]], list[complex]]:
+    """cluster_roots' groups and their centers: single linkage at radius r,
+    then the first pair of centers within r, in row-major order, merged
+    until none is left."""
     groups = _single_linkage(xs, r)
     centers = [_center(xs, g) for g in groups]
     # Chained 2-d clusters can leave centers closer than the radius; merge
@@ -687,13 +710,77 @@ def cluster_roots(
         groups[i] += groups.pop(j)
         del centers[j]
         centers[i] = _center(xs, groups[i])
+    return groups, centers
+
+
+def _linked_scalars(xl: list, r: float) -> tuple[list[list[int]], list[complex]] | None:
+    """_linked_arrays on a list of Python complex scalars, bit for bit, or
+    None where a distance is past the float range: there Python's abs
+    raises OverflowError and _gaps' hypot gives inf.
+
+    Each distance is an abs, which rounds as hypot does, each center a
+    _mean_scalars.  The groups come out as _components orders them.
+    """
+    n = len(xl)
+    # each root's label is the least root linked to it so far
+    label = list(range(n))
+    try:
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = label[i], label[j]
+                if a != b and abs(xl[i] - xl[j]) <= r:
+                    lo, hi = min(a, b), max(a, b)
+                    label = [lo if lab == hi else lab for lab in label]
+        members: dict[int, list[int]] = {}
+        for k, lab in enumerate(label):
+            members.setdefault(lab, []).append(k)
+        groups = list(members.values())
+        centers = [_mean_scalars([xl[k] for k in g]) for g in groups]
+        while n > len(groups) > 1:
+            m = len(centers)
+            close = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                          if abs(centers[i] - centers[j]) <= r), None)
+            if close is None:
+                break
+            i, j = close
+            groups[i] += groups.pop(j)
+            del centers[j]
+            centers[i] = _mean_scalars([xl[k] for k in groups[i]])
+    except OverflowError:
+        return None
+    return groups, centers
+
+
+def cluster_roots(
+    roots: Sequence[complex],
+    halfplane: "HalfPlane",
+    *,
+    radius: float | None = None,
+    boundary_tol: float | None = None,
+) -> RootProfile:
+    """Single-linkage clustering plus interior/boundary/outside labels.
+
+    Cluster centers are multiplicity-weighted means.  After linkage,
+    clusters whose centers still fall within the radius are merged again
+    so that surviving centers are pairwise separated by more than the
+    radius.  Up to _SCALAR_MAX_DEGREE (8) roots the clustering runs on
+    Python scalars, above it on arrays, with the same result to the bit.
+    """
+    xs = np.asarray(list(roots), dtype=complex)
+    if xs.size == 0:
+        raise ValueError("need at least one root")
+    scale = 1.0 + float(np.abs(xs).max())
+    r = radius if radius is not None else CLUSTER_SCALE * scale
+    btol = boundary_tol if boundary_tol is not None else BOUNDARY_SCALE * scale
 
     xl = xs.tolist()
+    linked = _linked_scalars(xl, r) if xs.size <= _SCALAR_MAX_DEGREE else None
+    groups, centers = linked or _linked_arrays(xs, r)
     clusters = []
     for g, center in zip(groups, centers):
         members = tuple(xl[k] for k in sorted(g))
         dist = halfplane.signed_distance(center)
-        side = halfplane.side(center, btol)
+        side = halfplane.side_of(dist, btol)
         clusters.append(Cluster(center, len(members), members, side, dist))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     return RootProfile(tuple(clusters), r, btol)

@@ -62,7 +62,11 @@ class HalfPlane:
 
     def side(self, point: complex, tol: float) -> str:
         """"boundary" within tol of the line, else "interior" or "outside"."""
-        s = self.signed_distance(point)
+        return self.side_of(self.signed_distance(point), tol)
+
+    @staticmethod
+    def side_of(s: float, tol: float) -> str:
+        """side's verdict on a point at signed distance s."""
         if abs(s) <= tol:
             return "boundary"
         return "interior" if s > tol else "outside"

@@ -258,6 +258,11 @@ def coordinate_profile(x, halfplane: HalfPlane | None = None) -> CoordinateProfi
                              outside_count=profile.outside_total)
 
 
+def _ldexp(v: complex, k: int) -> complex:
+    """v * 2^k, exact unless a part leaves the float range."""
+    return complex(math.ldexp(v.real, k), math.ldexp(v.imag, k))
+
+
 def _gws_core(coeffs, x, halfplane: HalfPlane) -> complex:
     """Solve c_0 + sum c_d e_d(y*1) = c_0 + sum c_d e_d(x) for y in the half-plane."""
     c = np.asarray(coeffs, dtype=complex)
@@ -276,8 +281,14 @@ def _gws_core(coeffs, x, halfplane: HalfPlane) -> complex:
     if deg == 0:
         # constant problem: any point works, x_1 is the deterministic pick
         return complex(x[0])
-    raw = (u[:deg + 1] / u[deg])[::-1]
-    roots = find_roots(Poly.from_raw(tuple(raw)))
+    raw = (u[:deg + 1] / u[deg])[::-1].tolist()
+    # Solved for Z = Y / 2^k, with 2^k near the root bound max_i |a_i|^(1/i):
+    # the constant term, about |x|^n, would set find_roots' start circle
+    # far outside roots of modulus |x|, where the iterates overflow
+    bound = max(abs(a) ** (1.0 / i) for i, a in enumerate(raw[1:], 1))
+    k = round(math.log2(bound)) if 0.0 < bound < math.inf else 0
+    zs = find_roots(Poly.from_raw([_ldexp(a, -k * i) for i, a in enumerate(raw)]))
+    roots = [_ldexp(z, k) for z in zs]
     scale = 1.0 + max(abs(r) for r in roots)
     btol = BOUNDARY_SCALE * scale
     inside = [r for r in roots if halfplane.signed_distance(r) >= -btol]
@@ -574,8 +585,25 @@ def _start_thetas(pmap: _PatternMap, box, stream, starts) -> np.ndarray:
     re_lo, re_hi, im_hi = box
     low = np.where(pmap.clamped, 0.0, re_lo)
     width = np.where(pmap.clamped, im_hi, re_hi - re_lo)
-    rows = [low + width * np.random.default_rng([*stream, s]).random(low.size) for s in starts]
+    # the words handed over as an array skip NumPy's conversion of the list
+    key = _seed_words(stream)
+    rows = [low + width * np.random.default_rng(np.random.SeedSequence(
+        np.array(key + _seed_words([s]), dtype=np.uint32))).random(low.size) for s in starts]
     return np.asarray(rows, dtype=float).reshape(-1, low.size)
+
+
+def _seed_words(values) -> list[int]:
+    """The 32-bit words, least significant first, into which NumPy's
+    SeedSequence turns a list of non-negative integers; 0 is one word."""
+    words = []
+    for v in map(int, values):
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(v & 0xFFFFFFFF)
+        while v > 0xFFFFFFFF:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return words
 
 
 @dataclasses.dataclass(frozen=True)

@@ -346,6 +346,29 @@ class TestFindRoots:
         roots = rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))
         assert match_roots(find_roots(vieta_from_roots(roots)), roots) < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 12])
+    def test_raw_returns_the_sorted_aberth_iterates_unpolished(self, monkeypatch, n):
+        def unused(w, x):
+            raise AssertionError("a raw call runs no polish")
+
+        passes = []
+
+        def recording(w, x):
+            passes.append(_aberth(w, x))
+            return passes[-1]
+
+        monkeypatch.setattr(polynomials, "_polish", unused)
+        monkeypatch.setattr(polynomials, "_aberth", recording)
+        rng = np.random.default_rng([2026, n])
+        roots = rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))
+        warm = roots + 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        found = find_roots(vieta_from_roots(roots), initial=warm, raw=True)
+        assert len(passes) == 1
+        x = passes[0][0]
+        expected = sorted(x.tolist(), key=lambda v: (v.real, v.imag))
+        assert bits(found) == bits(expected)
+        assert match_roots(found, roots) < 1e-9
+
     @pytest.mark.parametrize("raw", [False, True])
     def test_warm_start_needs_one_value_per_root(self, raw):
         with pytest.raises(DimensionMismatch, match="one value per root"):
@@ -707,6 +730,141 @@ class TestClusterRoots:
         profile = cluster_roots([0.0, 3e-7], HalfPlane.upper(), radius=1e-6)
         (c,) = profile.clusters
         assert abs(c.center - 1.5e-7) < 1e-12
+
+    @staticmethod
+    def array_profile(roots, halfplane, radius=None, boundary_tol=None):
+        """cluster_roots as it ran on arrays at every degree: linkage on the
+        hypot gap matrix, np.mean centers, the first close pair of centers
+        in row-major order merged, the verdict from halfplane.side."""
+        xs = np.asarray(list(roots), dtype=complex)
+        scale = 1.0 + float(np.max(np.abs(xs)))
+        r = radius if radius is not None else CLUSTER_SCALE * scale
+        btol = boundary_tol if boundary_tol is not None else polynomials.BOUNDARY_SCALE * scale
+
+        def gaps(points):
+            d = points[:, None] - points[None, :]
+            gap = np.hypot(d.real, d.imag)
+            gap.flat[::points.size + 1] = np.inf
+            return gap
+
+        def center(g):
+            return complex(np.mean(xs[g]))
+
+        groups = reference_linkage(xs, r)
+        centers = [center(g) for g in groups]
+        while len(groups) > 1:
+            i, j = np.nonzero(np.triu(gaps(np.array(centers)) <= r))
+            if not i.size:
+                break
+            i, j = i[0], j[0]
+            groups[i] += groups.pop(j)
+            del centers[j]
+            centers[i] = center(groups[i])
+        clusters = sorted(((c, tuple(xs[sorted(g)].tolist()), halfplane.side(c, btol),
+                            halfplane.signed_distance(c)) for g, c in zip(groups, centers)),
+                          key=lambda c: (c[0].real, c[0].imag))
+        return clusters, r, btol
+
+    @staticmethod
+    def scalar_profile(roots, halfplane, monkeypatch, **tolerances):
+        """cluster_roots with the array path ruled out, as the array
+        profile's tuple."""
+        def unused(xs, r):
+            raise AssertionError("up to degree 8 the clustering runs on scalars")
+
+        with monkeypatch.context() as m:
+            m.setattr(polynomials, "_linked_arrays", unused)
+            profile = cluster_roots(roots, halfplane, **tolerances)
+        clusters = [(c.center, c.members, c.side, c.signed_distance) for c in profile.clusters]
+        assert [c.multiplicity for c in profile.clusters] == [len(c[1]) for c in clusters]
+        return clusters, profile.cluster_radius, profile.boundary_tol
+
+    def assert_same_bits(self, got, expected):
+        (got_clusters, *got_tols), (expected_clusters, *expected_tols) = got, expected
+        assert got_tols == expected_tols
+        assert len(got_clusters) == len(expected_clusters)
+        for (c, members, side, dist), (c_ref, members_ref, side_ref, dist_ref) in zip(
+                got_clusters, expected_clusters):
+            assert bits([c]) == bits([c_ref])
+            assert bits(members) == bits(members_ref)
+            assert side == side_ref
+            assert np.float64(dist).view(np.uint64) == np.float64(dist_ref).view(np.uint64)
+
+    @pytest.mark.parametrize("n", range(1, polynomials._SCALAR_MAX_DEGREE + 1))
+    def test_scalar_path_matches_the_arrays_bit_for_bit(self, monkeypatch, n):
+        # stacks of two or three roots a rounding-level spread apart, signed
+        # zeros, and rotated, shifted half-planes through some of the roots
+        rng = np.random.default_rng([29, n])
+        zeros = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]
+        for trial in range(60):
+            roots = []
+            while len(roots) < n:
+                x = complex(*rng.normal(0, 1.5, 2))
+                m = min(int(rng.integers(1, 4)), n - len(roots))
+                spread = 10.0 ** rng.uniform(-16, -5)
+                roots += [x + spread * complex(*rng.normal(size=2)) for _ in range(m)]
+            if trial % 4 == 0:
+                roots[int(rng.integers(n))] = zeros[trial // 4 % 4]
+            if trial % 3 == 0:
+                H = HalfPlane(float(rng.uniform(0, 2 * np.pi)), roots[0])
+            elif trial % 3 == 1:
+                H = HalfPlane(float(rng.uniform(0, 2 * np.pi)), complex(*rng.normal(size=2)))
+            else:
+                H = HalfPlane.upper()
+            order = rng.permutation(n)
+            roots = [roots[k] for k in order]
+            self.assert_same_bits(self.scalar_profile(roots, H, monkeypatch),
+                                  self.array_profile(roots, H))
+
+    def test_explicit_tolerances_and_the_center_merge(self, monkeypatch):
+        # chains whose centers land within the radius of each other, so the
+        # merge loop runs, with explicit radius and boundary band
+        # of test_the_merge_loop_example_on_scalars' kind: {-0.5, 0.5} and
+        # {0.88i, 0.92i} link apart at radius 1, with centers 0.9 apart
+        rng = np.random.default_rng(2029)
+        merged = 0
+        for _ in range(300):
+            n = int(rng.integers(4, polynomials._SCALAR_MAX_DEGREE + 1))
+            radius = float(rng.uniform(0.2, 1.2))
+            turn = radius * np.exp(2j * np.pi * rng.uniform())
+            cross = [-0.5, 0.5, 0.88j, 0.92j] + 1e-3 * rng.normal(size=4)
+            roots = (complex(*rng.normal(size=2)) + turn * cross).tolist()
+            roots += (3.0 * (rng.normal(size=n - 4) + 1j * rng.normal(size=n - 4))).tolist()
+            roots = [roots[k] for k in rng.permutation(n)]
+            btol = float(rng.choice([0.0, 0.05, 0.5]))
+            H = HalfPlane(float(rng.uniform(0, 2 * np.pi)), complex(*rng.normal(0, 0.5, 2)))
+            expected = self.array_profile(roots, H, radius, btol)
+            got = self.scalar_profile(roots, H, monkeypatch, radius=radius, boundary_tol=btol)
+            self.assert_same_bits(got, expected)
+            merged += len(expected[0]) < len(reference_linkage(np.asarray(roots), radius))
+        assert merged > 20
+
+    def test_the_merge_loop_example_on_scalars(self, monkeypatch):
+        roots = [-0.5, 0.88j, 5.0, 0.5, complex(-0.0, 3.0), 0.92j, 5.0 + 0.6j]
+        self.assert_same_bits(self.scalar_profile(roots, HalfPlane.upper(), monkeypatch, radius=1.0),
+                              self.array_profile(roots, HalfPlane.upper(), 1.0))
+
+    def test_mean_scalars_is_np_mean(self):
+        # signed zeros, and near-equal values whose sum cancels
+        rng = np.random.default_rng(31)
+        specials = [0.0, -0.0, 1.0, -1.0, 3.0, 1e-300]
+        for m in range(1, 65):
+            for trial in range(60):
+                if trial % 2:
+                    values = [complex(*rng.choice(specials, 2)) for _ in range(m)]
+                else:
+                    x = complex(*rng.normal(size=2))
+                    values = [x + complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-16, 0)
+                              for _ in range(m)]
+                assert bits([polynomials._mean_scalars(values)]) == bits([np.mean(values)]), m
+
+    def test_distances_past_the_float_range_take_the_arrays(self):
+        # Python's abs raises OverflowError on 1.3e308 (1 + i), hypot gives inf
+        roots = [1e308 + 1e308j, -3e307 - 3e307j, 1j]
+        assert polynomials._linked_scalars(roots, 1.0) is None
+        with np.errstate(over="ignore"):
+            profile = cluster_roots(roots, HalfPlane.upper(), radius=1.0, boundary_tol=1.0)
+        assert [c.multiplicity for c in profile.clusters] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("bad", [(), (float("nan"),), (float("inf") + 0j,)])

@@ -351,6 +351,20 @@ class TestPatternMap:
         assert stacked.take(np.arange(2 * len(maps)) % 2 == 1).matrix.shape[0] == len(maps)
         assert maps[0].take([5, 7]) is maps[0]
 
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 1])
+    def test_start_draws_are_those_of_the_seed_list(self, seed):
+        # variety_search's streams (stream, seed, pattern) and halfdeg_optimize's
+        # (stream, seed, pass, pattern), each with the start index appended
+        pmap = _km_patterns(4, 2, 2)[1].affine_map(HalfPlane(theta=0.4, base=-1.2 + 0.5j))
+        box = (-3.0, 2.0, 4.0)
+        low = np.where(pmap.clamped, 0.0, box[0])
+        width = np.where(pmap.clamped, box[2], box[1] - box[0])
+        for stream in ((_SEARCH_STREAM, seed, 3), (_SEARCH_STREAM, seed, 1, 2)):
+            expected = [low + width * np.random.default_rng([*stream, s]).random(low.size)
+                        for s in range(6)]
+            assert _start_thetas(pmap, box, stream, range(6)).tobytes() == \
+                np.asarray(expected).tobytes()
+
 
 class TestCoordinateProfile:
     def test_all_interior(self):
@@ -393,6 +407,47 @@ class TestGwsSolve:
         scale = 1.0 + f.abs_eval_at_e(e) + f.abs_eval_at_e(ey)
         assert abs(f.eval_at_e(ey) - f.eval_at_e(e)) <= 1e-6 * scale
         assert halfplane_contains(H, y) != "outside"
+
+    @staticmethod
+    def far_family(count):
+        """(f, x, H) draws of default_rng(5): n = d in [9, 12], complex
+        normal coefficients, a half-plane with base up to 1e3 on each axis
+        and x inside it."""
+        rng = np.random.default_rng(5)
+        for _ in range(count):
+            n = int(rng.integers(9, 13))
+            coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            base = complex(*rng.uniform(-1e3, 1e3, 2))
+            H = HalfPlane(theta=float(rng.uniform(0, 2 * np.pi)), base=base)
+            x = tuple(map(H.from_upper, rng.normal(size=n) + 1j * np.abs(rng.normal(size=n))))
+            yield affine_symmetric(n, coeffs), x, H
+
+    @staticmethod
+    def check_solution(f, x, H, y):
+        e, ey = elementary_symmetrics(x), elementary_symmetrics((y,) * f.n)
+        scale = 1.0 + f.abs_eval_at_e(e) + f.abs_eval_at_e(ey)
+        assert abs(f.eval_at_e(ey) - f.eval_at_e(e)) <= 1e-6 * scale
+        assert halfplane_contains(H, y) != "outside"
+
+    def test_far_from_the_origin(self):
+        # draw 0: the diagonal equation's constant term is about |x|^11 =
+        # 1e33, and a start circle that wide overflowed the Aberth iterates
+        ((f, x, H),) = self.far_family(1)
+        assert f.n == 11 and abs(H.base - (740.18 - 545.36j)) < 0.01
+        self.check_solution(f, x, H, gws_solve(f, x, H))
+
+    def test_far_family_is_solved(self):
+        # 140 of these 300 draws raised NonConvergence before the equation
+        # was rescaled to a root bound of about 1
+        failed = 0
+        for f, x, H in self.far_family(300):
+            try:
+                y = gws_solve(f, x, H)
+            except NonConvergence:
+                failed += 1
+                continue
+            self.check_solution(f, x, H, y)
+        assert failed == 0
 
     def test_linear_averages(self):
         f = SymmetricPoly.from_terms(3, {(1, 0, 0): 1.0}, 1)
