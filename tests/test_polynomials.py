@@ -733,36 +733,15 @@ class TestClusterRoots:
 
     @staticmethod
     def array_profile(roots, halfplane, radius=None, boundary_tol=None):
-        """cluster_roots as it ran on arrays at every degree: linkage on the
-        hypot gap matrix, np.mean centers, the first close pair of centers
-        in row-major order merged, the verdict from halfplane.side."""
+        """cluster_roots as it ran on arrays at every degree: the tolerances
+        from np.abs, reference_clusters' np.mean centers and merges, the
+        verdict from halfplane.side."""
         xs = np.asarray(list(roots), dtype=complex)
         scale = 1.0 + float(np.max(np.abs(xs)))
         r = radius if radius is not None else CLUSTER_SCALE * scale
         btol = boundary_tol if boundary_tol is not None else polynomials.BOUNDARY_SCALE * scale
-
-        def gaps(points):
-            d = points[:, None] - points[None, :]
-            gap = np.hypot(d.real, d.imag)
-            gap.flat[::points.size + 1] = np.inf
-            return gap
-
-        def center(g):
-            return complex(np.mean(xs[g]))
-
-        groups = reference_linkage(xs, r)
-        centers = [center(g) for g in groups]
-        while len(groups) > 1:
-            i, j = np.nonzero(np.triu(gaps(np.array(centers)) <= r))
-            if not i.size:
-                break
-            i, j = i[0], j[0]
-            groups[i] += groups.pop(j)
-            del centers[j]
-            centers[i] = center(groups[i])
-        clusters = sorted(((c, tuple(xs[sorted(g)].tolist()), halfplane.side(c, btol),
-                            halfplane.signed_distance(c)) for g, c in zip(groups, centers)),
-                          key=lambda c: (c[0].real, c[0].imag))
+        clusters = [(c, members, halfplane.side(c, btol), halfplane.signed_distance(c))
+                    for c, members in reference_clusters(xs, r)]
         return clusters, r, btol
 
     @staticmethod
@@ -838,6 +817,18 @@ class TestClusterRoots:
             self.assert_same_bits(got, expected)
             merged += len(expected[0]) < len(reference_linkage(np.asarray(roots), radius))
         assert merged > 20
+
+    def test_pairs_exactly_at_the_radius_on_scalars(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        H = HalfPlane.upper()
+        for _ in range(5):
+            roots = (rng.normal(size=8) + 1j * rng.normal(size=8)).tolist()
+            for i, j in itertools.combinations(range(8), 2):
+                radius = abs(roots[i] - roots[j])
+                got = self.scalar_profile(roots, H, monkeypatch, radius=radius)
+                self.assert_same_bits(got, self.array_profile(roots, H, radius))
+                assert any(roots[i] in members and roots[j] in members
+                           for _, members, _, _ in got[0])
 
     def test_the_merge_loop_example_on_scalars(self, monkeypatch):
         roots = [-0.5, 0.88j, 5.0, 0.5, complex(-0.0, 3.0), 0.92j, 5.0 + 0.6j]
