@@ -40,8 +40,7 @@ _FLOOR_FACTOR = 4.0
 # scalars, above it on NumPy arrays: on a few entries a NumPy call costs more
 # than its arithmetic.  Cold find_roots timed 2.1x as fast on scalars at
 # degree 3, 1.35x at 8, 1.06x at 11 and 0.96x at 12 (README, "Numerics").
-# Up to it a cold find_roots also starts from the companion eigenvalues,
-# and cluster_roots links and averages on Python scalars
+# Up to it a cold find_roots also starts from the companion eigenvalues
 _SCALAR_MAX_DEGREE = 8
 
 
@@ -410,10 +409,11 @@ def _snapped(w: np.ndarray, z: np.ndarray, x: np.ndarray,
     """The roots x with each group of several snapped to one polished
     multiple root and each other root polished as a simple one, and the
     error of their re-expansion against z."""
+    xl = x.tolist()
     stacks: list[tuple[complex, int]] = []
     singles: list[complex] = []
     for g in groups:
-        mu = _center(x, g)
+        mu = _mean_scalars([xl[k] for k in g])
         m = len(g)
         if m > 1:
             dw = _derivative(w, m - 1)
@@ -446,16 +446,17 @@ def _collapse_refine(w: np.ndarray, z: np.ndarray, x: np.ndarray):
     wrong merge can only lose the comparison, never corrupt the result.
     """
     scale = 1.0 + float(np.max(np.abs(x)))
-    gap = _gaps(x)
+    pairs = _close_pairs(x.tolist(), CLUSTER_SCALE * scale * 1e4)
     # no pair within the widest rung: no rung links anything
-    if not np.any(gap <= CLUSTER_SCALE * scale * 1e4):
+    if not pairs:
         return None
     best = None
     # a trial depends on the grouping alone: a rung that links no pair, or
     # groups the roots as a lower rung did, has nothing new to try
     tried = [[k] for k in range(x.size)]
     for factor in (1.0, 1e1, 1e2, 1e3, 1e4):
-        groups = _components(gap <= CLUSTER_SCALE * scale * factor)
+        r = CLUSTER_SCALE * scale * factor
+        groups = _groups(x.size, [pair for pair in pairs if pair[2] <= r])
         if groups == tried:
             continue
         tried = groups
@@ -604,151 +605,116 @@ class RootProfile:
         return (self.interior_total, self.boundary_distinct)
 
 
-def _gaps(points: np.ndarray) -> np.ndarray:
-    """The (n, n) matrix of |x_i - x_j|, inf on the diagonal, each entry as
-    Python's abs rounds it: hypot, where np.abs can differ in the last bit."""
-    d = points[:, None] - points[None, :]
-    gap = np.hypot(d.real, d.imag)
-    gap.flat[::points.size + 1] = np.inf
-    return gap
+def _close_pairs(xs: Sequence[complex], r: float) -> list[tuple[int, int, float]]:
+    """Every pair i < j of the Python complex scalars xs with
+    |x_i - x_j| <= r, in row-major order, with that distance.
 
-
-def _pairs(close: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs i < j that a symmetric boolean matrix marks, row by row."""
-    i, j = np.nonzero(close)
-    upper = i < j
-    return i[upper], j[upper]
-
-
-def _components(close: np.ndarray) -> list[list[int]]:
-    """Connected components of the graph whose edges a symmetric boolean
-    matrix marks, ordered by their least member, each in ascending order."""
-    n = close.shape[0]
-    i, j = _pairs(close)
-    if not i.size:
-        return [[k] for k in range(n)]
-    parent = list(range(n))
-
-    def find(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for a, b in zip(i.tolist(), j.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for k in range(n):
-        groups.setdefault(find(k), []).append(k)
-    return [groups[k] for k in sorted(groups)]
-
-
-def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
-    return _components(_gaps(points) <= radius)
-
-
-def _center(xs: np.ndarray, g: list[int]) -> complex:
-    """np.mean(xs[g]) for finite xs, without its cost on one member."""
-    if len(g) == 1:
-        # np.mean sums from 0, which turns a -0.0 part into +0.0
-        return complex(xs[g[0]]) + 0j
-    return complex(np.mean(xs[g]))
-
-
-def _mean_scalars(values: list) -> complex:
-    """np.mean of the array of up to 64 Python complex values, bit for bit.
-
-    NumPy's pairwise sum adds up to three values one by one from -0.0, and
-    more in four interleaved partial sums, (s0 + s1) + (s2 + s3), that take
-    four values a round, then the rest one by one; the reduction adds that
-    to its identity 0.  Smith's complex quotient by the count (m, 0) then
-    scales each part by the reciprocal 1 / m.
+    A distance is Python's abs, which rounds as np.hypot does.  Past the
+    float range, where abs raises OverflowError, it is inf, as np.hypot
+    gives it; CPython's abs also raises on a NaN part after such an
+    overflow, since it leaves the error flag set, and that distance is
+    NaN.  Candidates come from one scan of the points sorted along the
+    coordinate, Re or Im, of the wider spread, and a point's scan ends
+    where that coordinate differs by more than r.  The prune is exact: a
+    hypot never rounds below either part.  A NaN coordinate sorts as inf
+    and ends no scan, so NaN and infinite points are compared wherever
+    they could link, which takes r = inf; a NaN radius links nothing.
     """
-    m = len(values)
-    if m == 1:
-        return values[0] + 0j
-    re = [v.real for v in values]
-    im = [v.imag for v in values]
+    re = [x.real for x in xs]
+    im = [x.imag for x in xs]
+    keys = re if max(re) - min(re) >= max(im) - min(im) else im
+    total = sum(keys)
+    if total != total:  # NaN keys would leave the order unsorted
+        keys = [k if k == k else math.inf for k in keys]
+    n = len(xs)
+    order = sorted(range(n), key=keys.__getitem__)
+    ranked = [keys[a] for a in order]
+    pairs = []
+    for p in range(n - 1):
+        ka = ranked[p]
+        q = p + 1
+        while q < n and not ranked[q] - ka > r:
+            a, b = order[p], order[q]
+            diff = xs[a] - xs[b]
+            try:
+                d = abs(diff)
+            except OverflowError:
+                d = math.inf if diff == diff else math.nan
+            if d <= r:
+                pairs.append((a, b, d) if a < b else (b, a, d))
+            q += 1
+    pairs.sort()
+    return pairs
+
+
+def _groups(n: int, pairs) -> list[list[int]]:
+    """The connected components of the graph on 0, ..., n - 1 whose edges
+    are the (i, j, ...) of pairs, ordered by their least member, each in
+    ascending order."""
+    if not pairs:
+        return [[k] for k in range(n)]
+    # each point's label is the least point linked to it so far
+    label = list(range(n))
+    for i, j, _ in pairs:
+        a, b = label[i], label[j]
+        if a != b:
+            lo, hi = min(a, b), max(a, b)
+            label = [lo if lab == hi else lab for lab in label]
+    members: dict[int, list[int]] = {}
+    for k, lab in enumerate(label):
+        members.setdefault(lab, []).append(k)
+    return list(members.values())
+
+
+def _pairwise_sum(re: list, im: list) -> tuple[float, float]:
+    """NumPy's pairwise sum of the complex values re + i im, part by part.
+
+    Up to three values add one by one from -0.0, up to 64 in four
+    interleaved partial sums, (s0 + s1) + (s2 + s3), that take four values
+    a round, then the rest one by one; more split into halves whose first
+    is (m - m mod 8) / 2 of the m values long.
+    """
+    m = len(re)
     if m < 4:
         sr = si = -0.0
         for a, b in zip(re, im):
             sr += a
             si += b
-    else:
-        r, i = re[:4], im[:4]
-        k = 4
-        while k + 4 <= m:
-            for t in range(4):
-                r[t] += re[k + t]
-                i[t] += im[k + t]
-            k += 4
-        sr, si = (r[0] + r[1]) + (r[2] + r[3]), (i[0] + i[1]) + (i[2] + i[3])
-        for a, b in zip(re[k:], im[k:]):
-            sr += a
-            si += b
+        return sr, si
+    if m > 64:
+        h = (m - m % 8) // 2
+        r1, i1 = _pairwise_sum(re[:h], im[:h])
+        r2, i2 = _pairwise_sum(re[h:], im[h:])
+        return r1 + r2, i1 + i2
+    r, i = re[:4], im[:4]
+    k = 4
+    while k + 4 <= m:
+        for t in range(4):
+            r[t] += re[k + t]
+            i[t] += im[k + t]
+        k += 4
+    sr, si = (r[0] + r[1]) + (r[2] + r[3]), (i[0] + i[1]) + (i[2] + i[3])
+    for a, b in zip(re[k:], im[k:]):
+        sr += a
+        si += b
+    return sr, si
+
+
+def _mean_scalars(values: list) -> complex:
+    """np.mean of the array of the Python complex values, bit for bit.
+
+    The reduction adds _pairwise_sum's sum to its identity 0.  Smith's
+    complex quotient by the count (m, 0) then scales each part by the
+    reciprocal 1 / m.
+    """
+    m = len(values)
+    if m == 1:
+        # np.mean sums from 0, which turns a -0.0 part into +0.0
+        return values[0] + 0j
+    sr, si = _pairwise_sum([v.real for v in values], [v.imag for v in values])
     sr, si = 0.0 + sr, 0.0 + si
     scl = 1.0 / m
     return complex((sr + si * 0.0) * scl, (si - sr * 0.0) * scl)
-
-
-def _linked_arrays(xs: np.ndarray, r: float) -> tuple[list[list[int]], list[complex]]:
-    """cluster_roots' groups and their centers: single linkage at radius r,
-    then the first pair of centers within r, in row-major order, merged
-    until none is left."""
-    groups = _single_linkage(xs, r)
-    centers = [_center(xs, g) for g in groups]
-    # Chained 2-d clusters can leave centers closer than the radius; merge
-    # the first such pair until the separation invariant holds.  While no
-    # two roots are linked, the centers are the roots, which lie apart.
-    while xs.size > len(groups) > 1:
-        i, j = _pairs(_gaps(np.array(centers)) <= r)
-        if not i.size:
-            break
-        i, j = i[0], j[0]
-        groups[i] += groups.pop(j)
-        del centers[j]
-        centers[i] = _center(xs, groups[i])
-    return groups, centers
-
-
-def _linked_scalars(xl: list, r: float) -> tuple[list[list[int]], list[complex]] | None:
-    """_linked_arrays on a list of Python complex scalars, bit for bit, or
-    None where a distance is past the float range: there Python's abs
-    raises OverflowError and _gaps' hypot gives inf.
-
-    Each distance is an abs, which rounds as hypot does, each center a
-    _mean_scalars.  The groups come out as _components orders them.
-    """
-    n = len(xl)
-    # each root's label is the least root linked to it so far
-    label = list(range(n))
-    try:
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = label[i], label[j]
-                if a != b and abs(xl[i] - xl[j]) <= r:
-                    lo, hi = min(a, b), max(a, b)
-                    label = [lo if lab == hi else lab for lab in label]
-        members: dict[int, list[int]] = {}
-        for k, lab in enumerate(label):
-            members.setdefault(lab, []).append(k)
-        groups = list(members.values())
-        centers = [_mean_scalars([xl[k] for k in g]) for g in groups]
-        while n > len(groups) > 1:
-            m = len(centers)
-            close = next(((i, j) for i in range(m) for j in range(i + 1, m)
-                          if abs(centers[i] - centers[j]) <= r), None)
-            if close is None:
-                break
-            i, j = close
-            groups[i] += groups.pop(j)
-            del centers[j]
-            centers[i] = _mean_scalars([xl[k] for k in groups[i]])
-    except OverflowError:
-        return None
-    return groups, centers
 
 
 def cluster_roots(
@@ -763,8 +729,8 @@ def cluster_roots(
     Cluster centers are multiplicity-weighted means.  After linkage,
     clusters whose centers still fall within the radius are merged again
     so that surviving centers are pairwise separated by more than the
-    radius.  Up to _SCALAR_MAX_DEGREE (8) roots the clustering runs on
-    Python scalars, above it on arrays, with the same result to the bit.
+    radius.  Links and merges are the pairs of _close_pairs, centers
+    _mean_scalars: np.mean to the bit.
     """
     xs = np.asarray(list(roots), dtype=complex)
     if xs.size == 0:
@@ -774,8 +740,19 @@ def cluster_roots(
     btol = boundary_tol if boundary_tol is not None else BOUNDARY_SCALE * scale
 
     xl = xs.tolist()
-    linked = _linked_scalars(xl, r) if xs.size <= _SCALAR_MAX_DEGREE else None
-    groups, centers = linked or _linked_arrays(xs, r)
+    groups = _groups(len(xl), _close_pairs(xl, r))
+    centers = [_mean_scalars([xl[k] for k in g]) for g in groups]
+    # Chained 2-d clusters can leave centers closer than the radius; merge
+    # the first such pair until the separation invariant holds.  While no
+    # two roots are linked, the centers are the roots, which lie apart.
+    while len(xl) > len(groups) > 1:
+        close = _close_pairs(centers, r)
+        if not close:
+            break
+        i, j, _ = close[0]
+        groups[i] += groups.pop(j)
+        del centers[j]
+        centers[i] = _mean_scalars([xl[k] for k in groups[i]])
     clusters = []
     for g, center in zip(groups, centers):
         members = tuple(xl[k] for k in sorted(g))

@@ -30,10 +30,10 @@ from .polynomials import (
     CLUSTER_SCALE,
     Poly,
     RootProfile,
+    _close_pairs,
     _compose_affine,
     _deflate,
     _expand,
-    _gaps,
     cluster_roots,
     find_roots,
     vieta_from_roots,
@@ -328,8 +328,9 @@ class StepResult:
     roots: tuple[complex, ...] = ()
 
 
-def _min_gap(roots) -> float:
-    return float(_gaps(np.asarray(roots, dtype=complex)).min())
+def _closer_than(roots: Sequence[complex], r: float) -> bool:
+    """Whether two of the Python complex roots lie less than r apart."""
+    return bool(_close_pairs(roots, math.nextafter(r, -math.inf)))
 
 
 def _crossings(move_z: np.ndarray, move_b: np.ndarray, H: HalfPlane,
@@ -486,7 +487,7 @@ def max_stable_step(movers, b, frozen=(), halfplane: HalfPlane | None = None) ->
         event = "root-hit-boundary"
     elif after.boundary_distinct < before.boundary_distinct:
         event = "real-roots-merged"
-    elif _min_gap(final) < relaxed <= _min_gap(roots0):
+    elif _closer_than(final, relaxed) and not _closer_than(roots0, relaxed):
         event = "real-roots-merged"
     else:
         event = "root-hit-boundary"
@@ -843,8 +844,10 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
     steps: list[CompressionStep] = []
     checkpoints: list[tuple[int, int]] = []
 
+    # each state is clustered once: the start's profile is the loop's
+    # first, and the loop's last is the report's final profile
+    profile = initial_profile
     while True:
-        profile = cluster_roots(roots, H)
         # the profile after a step is judged at the tolerances of the roots
         # before it
         radius, btol = profile.cluster_radius, profile.boundary_tol
@@ -930,6 +933,7 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
             for rec in walk_steps:
                 if not checkpoints or rec.measure_after < checkpoints[-1]:
                     checkpoints.append(rec.measure_after)
+        profile = cluster_roots(roots, H)
 
     if steps:
         drifted = S2.residual(zc)
@@ -938,13 +942,12 @@ def compress(p0: Poly, S: Slice, halfplane: HalfPlane | None = None, *,
                 f"slice membership residual grew to {drifted:.3e} during descent"
             )
 
-    final_profile = cluster_roots(roots, H)
-    origin = sum(1 for cl in final_profile.clusters
+    origin = sum(1 for cl in profile.clusters
                  if cl.side == "boundary"
-                 and abs(cl.center) <= 10.0 * final_profile.boundary_tol)
+                 and abs(cl.center) <= 10.0 * profile.boundary_tol)
     return CompressionReport(
         initial_profile=initial_profile,
-        final_profile=final_profile,
+        final_profile=profile,
         final_z=Poly(tuple(zc)),
         steps=tuple(steps),
         rank=r,

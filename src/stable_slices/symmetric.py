@@ -794,6 +794,8 @@ def variety_search(polys, halfplane: HalfPlane | None = None, *,
     else NoneFound with search statistics; a NoneFound is never a
     certificate of emptiness.
     """
+    if budget < 1:
+        raise ValueError("budget must be positive")
     H = halfplane if halfplane is not None else HalfPlane.upper()
     polys = list(polys)
     if not polys:
@@ -976,6 +978,8 @@ def halfdeg_optimize(f: SymmetricPoly, lam: float, mu: float, *,
     when the first start that overflows comes before the first that passes
     the doubling test.
     """
+    if budget < 1:
+        raise ValueError("budget must be positive")
     H = HalfPlane.upper()
     k = max(f.degree // 2, 2)
     if box is None:

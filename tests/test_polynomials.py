@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from stable_slices.polynomials import (
     CLUSTER_SCALE,
     _aberth,
     _circle_start,
+    _close_pairs,
     _collapse_refine,
-    _gaps,
+    _groups,
     _polyval,
-    _single_linkage,
     vieta_rows,
 )
 
@@ -71,7 +72,8 @@ def reference_clusters(roots, radius):
         changed = False
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
-                if abs(centers[i] - centers[j]) <= radius:
+                d = centers[i] - centers[j]
+                if np.hypot(d.real, d.imag) <= radius:
                     groups[i] = groups[i] + groups[j]
                     del groups[j]
                     centers = [complex(np.mean(xs[g])) for g in groups]
@@ -417,37 +419,89 @@ class TestPolyval:
         assert overflowed > 20
 
 
+def reference_pairs(points, radius):
+    """Every pair i < j within the radius, row by row, with its distance,
+    as the (n, n) np.hypot matrix of the differences gives it."""
+    xs = np.asarray(points, dtype=complex)
+    with np.errstate(all="ignore"):
+        d = xs[:, None] - xs[None, :]
+        gap = np.hypot(d.real, d.imag)
+    return [(i, j, float(gap[i, j])) for i in range(xs.size) for j in range(i + 1, xs.size)
+            if gap[i, j] <= radius]
+
+
 class TestSingleLinkage:
-    """_single_linkage gives the groups of the pairwise loop it replaced."""
+    """_close_pairs finds the pairs of the full pairwise matrix, bit for bit,
+    and _groups the components of the pairwise loop it replaced."""
+
+    @staticmethod
+    def check(points, radius):
+        xs = np.asarray(points, dtype=complex)
+        pairs = _close_pairs(xs.tolist(), radius)
+        expected = reference_pairs(xs, radius)
+        assert [(i, j) for i, j, _ in pairs] == [(i, j) for i, j, _ in expected]
+        assert np.array([d for *_, d in pairs]).tobytes() == np.array(
+            [d for *_, d in expected]).tobytes()
+        groups = _groups(xs.size, pairs)
+        with np.errstate(all="ignore"):
+            assert groups == reference_linkage(xs, radius)
+        return pairs, groups
 
     def test_chained_clusters(self):
         r = 1e-3
         chain = 0.9 * r * np.arange(6)
         zigzag = 5.0 + 0.7 * r * (np.arange(5) + 1j * (np.arange(5) % 2))
         points = np.concatenate([chain, zigzag, [2.0, 2.0 + 1.1 * r]])
-        groups = _single_linkage(points, r)
-        assert groups == reference_linkage(points, r)
+        _, groups = self.check(points, r)
         assert [len(g) for g in groups] == [6, 5, 1, 1]
 
     def test_pairs_exactly_at_the_radius(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             points = rng.normal(size=8) + 1j * rng.normal(size=8)
-            gaps = _gaps(points)
             for i in range(8):
                 for j in range(i + 1, 8):
                     radius = abs(points[i] - points[j])
-                    assert gaps[i, j] == gaps[j, i] == radius
-                    groups = _single_linkage(points, radius)
-                    assert groups == reference_linkage(points, radius)
+                    pairs, groups = self.check(points, radius)
+                    assert (i, j, radius) in pairs
                     assert any(i in g and j in g for g in groups)
 
     def test_seeded_clouds(self):
         rng = np.random.default_rng(11)
-        for n in range(1, 25):
+        for n in range(1, 101):
             points = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-8, 3)
             for radius in (0.0, 1e-3, 0.1, 0.5, 2.0):
-                assert _single_linkage(points, radius) == reference_linkage(points, radius)
+                self.check(points, radius)
+
+    @pytest.mark.parametrize("turn", [1j, 1.0])
+    def test_points_on_a_line(self, turn):
+        # a vertical line, as the left half-plane's boundary roots lie, and a
+        # horizontal one: one coordinate agrees to rounding level, and the
+        # scan runs along the other
+        rng = np.random.default_rng(13)
+        for n in (8, 24, 100):
+            t = np.sort(rng.uniform(-3, 3, n))
+            t[1::5] = t[::5][:t[1::5].size] + 1e-9
+            points = turn * (t + 1e-15j * rng.normal(size=n))
+            for radius in (1e-9, 0.05, 10.0):
+                pairs, _ = self.check(points, radius)
+            assert len(pairs) == n * (n - 1) // 2
+
+    def test_non_finite_points(self):
+        # NaN and infinite points link to nothing at a finite radius; at an
+        # infinite one the pairs whose hypot is inf link, the distance past
+        # the float range among them; a NaN radius links nothing
+        inf, nan = math.inf, math.nan
+        points = [0.0, complex(nan, 0.0), 1e-3, complex(inf, 1.0), complex(0.0, -inf),
+                  complex(1.0, nan), 1e308 + 1e308j, complex(-inf, nan), -3e307 - 3e307j,
+                  complex(inf, 1.0), 2e-3j]
+        for radius in (0.0, 1e-3, 2.0, 1e300, inf, nan):
+            pairs, groups = self.check(points, radius)
+            if radius < inf:
+                linked = {k for i, j, _ in pairs for k in (i, j)}
+                assert linked <= {0, 2, 10}
+        assert (6, 8, inf) in _close_pairs(points, inf)
+        assert _close_pairs(points, nan) == []
 
 
 class TestCollapseRefine:
@@ -745,15 +799,9 @@ class TestClusterRoots:
         return clusters, r, btol
 
     @staticmethod
-    def scalar_profile(roots, halfplane, monkeypatch, **tolerances):
-        """cluster_roots with the array path ruled out, as the array
-        profile's tuple."""
-        def unused(xs, r):
-            raise AssertionError("up to degree 8 the clustering runs on scalars")
-
-        with monkeypatch.context() as m:
-            m.setattr(polynomials, "_linked_arrays", unused)
-            profile = cluster_roots(roots, halfplane, **tolerances)
+    def scalar_profile(roots, halfplane, **tolerances):
+        """cluster_roots as the array profile's tuple."""
+        profile = cluster_roots(roots, halfplane, **tolerances)
         clusters = [(c.center, c.members, c.side, c.signed_distance) for c in profile.clusters]
         assert [c.multiplicity for c in profile.clusters] == [len(c[1]) for c in clusters]
         return clusters, profile.cluster_radius, profile.boundary_tol
@@ -769,8 +817,8 @@ class TestClusterRoots:
             assert side == side_ref
             assert np.float64(dist).view(np.uint64) == np.float64(dist_ref).view(np.uint64)
 
-    @pytest.mark.parametrize("n", range(1, polynomials._SCALAR_MAX_DEGREE + 1))
-    def test_scalar_path_matches_the_arrays_bit_for_bit(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [*range(1, 13), 16, 24, 40, 64, 100])
+    def test_scalar_path_matches_the_arrays_bit_for_bit(self, n):
         # stacks of two or three roots a rounding-level spread apart, signed
         # zeros, and rotated, shifted half-planes through some of the roots
         rng = np.random.default_rng([29, n])
@@ -792,10 +840,10 @@ class TestClusterRoots:
                 H = HalfPlane.upper()
             order = rng.permutation(n)
             roots = [roots[k] for k in order]
-            self.assert_same_bits(self.scalar_profile(roots, H, monkeypatch),
+            self.assert_same_bits(self.scalar_profile(roots, H),
                                   self.array_profile(roots, H))
 
-    def test_explicit_tolerances_and_the_center_merge(self, monkeypatch):
+    def test_explicit_tolerances_and_the_center_merge(self):
         # chains whose centers land within the radius of each other, so the
         # merge loop runs, with explicit radius and boundary band
         # of test_the_merge_loop_example_on_scalars' kind: {-0.5, 0.5} and
@@ -813,49 +861,50 @@ class TestClusterRoots:
             btol = float(rng.choice([0.0, 0.05, 0.5]))
             H = HalfPlane(float(rng.uniform(0, 2 * np.pi)), complex(*rng.normal(0, 0.5, 2)))
             expected = self.array_profile(roots, H, radius, btol)
-            got = self.scalar_profile(roots, H, monkeypatch, radius=radius, boundary_tol=btol)
+            got = self.scalar_profile(roots, H, radius=radius, boundary_tol=btol)
             self.assert_same_bits(got, expected)
             merged += len(expected[0]) < len(reference_linkage(np.asarray(roots), radius))
         assert merged > 20
 
-    def test_pairs_exactly_at_the_radius_on_scalars(self, monkeypatch):
+    def test_pairs_exactly_at_the_radius_on_scalars(self):
         rng = np.random.default_rng(7)
         H = HalfPlane.upper()
         for _ in range(5):
             roots = (rng.normal(size=8) + 1j * rng.normal(size=8)).tolist()
             for i, j in itertools.combinations(range(8), 2):
                 radius = abs(roots[i] - roots[j])
-                got = self.scalar_profile(roots, H, monkeypatch, radius=radius)
+                got = self.scalar_profile(roots, H, radius=radius)
                 self.assert_same_bits(got, self.array_profile(roots, H, radius))
                 assert any(roots[i] in members and roots[j] in members
                            for _, members, _, _ in got[0])
 
-    def test_the_merge_loop_example_on_scalars(self, monkeypatch):
+    def test_the_merge_loop_example_on_scalars(self):
         roots = [-0.5, 0.88j, 5.0, 0.5, complex(-0.0, 3.0), 0.92j, 5.0 + 0.6j]
-        self.assert_same_bits(self.scalar_profile(roots, HalfPlane.upper(), monkeypatch, radius=1.0),
+        self.assert_same_bits(self.scalar_profile(roots, HalfPlane.upper(), radius=1.0),
                               self.array_profile(roots, HalfPlane.upper(), 1.0))
 
     def test_mean_scalars_is_np_mean(self):
         # signed zeros, and near-equal values whose sum cancels
         rng = np.random.default_rng(31)
         specials = [0.0, -0.0, 1.0, -1.0, 3.0, 1e-300]
-        for m in range(1, 65):
-            for trial in range(60):
+        for m in range(1, 301):
+            for trial in range(20):
                 if trial % 2:
-                    values = [complex(*rng.choice(specials, 2)) for _ in range(m)]
+                    parts = rng.choice(specials, (2, m))
                 else:
-                    x = complex(*rng.normal(size=2))
-                    values = [x + complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-16, 0)
-                              for _ in range(m)]
+                    parts = rng.normal(size=(2, 1)) + rng.normal(size=(2, m)) * 10.0 ** rng.uniform(
+                        -16, 0, m)
+                values = [complex(a, b) for a, b in zip(*parts.tolist())]
                 assert bits([polynomials._mean_scalars(values)]) == bits([np.mean(values)]), m
 
-    def test_distances_past_the_float_range_take_the_arrays(self):
+    def test_distances_past_the_float_range_are_inf(self):
         # Python's abs raises OverflowError on 1.3e308 (1 + i), hypot gives inf
         roots = [1e308 + 1e308j, -3e307 - 3e307j, 1j]
-        assert polynomials._linked_scalars(roots, 1.0) is None
+        got = self.scalar_profile(roots, HalfPlane.upper(), radius=1.0, boundary_tol=1.0)
         with np.errstate(over="ignore"):
-            profile = cluster_roots(roots, HalfPlane.upper(), radius=1.0, boundary_tol=1.0)
-        assert [c.multiplicity for c in profile.clusters] == [1, 1, 1]
+            expected = self.array_profile(roots, HalfPlane.upper(), 1.0, 1.0)
+        self.assert_same_bits(got, expected)
+        assert [len(members) for _, members, _, _ in got[0]] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("bad", [(), (float("nan"),), (float("inf") + 0j,)])

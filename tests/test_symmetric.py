@@ -101,6 +101,17 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="at least one polynomial"):
             variety_search([])
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_search_budgets_must_be_positive(self, budget):
+        # (1 + i) + e1 is finite everywhere: a budget of 0 reported its
+        # infimum as +inf and ran no start of variety_search, and -1 failed
+        # inside NumPy
+        f = SymmetricPoly.from_terms(3, {(0, 0, 0): 1 + 1j, (1, 0, 0): 1.0}, 1)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            halfdeg_optimize(f, 0.0, 1.0, budget=budget)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            variety_search([f], budget=budget)
+
 
 class TestElementarySymmetrics:
     def test_all_ones_gives_binomials(self):
