@@ -888,7 +888,7 @@ class TestClusterRoots:
         rng = np.random.default_rng(31)
         specials = [0.0, -0.0, 1.0, -1.0, 3.0, 1e-300]
         for m in range(1, 301):
-            for trial in range(20):
+            for trial in range(60):
                 if trial % 2:
                     parts = rng.choice(specials, (2, m))
                 else:
