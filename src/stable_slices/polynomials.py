@@ -38,9 +38,10 @@ _POLISH_STEPS = 2
 _FLOOR_FACTOR = 4.0
 # Up to this degree _aberth and find_roots' polish iterate on Python complex
 # scalars, above it on NumPy arrays: on a few entries a NumPy call costs more
-# than its arithmetic.  Cold find_roots timed 2.1x as fast on scalars at
-# degree 3, 1.35x at 8, 1.06x at 11 and 0.96x at 12 (README, "Numerics").
-# Up to it a cold find_roots also starts from the companion eigenvalues
+# than its arithmetic.  Cold find_roots timed 2.2x as fast on scalars at
+# degree 3, 1.15x at 8, 1.01x at 9 and 0.91x at 10 (README, "Numerics");
+# 8 stays, since moving it moves outputs.  Up to it a cold find_roots also
+# starts from the companion eigenvalues
 _SCALAR_MAX_DEGREE = 8
 
 
@@ -181,6 +182,37 @@ def _polyval(c: list, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _pair_rows(w: np.ndarray) -> list[np.ndarray]:
+    """_polyval_pair's coefficient rows for the monic descending w of
+    degree n: row i holds w_i in its first n entries and, behind a
+    leading 0, the i-th coefficient of w' in its last n."""
+    dw = np.zeros_like(w)
+    dw[1:] = _derivative(w)
+    return list(np.repeat(np.stack([w, dw], axis=1), w.size - 1, axis=1))
+
+
+def _polyval_pair(rows: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(x) and p'(x) for the monic p of _pair_rows(w), bit for bit as
+    _polyval(w) and _polyval(w') give them, in one Horner sweep over
+    concatenate([x, x]); the points x must be finite.
+
+    Each entry takes _polyval's products and sums in its order.  Only the
+    first product differs in kind, array times array where _polyval
+    multiplies by a scalar, and NumPy's fused multiply-add loops can round
+    those two kinds differently; they agree here because both leading
+    coefficients are real: w_0 = 1 and, for the p' half, 0 x + n, which
+    is exactly n at a finite x.  At a non-finite x, 0 x is NaN where
+    _polyval gives inf.
+    """
+    xx = np.concatenate([x, x])
+    y = rows[0] * xx
+    y += rows[1]
+    for r in rows[2:]:
+        y *= xx
+        y += r
+    return y[:x.size], y[x.size:]
+
+
 def _floor_reached(aw: list[float], x: np.ndarray, pv: np.ndarray, floor: float) -> bool:
     """Every |p(x_j)| within floor * sum |a_i| |x_j|^i (Bini 1996)."""
     # the first iterate alone, in scalar arithmetic, rejects iterates still
@@ -283,20 +315,23 @@ def _aberth_scalars(w: list, dw: list, xs: list) -> tuple[list, bool]:
 def _aberth_arrays(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
     """_aberth's pass on NumPy arrays."""
     n = x.size
-    wl, dwl = w.tolist(), _derivative(w).tolist()
+    rows = _pair_rows(w)
     aw = np.abs(w).tolist()
     floor = _FLOOR_FACTOR * n * np.finfo(float).eps
     previous = np.inf
     stalled = False
     xmax = np.abs(x).max()
     for _ in range(_ABERTH_MAX_ITERATIONS):
-        pv = _polyval(wl, x)
+        # _polyval_pair needs finite points.  At a non-finite start p is
+        # NaN there, so the first step is NaN and the pass returns below,
+        # as with _polyval; a later iterate is finite, because a non-finite
+        # step returns and an overflowing iterate passes the step-size test
+        pv, dpv = _polyval_pair(rows, x)
         # Once the steps stop shrinking fast, rounding may keep them above
         # the step-size test forever (multiple roots); stop as soon as every
         # residual is within the backward-error floor.
         if stalled and _floor_reached(aw, x, pv, floor):
             return x, True
-        dpv = _polyval(dwl, x)
         dpv = np.where(np.abs(dpv) < 1e-300, 1e-300, dpv)
         newton = pv / dpv
         diff = x[:, None] - x[None, :]
@@ -324,9 +359,12 @@ def _aberth_arrays(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
 def _polish(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x after _POLISH_STEPS Newton steps on every root, each skipped where
     |p'| <= 1e-200; on Python scalars up to _SCALAR_MAX_DEGREE roots, where
-    an abs past the float range makes every root NaN."""
-    wl, dwl = w.tolist(), _derivative(w).tolist()
+    an abs past the float range makes every root NaN.  On arrays a
+    non-finite root stays non-finite, though not always with the bits
+    _polyval gave, since _polyval_pair's p' is NaN there; find_roots
+    rejects it either way."""
     if x.size <= _SCALAR_MAX_DEGREE:
+        wl, dwl = w.tolist(), _derivative(w).tolist()
         xs = x.tolist()
         try:
             for _ in range(_POLISH_STEPS):
@@ -336,9 +374,9 @@ def _polish(w: np.ndarray, x: np.ndarray) -> np.ndarray:
         except OverflowError:
             return np.full_like(x, np.nan)
         return np.array(xs, dtype=complex)
+    rows = _pair_rows(w)
     for _ in range(_POLISH_STEPS):
-        pv = _polyval(wl, x)
-        dpv = _polyval(dwl, x)
+        pv, dpv = _polyval_pair(rows, x)
         safe = np.abs(dpv) > 1e-200
         x = np.where(safe, x - pv / np.where(safe, dpv, 1.0), x)
     return x
@@ -509,9 +547,9 @@ def find_roots(
     Up to degree _SCALAR_MAX_DEGREE (8) the passes and the polish run on
     Python complex scalars, above it on NumPy arrays; the two round
     differently.  Cold calls on random stable polynomials, median ms on
-    arrays / on scalars (README, "Numerics"): degree 3 0.56 / 0.26,
-    6 0.64 / 0.39, 8 1.10 / 0.80, 11 2.27 / 2.13, 12 2.79 / 2.91,
-    16 5.85 / 8.29.  From the companion eigenvalues a pass is a short
+    arrays / on scalars, both from the circle (README, "Numerics"):
+    degree 3 0.33 / 0.15, 6 0.63 / 0.42, 8 0.93 / 0.78, 9 1.16 / 1.14,
+    10 1.42 / 1.50, 16 3.88 / 7.42.  From the companion eigenvalues a pass is a short
     refinement: median ms from the circle / from the eigenvalues, degree
     3 0.14 / 0.11, 6 0.37 / 0.15, 8 0.74 / 0.19.  Above degree 8 the
     circle stays first: roots that differ at rounding level make the

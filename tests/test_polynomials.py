@@ -418,6 +418,26 @@ class TestPolyval:
             overflowed += not np.isfinite(pairs[0][0]).all()
         assert overflowed > 20
 
+    def test_pair_sweep_matches_polyval_bit_for_bit(self):
+        # p and p' of a monic w in one sweep, against one _polyval each;
+        # magnitudes up to 1e40 overflow most degrees to inf and NaN
+        overflowed = finite = 0
+        for degree in range(9, 101):
+            rng = np.random.default_rng([2026, degree])
+            w = np.concatenate([[1.0], rng.normal(size=degree) + 1j * rng.normal(size=degree)])
+            x = (rng.normal(size=degree) + 1j * rng.normal(size=degree)) \
+                * 10.0 ** rng.uniform(-3, 40, degree)
+            with np.errstate(all="ignore"):
+                pv, dpv = polynomials._polyval_pair(polynomials._pair_rows(w), x)
+                expected = (_polyval(w.tolist(), x),
+                            _polyval(polynomials._derivative(w).tolist(), x))
+            for got, want in zip((pv, dpv), expected):
+                assert got.dtype == want.dtype, degree
+                assert got.tobytes() == want.tobytes(), degree
+            overflowed += not np.isfinite(expected[0]).all()
+            finite += int(np.isfinite(expected[0]).sum())
+        assert overflowed > 80 and finite > 500
+
 
 def reference_pairs(points, radius):
     """Every pair i < j within the radius, row by row, with its distance,
@@ -714,6 +734,110 @@ class TestScalarKernel:
         for family in ("triple_plus_double", "mfold_plus_near"):
             assert counts["scalars", family] <= 1.1 * counts["arrays", family] + 2
         assert counts["scalars", "random_stable"] == counts["arrays", "random_stable"] == 0
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def reference_aberth_arrays(w, x):
+    """The array Aberth pass with one _polyval call for p and one for p'."""
+    n = x.size
+    wl, dwl = w.tolist(), polynomials._derivative(w).tolist()
+    aw = np.abs(w).tolist()
+    floor = polynomials._FLOOR_FACTOR * n * np.finfo(float).eps
+    previous = np.inf
+    stalled = False
+    xmax = np.abs(x).max()
+    for _ in range(polynomials._ABERTH_MAX_ITERATIONS):
+        pv = _polyval(wl, x)
+        if stalled and polynomials._floor_reached(aw, x, pv, floor):
+            return x, True
+        dpv = _polyval(dwl, x)
+        dpv = np.where(np.abs(dpv) < 1e-300, 1e-300, dpv)
+        newton = pv / dpv
+        diff = x[:, None] - x[None, :]
+        diff.flat[::n + 1] = np.inf
+        tiny = 1e-14 * (1.0 + xmax)
+        diff = np.where(np.abs(diff) < tiny, tiny, diff)
+        repulsion = (1.0 / diff).sum(axis=1)
+        denom = 1.0 - newton * repulsion
+        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+        step = newton / denom
+        x = x - step
+        size = np.abs(step).max()
+        if not np.isfinite(size):
+            return np.full_like(x, np.nan), False
+        xmax = np.abs(x).max()
+        if size <= 1e-14 * (1.0 + xmax):
+            break
+        stalled = size > 0.5 * previous
+        previous = size
+    return x, False
+
+
+def reference_polish_arrays(w, x):
+    """The array polish with one _polyval call for p and one for p'."""
+    wl, dwl = w.tolist(), polynomials._derivative(w).tolist()
+    for _ in range(polynomials._POLISH_STEPS):
+        pv = _polyval(wl, x)
+        dpv = _polyval(dwl, x)
+        safe = np.abs(dpv) > 1e-200
+        x = np.where(safe, x - pv / np.where(safe, dpv, 1.0), x)
+    return x
+
+
+class TestArrayPassMatchesTwoHorners:
+    """The array pass and polish evaluate p and p' in one sweep; every
+    iterate and floor flag is the one the two _polyval calls gave."""
+
+    @staticmethod
+    def check(w, x0):
+        got, floored = polynomials._aberth_arrays(w, x0)
+        expected, expected_floored = reference_aberth_arrays(w, x0)
+        assert got.tobytes() == expected.tobytes()
+        assert floored == expected_floored
+        if np.isfinite(got).all():
+            polished = polynomials._polish(w, got)
+            assert polished.tobytes() == reference_polish_arrays(w, got).tobytes()
+        return got, floored
+
+    @pytest.mark.parametrize("n", range(polynomials._SCALAR_MAX_DEGREE + 1, 41))
+    def test_circle_and_rotated_starts(self, n):
+        rng = np.random.default_rng([2026, n])
+        for _ in range(2):
+            roots = rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))
+            w = vieta_from_roots(roots).raw_coefficients()
+            for start in (_circle_start, polynomials._rotated_start):
+                self.check(w, start(w))
+
+    @pytest.mark.parametrize("n", range(polynomials._SCALAR_MAX_DEGREE + 1, 17))
+    def test_stacked_roots_stop_at_the_floor(self, n):
+        rng = np.random.default_rng([2026, n])
+        for k in range(4):
+            roots = rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))
+            roots[1:2 + k % 2] = roots[0]
+            w = vieta_from_roots(roots).raw_coefficients()
+            assert self.check(w, _circle_start(w))[1]
+
+    @pytest.mark.parametrize("n", range(33, 41))
+    def test_wide_start_overflows_to_nan(self, n):
+        # the circle's radius 1 + max |a_i|, 3e9 to 7e12, lies far outside
+        # roots of modulus about 1.5, and p and p' overflow there (the
+        # degree-32 draw converges)
+        rng = np.random.default_rng([2026, n])
+        roots = rng.normal(0, 1.5, n) + 1j * np.abs(rng.normal(0, 1, n))
+        w = vieta_from_roots(roots).raw_coefficients()
+        x, floored = self.check(w, _circle_start(w))
+        assert np.isnan(x).all() and not floored
+
+    def test_non_finite_start_is_nan(self):
+        # a coefficient near the float maximum puts the circle start
+        # itself past the float range
+        w = np.zeros(13, dtype=complex)
+        w[0], w[-1] = 1.0, 1.797e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = _circle_start(w)
+        assert not np.isfinite(x0).all()
+        x, floored = self.check(w, x0)
+        assert np.isnan(x).all() and not floored
 
 
 class TestClusterRoots:
